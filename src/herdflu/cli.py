@@ -22,6 +22,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from .config import RunConfig, load_config, parse_ranges
 from .ensemble import run_ensemble
 from .equilibrium import MultipleEndemicRoots, solve_endemic
@@ -30,7 +32,7 @@ from .integrate import (
     NoiseStream,
     integrate_ode,
     integrate_sde,
-    iter_path_states,
+    iter_path_blocks,
 )
 from .model import (
     COMPARTMENTS,
@@ -40,7 +42,7 @@ from .model import (
 )
 from .output import (
     TRAJECTORY_HEADER,
-    fmt_float,
+    write_csv_rows,
     write_ensemble_csv,
     write_prcc_svg,
     write_sensitivity_csv,
@@ -60,6 +62,17 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _positive_int(text: str) -> int:
+    # argparse reports ArgumentTypeError through _Parser.error (exit 1).
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _state_line(label: str, values) -> str:
@@ -120,14 +133,13 @@ def _write_path_csvs(args, rc: RunConfig, n_paths: int, seed: int) -> None:
         try:
             for fh in handles:
                 fh.write(TRAJECTORY_HEADER + "\n")
-            it = iter_path_states(
+            it = iter_path_blocks(
                 rc.params, rc.init, rc.sim,
                 noise=rc.noise, streams=streams, threads=args.threads,
             )
-            for t, slab in it:
-                ts = fmt_float(t)
+            for times, blk in it:
                 for j, fh in enumerate(handles):
-                    fh.write(ts + "," + ",".join(fmt_float(v) for v in slab[j]) + "\n")
+                    write_csv_rows(fh, np.column_stack([times, blk[:, j]]))
         finally:
             for fh in handles:
                 fh.close()
@@ -192,8 +204,9 @@ def _build_parser() -> _Parser:
     ps.add_argument("--paths", type=int, help="number of paths (default: config)")
     ps.add_argument("--seed", type=int, help="override config master seed")
     ps.add_argument(
-        "--threads", type=int, default=os.cpu_count() or 1,
-        help="worker threads; any value gives identical bytes",
+        "--threads", type=_positive_int, default=1,
+        help="worker threads over the path axis (default 1); any value "
+        "gives identical bytes",
     )
     ps.add_argument("--paths-out", help="directory for individual path CSVs")
     ps.set_defaults(func=_cmd_ensemble)

@@ -2,11 +2,12 @@
 
 Path i of an ensemble is driven by NoiseStream(master_seed, i), so the
 set of trajectories is fixed by the master seed alone. All paths are
-advanced step-synchronously; at each recorded time the cross-path slab
-is reduced to mean, standard deviation and quantile bands on the spot,
-keeping memory at O(paths) working state plus O(grid) output instead of
-storing every trajectory. Because the reductions always see the same
-assembled slab, serial and threaded execution produce identical bytes.
+advanced step-synchronously, and each engine block of recorded rows,
+shaped (rows, paths, 6), is reduced to per-time mean, standard deviation
+and quantile bands at once, along the path axis. Memory is therefore
+O(block x paths) for the block in flight plus O(grid) for the output,
+instead of every trajectory. Because the reductions always see the same
+assembled block, serial and threaded execution produce identical bytes.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrate import NoiseStream, SimConfig, iter_path_states
+from .integrate import NoiseStream, SimConfig, iter_path_blocks
 from .model import HerdState, ModelParams, NoiseIntensities
 
 # Ensemble quantile levels: central 95% band plus the median.
@@ -60,9 +61,10 @@ class EnsembleSummary:
             raise ValueError("extinct_fraction must lie in [0, 1]")
 
 
-def _infected_load(slab: np.ndarray) -> np.ndarray:
-    # E + I_s + I_a per path; the reservoir is not a host class.
-    return slab[:, 1] + slab[:, 2] + slab[:, 3]
+def _infected_load(states: np.ndarray) -> np.ndarray:
+    # E + I_s + I_a over the last (compartment) axis; the reservoir is
+    # not a host class.
+    return states[..., 1] + states[..., 2] + states[..., 3]
 
 
 def run_ensemble(
@@ -91,25 +93,27 @@ def run_ensemble(
     q025 = np.empty((n_rec, 6))
     q50 = np.empty((n_rec, 6))
     q975 = np.empty((n_rec, 6))
-    extinct = 0.0
 
-    it = iter_path_states(p, init, cfg, noise=n, streams=streams, threads=threads)
-    for i, (_, slab) in enumerate(it):
+    i = 0
+    it = iter_path_blocks(p, init, cfg, noise=n, streams=streams, threads=threads)
+    for _, blk in it:
+        j = i + len(blk)
         # Moments of the deviations from path 0, not of the raw values:
-        # numpy's sequential outer-axis reduction rounds even when every
-        # row is identical, and bit-identical paths must report exactly
-        # zero spread (and a one-path mean must equal that path bitwise).
-        base = slab[0]
-        dev = slab - base
-        dm = dev.mean(axis=0)
-        mean[i] = base + dm
-        var = (dev * dev).mean(axis=0) - dm * dm
-        std[i] = np.sqrt(np.maximum(var, 0.0))
-        q025[i], q50[i], q975[i] = np.quantile(slab, QUANTILES, axis=0)
-        if i == n_rec - 1:
-            extinct = float(
-                np.mean(_infected_load(slab) < EXTINCTION_THRESHOLD)
-            )
+        # numpy's sequential reduction over a non-contiguous axis rounds
+        # even when every path is identical, and bit-identical paths must
+        # report exactly zero spread (and a one-path mean must equal that
+        # path bitwise).
+        base = blk[:, 0]
+        dev = blk - base[:, None]
+        dm = dev.mean(axis=1)
+        mean[i:j] = base + dm
+        var = (dev * dev).mean(axis=1) - dm * dm
+        std[i:j] = np.sqrt(np.maximum(var, 0.0))
+        q025[i:j], q50[i:j], q975[i:j] = np.quantile(blk, QUANTILES, axis=1)
+        i = j
+    # The engine yields at least the t = 0 block, so `blk` is bound and
+    # holds the final recorded row last.
+    extinct = float(np.mean(_infected_load(blk[-1]) < EXTINCTION_THRESHOLD))
     return EnsembleSummary(
         times=times,
         mean=mean,
@@ -157,8 +161,9 @@ def extinction_fraction(
         )
     streams = [NoiseStream(master_seed, i) for i in range(n_paths)]
     extinct = np.ones(n_paths, dtype=bool)
-    it = iter_path_states(p, init, cfg, noise=n, streams=streams, threads=threads)
-    for t, slab in it:
-        if t >= cut:
-            extinct &= _infected_load(slab) < threshold
+    it = iter_path_blocks(p, init, cfg, noise=n, streams=streams, threads=threads)
+    for times, blk in it:
+        tail = blk[times >= cut]
+        if len(tail):
+            extinct &= (_infected_load(tail) < threshold).all(axis=0)
     return float(extinct.mean())

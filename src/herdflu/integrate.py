@@ -55,6 +55,9 @@ _BLOCK_STEPS = 1024
 
 _U64 = 2 ** 64
 
+# Relative slack allowed between n_steps * dt and t_end.
+_GRID_RTOL = 1e-9
+
 
 class IntegrationError(RuntimeError):
     """A step produced a state the active policy cannot accept."""
@@ -78,6 +81,14 @@ class SimConfig:
             raise ValueError(f"dt must be finite, got {self.dt!r}")
         if not 0 < self.dt <= self.t_end:
             raise ValueError(f"dt must lie in (0, t_end], got {self.dt!r}")
+        # n_steps() rounds, so a dt that does not divide t_end would
+        # silently move the horizon.
+        n = self.n_steps()
+        if abs(n * self.dt - self.t_end) > _GRID_RTOL * self.t_end:
+            raise ValueError(
+                f"dt={self.dt!r} does not divide t_end={self.t_end!r}: "
+                f"{n} steps end at t={n * self.dt!r}"
+            )
         if not (isinstance(self.record_stride, int) and self.record_stride >= 1):
             raise ValueError(
                 f"record_stride must be an integer >= 1, got {self.record_stride!r}"
@@ -257,20 +268,27 @@ def _advance_chunk(
     return state
 
 
-def iter_path_states(
+def iter_path_blocks(
     p: ModelParams,
     init: HerdState,
     cfg: SimConfig,
     noise: NoiseIntensities | None = None,
     streams: Sequence[NoiseStream] | None = None,
     threads: int = 1,
-) -> Iterator[tuple[float, np.ndarray]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Step-synchronous engine behind the Euler and Euler-Maruyama runs.
 
-    Yields (t, states) at every recorded time, `states` of shape
-    (n_paths, 6). With `noise` None the step is deterministic forward
-    Euler on a single path; otherwise each path consumes its own stream.
-    Yielded arrays are reused views; copy them to retain.
+    Yields (times, states) once per engine block that records anything:
+    `times` holds the block's recorded times and `states` has shape
+    (len(times), n_paths, 6). The first yield is the initial state at
+    t = 0 alone. Recorded rows come in grid order, so concatenating the
+    blocks gives the full recorded trajectory of every path. With
+    `noise` None the step is deterministic forward Euler on a single
+    path; otherwise each path consumes its own stream. Yielded arrays
+    belong to the engine; copy them to retain.
+
+    If a recorded state is non-finite, the rows before it are yielded
+    as a shorter block and IntegrationError is raised.
 
     Thread count only partitions the path axis, never the arithmetic,
     so results are identical for every `threads` value.
@@ -293,11 +311,11 @@ def iter_path_states(
     dt = cfg.dt
     sqrt_dt = math.sqrt(dt)
     n_steps = cfg.n_steps()
-    recorded = set(int(k) for k in cfg.recorded_steps())
+    recorded = cfg.recorded_steps()
     policy = cfg.negativity_policy
 
     state = np.tile(init.as_array(), (n_paths, 1))
-    yield 0.0, state
+    yield np.zeros(1), state[None]
 
     threads = max(1, min(int(threads), n_paths))
     bounds = np.linspace(0, n_paths, threads + 1).astype(int)
@@ -313,13 +331,12 @@ def iter_path_states(
         k0 = 0
         while k0 < n_steps:
             m = min(_BLOCK_STEPS, n_steps - k0)
-            rec_rows = [
-                (k - k0, row)
-                for row, k in enumerate(
-                    k for k in range(k0 + 1, k0 + m + 1) if k in recorded
-                )
+            ks = recorded[
+                np.searchsorted(recorded, k0, side="right"):
+                np.searchsorted(recorded, k0 + m, side="right")
             ]
-            buf = np.empty((len(rec_rows), n_paths, 6)) if rec_rows else None
+            rec_rows = [(int(k) - k0, row) for row, k in enumerate(ks)]
+            buf = np.empty((len(ks), n_paths, 6)) if rec_rows else None
 
             def job(ci: int) -> np.ndarray:
                 return _advance_chunk(
@@ -333,17 +350,48 @@ def iter_path_states(
             else:
                 chunk_states = list(pool.map(job, range(threads)))
 
-            for s_off, row in rec_rows:
-                slab = buf[row]
-                if not np.all(np.isfinite(slab)):
-                    raise IntegrationError(
-                        f"non-finite state at t={(k0 + s_off) * dt:.6g}"
-                    )
-                yield (k0 + s_off) * dt, slab
+            if rec_rows:
+                times = ks * dt
+                if not np.isfinite(buf).all():
+                    bad = int(np.argmin(np.isfinite(buf).all(axis=(1, 2))))
+                    if bad:
+                        yield times[:bad], buf[:bad]
+                    raise IntegrationError(f"non-finite state at t={times[bad]:.6g}")
+                yield times, buf
             k0 += m
     finally:
         if pool is not None:
             pool.shutdown(wait=False)
+
+
+def iter_path_states(
+    p: ModelParams,
+    init: HerdState,
+    cfg: SimConfig,
+    noise: NoiseIntensities | None = None,
+    streams: Sequence[NoiseStream] | None = None,
+    threads: int = 1,
+) -> Iterator[tuple[float, np.ndarray]]:
+    """Per-row view of `iter_path_blocks`.
+
+    Yields (t, states) at every recorded time, `states` of shape
+    (n_paths, 6). Yielded arrays are views into the engine's block
+    buffers; copy them to retain.
+    """
+    for times, blk in iter_path_blocks(p, init, cfg, noise, streams, threads):
+        yield from zip(times.tolist(), blk)
+
+
+def _path0_states(
+    blocks: Iterator[tuple[np.ndarray, np.ndarray]], n_rec: int
+) -> np.ndarray:
+    # Stack path 0 of every engine block into one (n_rec, 6) array.
+    states = np.empty((n_rec, 6))
+    i = 0
+    for _, blk in blocks:
+        states[i:i + len(blk)] = blk[:, 0]
+        i += len(blk)
+    return states
 
 
 def _integrate_rk4(p: ModelParams, init: HerdState, cfg: SimConfig) -> Trajectory:
@@ -436,11 +484,8 @@ def integrate_ode(
     if method != "euler":
         raise ValueError(f"method must be 'rk4' or 'euler', got {method!r}")
     recorded = cfg.recorded_steps()
-    times = recorded * cfg.dt
-    states = np.empty((len(recorded), 6))
-    for i, (_, slab) in enumerate(iter_path_states(p, init, cfg)):
-        states[i] = slab[0]
-    return Trajectory(times=times, states=states, stream=None)
+    states = _path0_states(iter_path_blocks(p, init, cfg), len(recorded))
+    return Trajectory(times=recorded * cfg.dt, states=states, stream=None)
 
 
 def integrate_sde(
@@ -457,9 +502,6 @@ def integrate_sde(
     same master seed.
     """
     recorded = cfg.recorded_steps()
-    times = recorded * cfg.dt
-    states = np.empty((len(recorded), 6))
-    it = iter_path_states(p, init, cfg, noise=n, streams=[stream])
-    for i, (_, slab) in enumerate(it):
-        states[i] = slab[0]
-    return Trajectory(times=times, states=states, stream=stream)
+    blocks = iter_path_blocks(p, init, cfg, noise=n, streams=[stream])
+    states = _path0_states(blocks, len(recorded))
+    return Trajectory(times=recorded * cfg.dt, states=states, stream=stream)

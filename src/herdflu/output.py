@@ -2,7 +2,10 @@
 
 Floats are written with `repr`, the shortest string that round-trips to
 the identical double, so re-parsing a file recovers the computed values
-bit for bit and identical runs produce identical bytes.
+bit for bit and identical runs produce identical bytes. The CSV writers
+format rows with `fmt_row` over `.tolist()` rows (Python floats, so the
+text equals `fmt_float` of each value) and stream them in chunks of
+_CHUNK_ROWS instead of holding the whole file as lines.
 """
 
 from __future__ import annotations
@@ -18,17 +21,30 @@ TRAJECTORY_HEADER = "t,S,E,I_s,I_a,R,B"
 ENSEMBLE_HEADER = "t,compartment,mean,std,q025,q50,q975"
 SENSITIVITY_HEADER = "parameter,prcc,p_value,significant"
 
+# Rows formatted and written per fh.write call.
+_CHUNK_ROWS = 4096
+
 
 def fmt_float(x: float) -> str:
     return repr(float(x))
 
 
+def fmt_row(row: list[float]) -> str:
+    """Comma-joined reprs of one `.tolist()` row (Python floats)."""
+    return ",".join(map(repr, row))
+
+
+def write_csv_rows(fh, data: np.ndarray) -> None:
+    """Write each row of the 2-D float array `data` as one CSV line."""
+    for a in range(0, len(data), _CHUNK_ROWS):
+        rows = data[a:a + _CHUNK_ROWS].tolist()
+        fh.write("".join([fmt_row(row) + "\n" for row in rows]))
+
+
 def write_trajectory_csv(traj: Trajectory, path: str) -> None:
-    lines = [TRAJECTORY_HEADER]
-    for t, row in zip(traj.times, traj.states):
-        lines.append(",".join([fmt_float(t)] + [fmt_float(v) for v in row]))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(TRAJECTORY_HEADER + "\n")
+        write_csv_rows(fh, np.column_stack([traj.times, traj.states]))
 
 
 def read_trajectory_csv(path: str) -> Trajectory:
@@ -44,14 +60,18 @@ def read_trajectory_csv(path: str) -> Trajectory:
 
 def write_ensemble_csv(summary: EnsembleSummary, path: str) -> None:
     """One row per (time, compartment), compartments in model order."""
-    lines = [ENSEMBLE_HEADER]
     stats = (summary.mean, summary.std, summary.q025, summary.q50, summary.q975)
-    for i, t in enumerate(summary.times):
-        for j, comp in enumerate(COMPARTMENTS):
-            vals = ",".join(fmt_float(a[i, j]) for a in stats)
-            lines.append(f"{fmt_float(t)},{comp},{vals}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(ENSEMBLE_HEADER + "\n")
+        for a in range(0, len(summary.times), _CHUNK_ROWS):
+            b = a + _CHUNK_ROWS
+            # (rows, 6, 5): the five statistics of each (time, compartment).
+            chunk = np.stack([x[a:b] for x in stats], axis=-1).tolist()
+            fh.write("".join([
+                f"{t!r},{comp},{fmt_row(vals)}\n"
+                for t, per_comp in zip(summary.times[a:b].tolist(), chunk)
+                for comp, vals in zip(COMPARTMENTS, per_comp)
+            ]))
 
 
 def read_ensemble_csv(path: str) -> dict[str, np.ndarray]:

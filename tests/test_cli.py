@@ -17,7 +17,7 @@ from herdflu import (
     sensitivity_of_r0,
     write_trajectory_csv,
 )
-from herdflu.cli import run_cli
+from herdflu.cli import _build_parser, run_cli
 from herdflu.sensitivity import R0_PARAM_KEYS
 
 FAST = "t_end = 2\ndt = 0.01\nn_paths = 4\nseed = 3\n"
@@ -210,6 +210,30 @@ class TestExitCodes:
     def test_usage_errors_exit_1(self, argv, capsys):
         assert run_cli(argv) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("threads", ["0", "-3", "two"])
+    def test_bad_threads_value_exits_1(self, threads, fast_config, tmp_path, capsys):
+        out = tmp_path / "ens.csv"
+        rc = run_cli(["ensemble", "--config", fast_config, "--out", str(out),
+                      "--threads", threads])
+        assert rc == 1
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_threads_default_is_one(self):
+        args = _build_parser().parse_args(["ensemble", "--out", "x.csv"])
+        assert args.threads == 1
+
+    def test_grid_dt_not_dividing_t_end_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("t_end = 1\ndt = 0.4\n")
+        out = tmp_path / "traj.csv"
+        rc = run_cli(["simulate", "--mode", "ode", "--config", str(cfg),
+                      "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "does not divide" in err
+        assert not out.exists()
 
     def test_help_exits_0(self, capsys):
         assert run_cli(["--help"]) == 0

@@ -15,8 +15,10 @@ from herdflu import (
     extinction_fraction,
     integrate_ode,
     integrate_sde,
+    iter_path_states,
     run_ensemble,
 )
+from herdflu.ensemble import EXTINCTION_THRESHOLD, QUANTILES
 
 ZERO_NOISE = NoiseIntensities(0.0, 0.0, 0.0, 0.0, 0.0)
 CFG = SimConfig(t_end=2.0, dt=0.01)
@@ -88,6 +90,36 @@ class TestRunEnsemble:
         assert np.allclose(summ.mean, stack.mean(axis=0), rtol=1e-13, atol=1e-10)
         assert np.allclose(summ.std, stack.std(axis=0), rtol=1e-9, atol=1e-10)
         assert np.array_equal(summ.q50, np.quantile(stack, 0.5, axis=0))
+
+    def test_block_reduction_matches_per_row_reference(self):
+        # Reference: the per-row reduction, one recorded slab at a time.
+        # The grid crosses two engine block boundaries (2600 steps),
+        # records every 7th step and ends on a partial stride; over it
+        # the share of paths below the extinction threshold keeps moving.
+        cfg = SimConfig(t_end=2.6, dt=0.001, record_stride=7)
+        n_paths, seed = 33, 17
+        summ = run_ensemble(BASELINE_PARAMS, DEFAULT_NOISE, INIT, cfg, n_paths, seed)
+        streams = [NoiseStream(seed, i) for i in range(n_paths)]
+        ref = {name: [] for name in ("mean", "std", "q025", "q50", "q975")}
+        for _, slab in iter_path_states(
+            BASELINE_PARAMS, INIT, cfg, noise=DEFAULT_NOISE, streams=streams
+        ):
+            base = slab[0]
+            dev = slab - base
+            dm = dev.mean(axis=0)
+            ref["mean"].append(base + dm)
+            var = (dev * dev).mean(axis=0) - dm * dm
+            ref["std"].append(np.sqrt(np.maximum(var, 0.0)))
+            qs = np.quantile(slab, QUANTILES, axis=0)
+            for name, q in zip(("q025", "q50", "q975"), qs):
+                ref[name].append(q)
+            last = slab.copy()
+        assert len(summ.times) == len(ref["mean"]) == 373
+        for name, rows in ref.items():
+            assert np.array_equal(getattr(summ, name), np.array(rows)), name
+        load = last[:, 1] + last[:, 2] + last[:, 3]
+        assert summ.extinct_fraction == float(np.mean(load < EXTINCTION_THRESHOLD))
+        assert 0.0 < summ.extinct_fraction < 1.0
 
     def test_bad_n_paths_rejected(self):
         for n in (0, -3, 2.0):

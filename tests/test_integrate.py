@@ -19,11 +19,12 @@ from herdflu import (
     drift,
     integrate_ode,
     integrate_sde,
+    iter_path_blocks,
     iter_path_states,
     wiener_increment,
     wiener_increments,
 )
-from herdflu.integrate import _drift_batch
+from herdflu.integrate import _BLOCK_STEPS, _drift_batch
 
 ZERO_NOISE = NoiseIntensities(0.0, 0.0, 0.0, 0.0, 0.0)
 
@@ -51,6 +52,12 @@ class TestSimConfig:
     def test_rejects_bad_grid(self, kwargs):
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
+
+    def test_rejects_grid_dt_does_not_divide(self):
+        # 1.0 / 0.4 rounds to 2 steps, which would stop at t = 0.8.
+        with pytest.raises(ValueError, match="does not divide"):
+            SimConfig(t_end=1.0, dt=0.4)
+        assert SimConfig(t_end=10.0, dt=0.4).n_steps() == 25
 
     def test_recorded_steps_include_endpoints(self):
         cfg = SimConfig(t_end=1.0, dt=0.1, record_stride=3)
@@ -241,6 +248,19 @@ class TestSde:
             for seed in range(20):
                 integrate_sde(p, loud, init, cfg, NoiseStream(seed, 0))
 
+    def test_overflow_keeps_rows_before_the_bad_one(self):
+        # The per-row view yields every finite row before it raises.
+        p = replace(BASELINE_PARAMS, lambda_recruit=1e308)
+        init = default_init(BASELINE_PARAMS)
+        cfg = SimConfig(t_end=10.0, dt=0.5)
+        times = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(IntegrationError, match="non-finite state at t=2"):
+                for t, slab in iter_path_states(p, init, cfg):
+                    assert np.all(np.isfinite(slab))
+                    times.append(t)
+        assert times == [0.0, 0.5, 1.0, 1.5]
+
     def test_overflow_is_reported_not_silent(self):
         # Recruitment beyond double range must surface as an error, not
         # as inf rows in the output.
@@ -340,6 +360,36 @@ class TestBatchEngine:
                     BASELINE_PARAMS, init, cfg, streams=[NoiseStream(0, 0)]
                 )
             )
+
+    def test_blocks_concatenate_to_the_recorded_rows(self):
+        # Rows straddle the first block boundary; stride 5 leaves a
+        # final partial stride at step 2102.
+        cfg = SimConfig(t_end=262.75, dt=0.125, record_stride=5)
+        init = default_init(BASELINE_PARAMS)
+        streams = [NoiseStream(4, i) for i in range(3)]
+        blocks = [
+            (times.copy(), blk.copy())
+            for times, blk in iter_path_blocks(
+                BASELINE_PARAMS, init, cfg, noise=DEFAULT_NOISE, streams=streams
+            )
+        ]
+        assert [len(t) for t, _ in blocks] == [1, 204, 205, 12]
+        ks = cfg.recorded_steps()
+        assert np.array_equal(np.concatenate([t for t, _ in blocks]), ks * cfg.dt)
+        for times, _ in blocks[1:]:
+            steps = np.rint(times / cfg.dt).astype(int)
+            assert len(set((steps - 1) // _BLOCK_STEPS)) == 1
+        rows = [
+            (t, slab.copy())
+            for t, slab in iter_path_states(
+                BASELINE_PARAMS, init, cfg, noise=DEFAULT_NOISE, streams=streams
+            )
+        ]
+        assert [t for t, _ in rows] == (ks * cfg.dt).tolist()
+        assert np.array_equal(
+            np.stack([slab for _, slab in rows]),
+            np.concatenate([blk for _, blk in blocks]),
+        )
 
     def test_recorded_times_follow_stride(self):
         cfg = SimConfig(t_end=1.0, dt=0.1, record_stride=4)
