@@ -34,6 +34,9 @@ from .model import (
     HerdState,
     ModelParams,
     NoiseIntensities,
+    RateCoefficients,
+    rate_coefficients,
+    rates,
 )
 
 # Post-step values in (-NEG_TOL, 0) are floating-point dust and are
@@ -183,9 +186,8 @@ def wiener_increments(
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
     gen = Generator(stream._bit_generator(start_step))
-    u = gen.random(_DOUBLES_PER_STEP * n_steps)
-    u = u.reshape(n_steps, _DOUBLES_PER_STEP)[:, :_N_NOISE]
-    return ndtri(np.maximum(u, _MIN_U)) * math.sqrt(dt)
+    z = np.empty((n_steps, 1, _N_NOISE))
+    return _fill_normals(z, [gen], math.sqrt(dt))[:, 0]
 
 
 def wiener_increment(stream: NoiseStream, step: int, dt: float) -> np.ndarray:
@@ -193,23 +195,19 @@ def wiener_increment(stream: NoiseStream, step: int, dt: float) -> np.ndarray:
     return wiener_increments(stream, 1, dt, start_step=step)[0]
 
 
-def _drift_batch(x: np.ndarray, p: ModelParams, out: np.ndarray) -> np.ndarray:
-    # Vectorised twin of model.drift: same expressions, path axis first.
-    # x is (n, 6); out is written in place and returned.
-    s, e, i_s, i_a, r, b = (x[:, j] for j in range(6))
-    n = s + e + i_s + i_a + r
-    den = np.where(n > 0.0, n, 1.0)
-    lam = p.beta_s * i_s / den + p.beta_a * i_a / den + p.beta_b * b / (p.k_half + b)
-    inc = lam * s
-    out_s = p.mu + p.d_dis + p.gamma_rem
-    out_a = p.mu + p.d_dis + p.delta_rem
-    out[:, 0] = p.lambda_recruit - inc - p.mu * s
-    out[:, 1] = inc - (p.sigma_prog + p.mu) * e
-    out[:, 2] = (p.nu * p.sigma_prog) * e - out_s * i_s
-    out[:, 3] = ((1.0 - p.nu) * p.sigma_prog) * e - out_a * i_a
-    out[:, 4] = p.gamma_rem * i_s + p.delta_rem * i_a - p.mu * r
-    out[:, 5] = p.omega_s * i_s + p.omega_a * i_a - p.eps_decay * b
-    return out
+def _fill_normals(
+    z: np.ndarray, gens: Sequence[Generator], sqrt_dt: float
+) -> np.ndarray:
+    """Fill z, shaped (m, len(gens), 5), with the next m steps of every
+    stream's N(0, dt) increments, in place, and return it."""
+    m = len(z)
+    for i, g in enumerate(gens):
+        u = g.random(_DOUBLES_PER_STEP * m).reshape(m, _DOUBLES_PER_STEP)
+        z[:, i] = u[:, :_N_NOISE]
+    np.maximum(z, _MIN_U, out=z)
+    ndtri(z, out=z)
+    z *= sqrt_dt
+    return z
 
 
 def _apply_policy(y: np.ndarray, policy: str, t: float, path_offset: int) -> np.ndarray:
@@ -225,11 +223,32 @@ def _apply_policy(y: np.ndarray, policy: str, t: float, path_offset: int) -> np.
     return np.maximum(y, 0.0)
 
 
+def _block_steps(recorded: np.ndarray, k0: int, m: int) -> np.ndarray:
+    # Recorded step indices in (k0, k0 + m].
+    return recorded[
+        np.searchsorted(recorded, k0, side="right"):
+        np.searchsorted(recorded, k0 + m, side="right")
+    ]
+
+
+def _finite_rows(
+    times: np.ndarray, buf: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    # Yield one recorded block; if a state in it is non-finite, yield
+    # only the rows before that one and raise.
+    if not np.isfinite(buf).all():
+        bad = int(np.argmin(np.isfinite(buf).all(axis=(1, 2))))
+        if bad:
+            yield times[:bad], buf[:bad]
+        raise IntegrationError(f"non-finite state at t={times[bad]:.6g}")
+    yield times, buf
+
+
 def _advance_chunk(
     state: np.ndarray,
-    gens: list[Generator] | None,
-    sig6: np.ndarray | None,
-    p: ModelParams,
+    gens: list[Generator],
+    sig6: np.ndarray,
+    c: RateCoefficients,
     dt: float,
     sqrt_dt: float,
     k0: int,
@@ -241,31 +260,99 @@ def _advance_chunk(
     hi: int,
 ) -> np.ndarray:
     """Advance paths [lo, hi) through steps [k0, k0 + m). Returns new state."""
-    if gens is not None:
-        u = np.stack(
-            [g.random(_DOUBLES_PER_STEP * m).reshape(m, _DOUBLES_PER_STEP)[:, :_N_NOISE]
-             for g in gens],
-            axis=1,
-        )
-        z = ndtri(np.maximum(u, _MIN_U)) * sqrt_dt
+    z = _fill_normals(np.empty((m, hi - lo, _N_NOISE)), gens, sqrt_dt)
     rec = dict(rec_rows)
     f = np.empty_like(state)
     for s_off in range(m):
-        _drift_batch(state, p, f)
+        f[:, 0], f[:, 1], f[:, 2], f[:, 3], f[:, 4], f[:, 5] = rates(*state.T, c)
         y = state + f * dt
-        if gens is not None:
-            amp = state * sig6
-            dw = z[s_off]
-            y[:, 0] += amp[:, 0] * dw[:, 0]
-            y[:, 1] += amp[:, 1] * dw[:, 1]
-            y[:, 2] += amp[:, 2] * dw[:, 2]
-            y[:, 3] += amp[:, 3] * dw[:, 3]
-            y[:, 5] += amp[:, 5] * dw[:, 4]
+        amp = state * sig6
+        dw = z[s_off]
+        y[:, 0] += amp[:, 0] * dw[:, 0]
+        y[:, 1] += amp[:, 1] * dw[:, 1]
+        y[:, 2] += amp[:, 2] * dw[:, 2]
+        y[:, 3] += amp[:, 3] * dw[:, 3]
+        y[:, 5] += amp[:, 5] * dw[:, 4]
         state = _apply_policy(y, policy, (k0 + s_off + 1) * dt, lo)
         row = rec.get(s_off + 1)
         if row is not None:
             buf[row, lo:hi, :] = state
     return state
+
+
+def _single_path_blocks(
+    p: ModelParams,
+    init: HerdState,
+    cfg: SimConfig,
+    noise: NoiseIntensities | None = None,
+    stream: NoiseStream | None = None,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """`iter_path_blocks` for one path, on plain floats.
+
+    Forward Euler with `noise` None, otherwise Euler-Maruyama driven by
+    `stream`. Noise comes in `_BLOCK_STEPS` blocks from the same Philox
+    window, and the update, the clamp (np.maximum(y, 0.0): NaN stays,
+    -0.0 becomes 0.0), the reject check and the non-finite check per
+    block are the batch engine's, so the path equals the matching
+    ensemble member bit for bit. On one 6-vector, numpy call overhead
+    costs more than the float arithmetic.
+    """
+    c = rate_coefficients(p)
+    dt = cfg.dt
+    n_steps = cfg.n_steps()
+    recorded = cfg.recorded_steps()
+    reject = cfg.negativity_policy == "reject"
+    noisy = noise is not None
+    if noisy:
+        sg_s, sg_e, sg_is, sg_ia, sg_b = noise.as_tuple()
+        gens = [Generator(stream._bit_generator())]
+        sqrt_dt = math.sqrt(dt)
+
+    x = init.as_array()
+    yield np.zeros(1), x[None, None]
+    s, e, i_s, i_a, r, b = x.tolist()
+    k0 = 0
+    while k0 < n_steps:
+        m = min(_BLOCK_STEPS, n_steps - k0)
+        ks = _block_steps(recorded, k0, m)
+        rec = set(ks.tolist())
+        rows = []
+        if noisy:
+            z = _fill_normals(np.empty((m, 1, _N_NOISE)), gens, sqrt_dt)
+            zs = iter(z[:, 0].tolist())
+        for k in range(k0 + 1, k0 + m + 1):
+            ds, de, dis, dia, dr, db = rates(s, e, i_s, i_a, r, b, c)
+            s1 = s + ds * dt
+            e1 = e + de * dt
+            is1 = i_s + dis * dt
+            ia1 = i_a + dia * dt
+            r1 = r + dr * dt
+            b1 = b + db * dt
+            if noisy:
+                w_s, w_e, w_is, w_ia, w_b = next(zs)
+                s1 += s * sg_s * w_s
+                e1 += e * sg_e * w_e
+                is1 += i_s * sg_is * w_is
+                ia1 += i_a * sg_ia * w_ia
+                b1 += b * sg_b * w_b
+            if reject and (
+                s1 < -NEG_TOL or e1 < -NEG_TOL or is1 < -NEG_TOL
+                or ia1 < -NEG_TOL or r1 < -NEG_TOL or b1 < -NEG_TOL
+            ):
+                # Raises with the engine's message unless a NaN masks it.
+                y = np.array([[s1, e1, is1, ia1, r1, b1]])
+                _apply_policy(y, "reject", k * dt, 0)
+            s = s1 if s1 > 0.0 or s1 != s1 else 0.0
+            e = e1 if e1 > 0.0 or e1 != e1 else 0.0
+            i_s = is1 if is1 > 0.0 or is1 != is1 else 0.0
+            i_a = ia1 if ia1 > 0.0 or ia1 != ia1 else 0.0
+            r = r1 if r1 > 0.0 or r1 != r1 else 0.0
+            b = b1 if b1 > 0.0 or b1 != b1 else 0.0
+            if k in rec:
+                rows.append((s, e, i_s, i_a, r, b))
+        if rows:
+            yield from _finite_rows(ks * dt, np.array(rows)[:, None])
+        k0 += m
 
 
 def iter_path_blocks(
@@ -276,15 +363,16 @@ def iter_path_blocks(
     streams: Sequence[NoiseStream] | None = None,
     threads: int = 1,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Step-synchronous engine behind the Euler and Euler-Maruyama runs.
+    """Step-synchronous Euler-Maruyama engine behind the ensembles.
 
     Yields (times, states) once per engine block that records anything:
     `times` holds the block's recorded times and `states` has shape
     (len(times), n_paths, 6). The first yield is the initial state at
     t = 0 alone. Recorded rows come in grid order, so concatenating the
     blocks gives the full recorded trajectory of every path. With
-    `noise` None the step is deterministic forward Euler on a single
-    path; otherwise each path consumes its own stream. Yielded arrays
+    `noise` None the run is deterministic forward Euler on a single
+    path, stepped on plain floats; otherwise each path consumes its own
+    stream and all paths advance together on arrays. Yielded arrays
     belong to the engine; copy them to retain.
 
     If a recorded state is non-finite, the rows before it are yielded
@@ -296,17 +384,16 @@ def iter_path_blocks(
     if noise is None:
         if streams is not None:
             raise ValueError("streams are only meaningful for stochastic runs")
-        n_paths = 1
-        sig6 = None
-        all_gens = None
-    else:
-        if not streams:
-            raise ValueError("stochastic runs need at least one NoiseStream")
-        n_paths = len(streams)
-        sig6 = np.array(
-            [noise.sig_S, noise.sig_E, noise.sig_Is, noise.sig_Ia, 0.0, noise.sig_B]
-        )
-        all_gens = [Generator(st._bit_generator()) for st in streams]
+        yield from _single_path_blocks(p, init, cfg)
+        return
+    if not streams:
+        raise ValueError("stochastic runs need at least one NoiseStream")
+    n_paths = len(streams)
+    sig6 = np.array(
+        [noise.sig_S, noise.sig_E, noise.sig_Is, noise.sig_Ia, 0.0, noise.sig_B]
+    )
+    all_gens = [Generator(st._bit_generator()) for st in streams]
+    c = rate_coefficients(p)
 
     dt = cfg.dt
     sqrt_dt = math.sqrt(dt)
@@ -319,30 +406,23 @@ def iter_path_blocks(
 
     threads = max(1, min(int(threads), n_paths))
     bounds = np.linspace(0, n_paths, threads + 1).astype(int)
-    chunk_states = [state[a:b].copy() for a, b in zip(bounds[:-1], bounds[1:])]
-    chunk_gens = (
-        [all_gens[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-        if all_gens is not None
-        else [None] * threads
-    )
+    chunks = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+    chunk_states = [state[a:b].copy() for a, b in chunks]
+    chunk_gens = [all_gens[a:b] for a, b in chunks]
 
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     try:
         k0 = 0
         while k0 < n_steps:
             m = min(_BLOCK_STEPS, n_steps - k0)
-            ks = recorded[
-                np.searchsorted(recorded, k0, side="right"):
-                np.searchsorted(recorded, k0 + m, side="right")
-            ]
+            ks = _block_steps(recorded, k0, m)
             rec_rows = [(int(k) - k0, row) for row, k in enumerate(ks)]
             buf = np.empty((len(ks), n_paths, 6)) if rec_rows else None
 
             def job(ci: int) -> np.ndarray:
                 return _advance_chunk(
-                    chunk_states[ci], chunk_gens[ci], sig6, p, dt, sqrt_dt,
-                    k0, m, policy, rec_rows, buf,
-                    int(bounds[ci]), int(bounds[ci + 1]),
+                    chunk_states[ci], chunk_gens[ci], sig6, c, dt, sqrt_dt,
+                    k0, m, policy, rec_rows, buf, *chunks[ci],
                 )
 
             if pool is None:
@@ -351,13 +431,7 @@ def iter_path_blocks(
                 chunk_states = list(pool.map(job, range(threads)))
 
             if rec_rows:
-                times = ks * dt
-                if not np.isfinite(buf).all():
-                    bad = int(np.argmin(np.isfinite(buf).all(axis=(1, 2))))
-                    if bad:
-                        yield times[:bad], buf[:bad]
-                    raise IntegrationError(f"non-finite state at t={times[bad]:.6g}")
-                yield times, buf
+                yield from _finite_rows(ks * dt, buf)
             k0 += m
     finally:
         if pool is not None:
@@ -394,32 +468,34 @@ def _path0_states(
     return states
 
 
+def _rk4_step(s, e, i_s, i_a, r, b, c: RateCoefficients, dt, half, sixth) -> tuple:
+    # One classical RK4 step of `rates`, on floats or on (n,) arrays.
+    k1 = rates(s, e, i_s, i_a, r, b, c)
+    k2 = rates(s + half * k1[0], e + half * k1[1], i_s + half * k1[2],
+               i_a + half * k1[3], r + half * k1[4], b + half * k1[5], c)
+    k3 = rates(s + half * k2[0], e + half * k2[1], i_s + half * k2[2],
+               i_a + half * k2[3], r + half * k2[4], b + half * k2[5], c)
+    k4 = rates(s + dt * k3[0], e + dt * k3[1], i_s + dt * k3[2],
+               i_a + dt * k3[3], r + dt * k3[4], b + dt * k3[5], c)
+    return (
+        s + sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
+        e + sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
+        i_s + sixth * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]),
+        i_a + sixth * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3]),
+        r + sixth * (k1[4] + 2.0 * k2[4] + 2.0 * k3[4] + k4[4]),
+        b + sixth * (k1[5] + 2.0 * k2[5] + 2.0 * k3[5] + k4[5]),
+    )
+
+
+def _rk4_reject_text(j: int, v: float, t: float) -> str:
+    return f"{COMPARTMENTS[j]} reached {v:.3e} at t={t:.6g} (negativity_policy='reject')"
+
+
 def _integrate_rk4(p: ModelParams, init: HerdState, cfg: SimConfig) -> Trajectory:
-    # Scalar inner loop: at the default grid (50k steps for 500 days)
-    # array arithmetic on 6-vectors costs more than plain floats.
-    lam_r, mu = p.lambda_recruit, p.mu
-    bs, ba, bb, kh = p.beta_s, p.beta_a, p.beta_b, p.k_half
-    prog_s = p.nu * p.sigma_prog
-    prog_a = (1.0 - p.nu) * p.sigma_prog
-    out_e = p.sigma_prog + p.mu
-    out_s = p.mu + p.d_dis + p.gamma_rem
-    out_a = p.mu + p.d_dis + p.delta_rem
-    gam, dlt, ws, wa, eps = p.gamma_rem, p.delta_rem, p.omega_s, p.omega_a, p.eps_decay
-
-    def f6(s, e, i_s, i_a, r, b):
-        n = s + e + i_s + i_a + r
-        den = n if n > 0.0 else 1.0
-        lam = bs * i_s / den + ba * i_a / den + bb * b / (kh + b)
-        inc = lam * s
-        return (
-            lam_r - inc - mu * s,
-            inc - out_e * e,
-            prog_s * e - out_s * i_s,
-            prog_a * e - out_a * i_a,
-            gam * i_s + dlt * i_a - mu * r,
-            ws * i_s + wa * i_a - eps * b,
-        )
-
+    # Plain floats: on one 6-vector, numpy call overhead costs more than
+    # the arithmetic. A negative component is clamped to 0 (-0.0 stays),
+    # except that under "reject" one below -NEG_TOL raises.
+    c = rate_coefficients(p)
     dt = cfg.dt
     half = 0.5 * dt
     sixth = dt / 6.0
@@ -430,40 +506,75 @@ def _integrate_rk4(p: ModelParams, init: HerdState, cfg: SimConfig) -> Trajector
     states = np.empty((len(recorded), 6))
     reject = cfg.negativity_policy == "reject"
 
-    s, e, i_s, i_a, r, b = init.as_array()
-    states[0] = (s, e, i_s, i_a, r, b)
+    x = init.as_array().tolist()
+    states[0] = x
     for k in range(1, n_steps + 1):
-        k1 = f6(s, e, i_s, i_a, r, b)
-        k2 = f6(s + half * k1[0], e + half * k1[1], i_s + half * k1[2],
-                i_a + half * k1[3], r + half * k1[4], b + half * k1[5])
-        k3 = f6(s + half * k2[0], e + half * k2[1], i_s + half * k2[2],
-                i_a + half * k2[3], r + half * k2[4], b + half * k2[5])
-        k4 = f6(s + dt * k3[0], e + dt * k3[1], i_s + dt * k3[2],
-                i_a + dt * k3[3], r + dt * k3[4], b + dt * k3[5])
-        s += sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        e += sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        i_s += sixth * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        i_a += sixth * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
-        r += sixth * (k1[4] + 2.0 * k2[4] + 2.0 * k3[4] + k4[4])
-        b += sixth * (k1[5] + 2.0 * k2[5] + 2.0 * k3[5] + k4[5])
-        if min(s, e, i_s, i_a, r, b) < 0.0:
-            vals = [s, e, i_s, i_a, r, b]
-            for j, v in enumerate(vals):
+        x = _rk4_step(*x, c, dt, half, sixth)
+        if min(x) < 0.0:
+            x = list(x)
+            for j, v in enumerate(x):
                 if v < 0.0:
                     if reject and v < -NEG_TOL:
-                        raise IntegrationError(
-                            f"{COMPARTMENTS[j]} reached {v:.3e} at t={k * dt:.6g} "
-                            f"(negativity_policy='reject')"
-                        )
-                    vals[j] = 0.0
-            s, e, i_s, i_a, r, b = vals
+                        raise IntegrationError(_rk4_reject_text(j, v, k * dt))
+                    x[j] = 0.0
         i = rec_at.get(k)
         if i is not None:
-            tot = s + e + i_s + i_a + r + b
-            if not math.isfinite(tot):
+            if not math.isfinite(x[0] + x[1] + x[2] + x[3] + x[4] + x[5]):
                 raise IntegrationError(f"non-finite state at t={k * dt:.6g}")
-            states[i] = (s, e, i_s, i_a, r, b)
+            states[i] = x
     return Trajectory(times=times, states=states, stream=None)
+
+
+def rk4_peaks(
+    c: RateCoefficients, init: HerdState, cfg: SimConfig, column: int
+) -> np.ndarray:
+    """Peaks of one compartment over n RK4 runs integrated together.
+
+    Every field of `c` is an (n,) array, one parameter set per entry
+    (see `model.rate_coefficients`). Entry i of the result is the
+    maximum of compartment `column` over the recorded times of the run
+    from `init` under parameter set i: bit for bit
+    `integrate_ode(params_i, init, cfg).states[:, column].max()`. The
+    clamp, the reject check and the non-finite check act per entry
+    exactly as in that run; if any run would raise, IntegrationError is
+    raised for the first such entry with that run's message, prefixed by
+    "sample i: ".
+    """
+    (n,) = np.broadcast(*c).shape
+    dt = cfg.dt
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    rec = set(cfg.recorded_steps().tolist())
+    reject = cfg.negativity_policy == "reject"
+    errors: dict[int, str] = {}
+
+    x = tuple(np.full(n, v) for v in init.as_array().tolist())
+    peak = x[column].copy()
+    # Runs that already failed keep stepping; their values are unused.
+    with np.errstate(all="ignore"):
+        for k in range(1, cfg.n_steps() + 1):
+            xs = np.array(_rk4_step(*x, c, dt, half, sixth))
+            neg = xs < 0.0
+            if neg.any():
+                # As in the scalar run: min() of a row whose S is NaN is
+                # NaN, so that row is left alone.
+                neg &= ~np.isnan(xs[0])
+                if reject:
+                    deep = neg & (xs < -NEG_TOL)
+                    for i in np.flatnonzero(deep.any(axis=0)).tolist():
+                        j = int(np.argmax(deep[:, i]))
+                        errors.setdefault(i, _rk4_reject_text(j, float(xs[j, i]), k * dt))
+                xs[neg] = 0.0
+            x = tuple(xs)
+            if k in rec:
+                tot = xs[0] + xs[1] + xs[2] + xs[3] + xs[4] + xs[5]
+                for i in np.flatnonzero(~np.isfinite(tot)).tolist():
+                    errors.setdefault(i, f"non-finite state at t={k * dt:.6g}")
+                np.maximum(peak, xs[column], out=peak)
+    if errors:
+        i = min(errors)
+        raise IntegrationError(f"sample {i}: {errors[i]}")
+    return peak
 
 
 def integrate_ode(
@@ -484,7 +595,7 @@ def integrate_ode(
     if method != "euler":
         raise ValueError(f"method must be 'rk4' or 'euler', got {method!r}")
     recorded = cfg.recorded_steps()
-    states = _path0_states(iter_path_blocks(p, init, cfg), len(recorded))
+    states = _path0_states(_single_path_blocks(p, init, cfg), len(recorded))
     return Trajectory(times=recorded * cfg.dt, states=states, stream=None)
 
 
@@ -502,6 +613,6 @@ def integrate_sde(
     same master seed.
     """
     recorded = cfg.recorded_steps()
-    blocks = iter_path_blocks(p, init, cfg, noise=n, streams=[stream])
+    blocks = _single_path_blocks(p, init, cfg, n, stream)
     states = _path0_states(blocks, len(recorded))
     return Trajectory(times=recorded * cfg.dt, states=states, stream=stream)

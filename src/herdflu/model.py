@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -206,6 +207,95 @@ def total_population(state: HerdState) -> float:
     return state.s + state.e + state.i_s + state.i_a + state.r
 
 
+class RateCoefficients(NamedTuple):
+    """Rate constants of the vector field, in the form `rates` consumes.
+
+    The composite rates are precomputed once per parameter set. Every
+    field is a float for one parameter set, or an (n,) array holding n
+    parameter sets side by side.
+    """
+
+    lambda_recruit: Any
+    mu: Any
+    beta_s: Any
+    beta_a: Any
+    beta_b: Any
+    k_half: Any
+    out_e: Any   # sigma + mu
+    prog_s: Any  # nu * sigma
+    out_s: Any   # mu + d + gamma
+    prog_a: Any  # (1 - nu) * sigma
+    out_a: Any   # mu + d + delta
+    gamma_rem: Any
+    delta_rem: Any
+    omega_s: Any
+    omega_a: Any
+    eps_decay: Any
+
+
+def rate_coefficients(p: ModelParams) -> RateCoefficients:
+    """Coefficients of `rates` for `p`.
+
+    `p` may also be any object with the ModelParams field names whose
+    values are (n,) arrays; the coefficients are then arrays too.
+    """
+    return RateCoefficients(
+        lambda_recruit=p.lambda_recruit,
+        mu=p.mu,
+        beta_s=p.beta_s,
+        beta_a=p.beta_a,
+        beta_b=p.beta_b,
+        k_half=p.k_half,
+        out_e=p.sigma_prog + p.mu,
+        prog_s=p.nu * p.sigma_prog,
+        out_s=p.mu + p.d_dis + p.gamma_rem,
+        prog_a=(1.0 - p.nu) * p.sigma_prog,
+        out_a=p.mu + p.d_dis + p.delta_rem,
+        gamma_rem=p.gamma_rem,
+        delta_rem=p.delta_rem,
+        omega_s=p.omega_s,
+        omega_a=p.omega_a,
+        eps_decay=p.eps_decay,
+    )
+
+
+def _pressure(n, i_s, i_a, b, c: RateCoefficients):
+    # Per-susceptible infection pressure at live herd size n. With N = 0
+    # every host class is 0, so the substituted denominator never
+    # changes the value; it only avoids 0/0.
+    if isinstance(n, np.ndarray):
+        den = np.where(n > 0.0, n, 1.0)
+    else:
+        den = n if n > 0.0 else 1.0
+    return c.beta_s * i_s / den + c.beta_a * i_a / den + c.beta_b * b / (c.k_half + b)
+
+
+def rates(s, e, i_s, i_a, r, b, c: RateCoefficients) -> tuple:
+    """The deterministic vector field: (dS, dE, dI_s, dI_a, dR, dB).
+
+    The single definition of the drift. Compartments are floats, or
+    (n,) arrays for n states at once; `c` holds floats, or (n,) arrays
+    for n parameter sets (see `rate_coefficients`). Every expression is
+    evaluated elementwise in the same order in either form, so a batch
+    reproduces the scalar results bit for bit.
+
+    Summing the five host components gives
+    Lambda - mu*N - d*(I_s + I_a): disease mortality acts on both
+    infectious classes, all other flows are internal transfers.
+    """
+    (lam_r, mu, _, _, _, _, out_e, prog_s, out_s, prog_a, out_a,
+     gam, dlt, ws, wa, eps) = c
+    inc = _pressure(s + e + i_s + i_a + r, i_s, i_a, b, c) * s
+    return (
+        lam_r - inc - mu * s,
+        inc - out_e * e,
+        prog_s * e - out_s * i_s,
+        prog_a * e - out_a * i_a,
+        gam * i_s + dlt * i_a - mu * r,
+        ws * i_s + wa * i_a - eps * b,
+    )
+
+
 def force_of_infection(state: HerdState, p: ModelParams) -> float:
     """Per-susceptible infection pressure lam(state).
 
@@ -213,36 +303,16 @@ def force_of_infection(state: HerdState, p: ModelParams) -> float:
     exerts no direct pressure. The environmental route saturates at
     beta_b as B grows, so lam <= beta_s + beta_a + beta_b always.
     """
-    n = total_population(state)
-    # With N = 0 every host class is 0, so the substituted denominator
-    # never changes the value; it only avoids 0/0. The same expression
-    # shape is used by the vectorised kernel in herdflu.integrate.
-    den = n if n > 0.0 else 1.0
-    return (
-        p.beta_s * state.i_s / den
-        + p.beta_a * state.i_a / den
-        + p.beta_b * state.b / (p.k_half + state.b)
+    return _pressure(
+        total_population(state), state.i_s, state.i_a, state.b, rate_coefficients(p)
     )
 
 
 def drift(state: HerdState, p: ModelParams) -> DriftVector:
-    """Deterministic vector field of the herd model at `state`.
-
-    Summing the five host components gives
-    Lambda - mu*N - d*(I_s + I_a): disease mortality acts on both
-    infectious classes, all other flows are internal transfers.
-    """
-    lam = force_of_infection(state, p)
-    inc = lam * state.s
-    out_s = p.mu + p.d_dis + p.gamma_rem
-    out_a = p.mu + p.d_dis + p.delta_rem
+    """Deterministic vector field of the herd model at `state` (see `rates`)."""
     return DriftVector(
-        ds=p.lambda_recruit - inc - p.mu * state.s,
-        de=inc - (p.sigma_prog + p.mu) * state.e,
-        di_s=(p.nu * p.sigma_prog) * state.e - out_s * state.i_s,
-        di_a=((1.0 - p.nu) * p.sigma_prog) * state.e - out_a * state.i_a,
-        dr=p.gamma_rem * state.i_s + p.delta_rem * state.i_a - p.mu * state.r,
-        db=p.omega_s * state.i_s + p.omega_a * state.i_a - p.eps_decay * state.b,
+        *rates(state.s, state.e, state.i_s, state.i_a, state.r, state.b,
+               rate_coefficients(p))
     )
 
 

@@ -20,18 +20,24 @@ controlled parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from types import SimpleNamespace
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtr
 
-from .integrate import SimConfig, integrate_ode
+# bench/child.py wraps herdflu.sensitivity.integrate_ode by name when it
+# traces a run, so the name stays importable from this module.
+from .integrate import SimConfig, integrate_ode, rk4_peaks  # noqa: F401
 from .model import (
     BASELINE_PARAMS,
+    COMPARTMENTS,
     PARAM_KEYS,
+    HerdState,
     ModelParams,
     default_init,
     r0_closed_form,
+    rate_coefficients,
 )
 
 ALPHA = 0.05  # two-sided significance level
@@ -160,6 +166,27 @@ class SensitivityReport:
         raise KeyError(name)
 
 
+def rank_average(a: np.ndarray) -> np.ndarray:
+    """Ranks 1..n of a 1-d array, ties sharing their average rank.
+
+    Matches scipy.stats.rankdata(a) (method "average"); any NaN makes
+    every rank NaN.
+    """
+    a = np.asarray(a, dtype=float)
+    if np.isnan(a).any():
+        return np.full(a.shape, math.nan)
+    order = np.argsort(a, kind="stable")
+    ranked = a[order]
+    # Each tie group spans sorted positions [start, end); its members
+    # share the mean of ranks start + 1 .. end.
+    starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+    ends = np.r_[starts[1:], len(a)]
+    group = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    out = np.empty(len(a))
+    out[order] = group
+    return out
+
+
 def _residuals(v: np.ndarray, design: np.ndarray) -> np.ndarray:
     coef, *_ = np.linalg.lstsq(design, v, rcond=None)
     return v - design @ coef
@@ -192,10 +219,8 @@ def prcc(
     if len(names) != k:
         raise ValueError("one name per sample column is required")
 
-    rank_x = np.column_stack(
-        [stats.rankdata(samples[:, j]) for j in range(k)]
-    )
-    rank_y = stats.rankdata(outputs)
+    rank_x = np.column_stack([rank_average(samples[:, j]) for j in range(k)])
+    rank_y = rank_average(outputs)
 
     rows = []
     for j in range(k):
@@ -214,7 +239,8 @@ def prcc(
             p = 0.0
         else:
             t = r * math.sqrt(df / (1.0 - r * r))
-            p = 2.0 * float(stats.t.sf(abs(t), df))
+            # Upper t tail, as scipy.stats.t.sf(|t|, df) computes it.
+            p = 2.0 * float(stdtr(df, -abs(t)))
         rows.append(ParamSensitivity(names[j], r, p, p < ALPHA))
     return SensitivityReport(params=tuple(rows), n_samples=n, seed=seed)
 
@@ -251,9 +277,11 @@ def sensitivity_of_peak_symptomatic(
 ) -> SensitivityReport:
     """PRCC of the peak symptomatic count from deterministic runs.
 
-    One RK4 integration per sample from a fixed near-DFE seed derived
-    from `base`, so this costs far more than `sensitivity_of_r0`; keep
-    n modest.
+    Every sample runs RK4 from a fixed near-DFE seed derived from
+    `base`; all samples are integrated together on arrays, so the cost
+    grows far slower than n. Each peak equals that of the sample's own
+    `integrate_ode` run bit for bit; if any run would fail, the error
+    names the first such sample in row order and carries its message.
     """
     if ranges is None:
         ranges = default_ranges(base)
@@ -261,8 +289,16 @@ def sensitivity_of_peak_symptomatic(
         cfg = SimConfig(t_end=500.0, dt=0.1)
     init = default_init(base)
     samples = lhs_sample(ranges, n, seed)
-    outputs = np.empty(n)
-    for i, row in enumerate(samples):
-        traj = integrate_ode(_params_for_row(base, ranges.names, row), init, cfg)
-        outputs[i] = traj.column("I_s").max()
+    params = [_params_for_row(base, ranges.names, row) for row in samples]
+    outputs = _peak_symptomatic(params, init, cfg)
     return prcc(samples, outputs, names=ranges.names, seed=seed)
+
+
+def _peak_symptomatic(
+    params: list[ModelParams], init: HerdState, cfg: SimConfig
+) -> np.ndarray:
+    columns = SimpleNamespace(**{
+        f.name: np.array([getattr(q, f.name) for q in params], dtype=float)
+        for f in fields(ModelParams)
+    })
+    return rk4_peaks(rate_coefficients(columns), init, cfg, COMPARTMENTS.index("I_s"))

@@ -281,3 +281,16 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "closed_form=" in proc.stdout
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats costs most of a second at import; the CLI needs only
+    # scipy.special.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, herdflu.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

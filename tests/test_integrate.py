@@ -24,7 +24,9 @@ from herdflu import (
     wiener_increment,
     wiener_increments,
 )
-from herdflu.integrate import _BLOCK_STEPS, _drift_batch
+from herdflu.integrate import _BLOCK_STEPS
+from herdflu.model import rate_coefficients, rates
+from herdflu.output import write_trajectory_csv
 
 ZERO_NOISE = NoiseIntensities(0.0, 0.0, 0.0, 0.0, 0.0)
 
@@ -314,10 +316,11 @@ class TestSde:
 
 class TestBatchEngine:
     def test_batch_drift_matches_scalar(self):
+        # The one kernel on (n,) arrays equals the scalar drift row by row.
         rng = np.random.default_rng(12)
         x = rng.uniform(0.0, 4000.0, size=(64, 6))
-        out = np.empty_like(x)
-        _drift_batch(x, BASELINE_PARAMS, out)
+        x[:3, :5] = 0.0  # empty herds take the N = 0 branch
+        out = np.array(rates(*x.T, rate_coefficients(BASELINE_PARAMS))).T
         for i in range(64):
             row = drift(HerdState.from_array(x[i]), BASELINE_PARAMS).as_array()
             assert np.array_equal(out[i], row)
@@ -396,3 +399,67 @@ class TestBatchEngine:
         init = default_init(BASELINE_PARAMS)
         times = [t for t, _ in iter_path_states(BASELINE_PARAMS, init, cfg)]
         assert times == pytest.approx([0.0, 0.4, 0.8, 1.0])
+
+
+LOUD = NoiseIntensities(3.0, 3.0, 3.0, 3.0, 3.0)
+
+
+class TestFloatPath:
+    """The plain-float single path against the array engine."""
+
+    def test_float_em_equals_ensemble_member_csv_bytes(self, tmp_path):
+        # Noise loud enough that the clamp fires; CSV bytes would show a
+        # -0.0 where the engine writes 0.0.
+        p = replace(BASELINE_PARAMS, beta_a=0.46665)
+        init = HerdState(2000.0, 40.0, 25.0, 12.0, 8.0, 90.0)
+        cfg = SimConfig(t_end=30.0, dt=0.05, record_stride=3)
+        streams = [NoiseStream(9, i) for i in range(4)]
+        blocks = [
+            (times.copy(), blk.copy())
+            for times, blk in iter_path_blocks(
+                p, init, cfg, noise=LOUD, streams=streams
+            )
+        ]
+        times = np.concatenate([t for t, _ in blocks])
+        member = np.concatenate([blk for _, blk in blocks])
+        clamped = 0
+        for i, st in enumerate(streams):
+            tr = integrate_sde(p, LOUD, init, cfg, st)
+            ref = Trajectory(times=times, states=member[:, i], stream=st)
+            write_trajectory_csv(tr, tmp_path / "float.csv")
+            write_trajectory_csv(ref, tmp_path / "engine.csv")
+            assert (tmp_path / "float.csv").read_bytes() == (
+                tmp_path / "engine.csv"
+            ).read_bytes()
+            clamped += int(np.sum(tr.states[1:, :4] == 0.0))
+        assert clamped > 0
+
+    def test_float_euler_equals_engine_at_zero_noise(self):
+        cfg = SimConfig(t_end=3.0, dt=0.01, record_stride=7)
+        init = default_init(BASELINE_PARAMS)
+        det = integrate_ode(BASELINE_PARAMS, init, cfg, method="euler")
+        it = iter_path_states(
+            BASELINE_PARAMS, init, cfg,
+            noise=ZERO_NOISE, streams=[NoiseStream(1, 0), NoiseStream(1, 1)],
+        )
+        rows = np.array([slab.copy() for _, slab in it])
+        assert det.states.tobytes() == rows[:, 1].tobytes()
+
+    def test_float_em_reject_message_equals_engine(self):
+        p = BASELINE_PARAMS
+        init = HerdState(1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        loud = NoiseIntensities(50.0, 0.0, 0.0, 0.0, 0.0)
+        cfg = SimConfig(t_end=1.0, dt=0.5, negativity_policy="reject")
+        seen = 0
+        for seed in range(20):
+            stream = NoiseStream(seed, 0)
+            try:
+                integrate_sde(p, loud, init, cfg, stream)
+            except IntegrationError as exc:
+                with pytest.raises(IntegrationError) as engine:
+                    list(iter_path_blocks(p, init, cfg, noise=loud, streams=[stream]))
+                assert str(exc) == str(engine.value)
+                seen += 1
+            else:
+                list(iter_path_blocks(p, init, cfg, noise=loud, streams=[stream]))
+        assert seen > 0

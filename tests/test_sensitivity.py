@@ -6,14 +6,23 @@ import pytest
 
 from herdflu import (
     BASELINE_PARAMS,
+    IntegrationError,
     ParamRanges,
+    SimConfig,
+    default_init,
+    integrate_ode,
     default_ranges,
     lhs_sample,
     prcc,
     sensitivity_of_peak_symptomatic,
     sensitivity_of_r0,
 )
-from herdflu.sensitivity import R0_PARAM_KEYS
+from herdflu.sensitivity import (
+    R0_PARAM_KEYS,
+    _params_for_row,
+    _peak_symptomatic,
+    rank_average,
+)
 
 
 class TestParamRanges:
@@ -110,6 +119,18 @@ def toy_samples(n=200, k=4, seed=0):
 
 
 class TestPrcc:
+    def test_average_ranks_match_scipy_on_ties(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(14)
+        for a in (
+            rng.integers(0, 6, size=200).astype(float),
+            np.array([3.0, 1.0, 3.0, 3.0, -0.0, 0.0, 2.0, 1.0]),
+            rng.uniform(size=50),
+            np.array([7.0]),
+        ):
+            assert rank_average(a).tobytes() == stats.rankdata(a).tobytes()
+        assert np.isnan(rank_average(np.array([1.0, np.nan, 2.0]))).all()
+
     def test_monotone_copy_scores_one(self):
         x = toy_samples()
         rep = prcc(x, x[:, 2] ** 3)
@@ -200,3 +221,56 @@ class TestModelSensitivity:
         rep = sensitivity_of_peak_symptomatic(n=40, seed=3)
         assert rep.n_samples == 40
         assert rep.by_name("beta_a").prcc > 0.0
+
+
+OUTBREAK = replace(BASELINE_PARAMS, beta_a=0.46665)
+# dt = 10 overshoots: most rows clamp (truncate) or fail (reject).
+COARSE = dict(t_end=100.0, dt=10.0)
+
+
+def per_row_peaks(ranges, n, seed, cfg):
+    init = default_init(OUTBREAK)
+    return np.array([
+        integrate_ode(_params_for_row(OUTBREAK, ranges.names, row), init, cfg)
+        .column("I_s").max()
+        for row in lhs_sample(ranges, n, seed)
+    ])
+
+
+class TestBatchedPeakSweep:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SimConfig(t_end=60.0, dt=0.1, record_stride=1),
+            SimConfig(t_end=60.0, dt=0.1, record_stride=7),
+            SimConfig(**COARSE, record_stride=1),
+            SimConfig(**COARSE, record_stride=7),
+        ],
+    )
+    def test_equals_per_row_integrate_ode_bitwise(self, cfg):
+        ranges = default_ranges(OUTBREAK, rel=0.9)
+        n, seed = 20, 4
+        ref = per_row_peaks(ranges, n, seed, cfg)
+        init = default_init(OUTBREAK)
+        samples = lhs_sample(ranges, n, seed)
+        params = [_params_for_row(OUTBREAK, ranges.names, row) for row in samples]
+        assert _peak_symptomatic(params, init, cfg).tobytes() == ref.tobytes()
+        rep = sensitivity_of_peak_symptomatic(ranges, n, seed, OUTBREAK, cfg)
+        assert rep == prcc(samples, ref, names=ranges.names, seed=seed)
+
+    def test_reject_names_first_failing_sample_in_row_order(self):
+        # With seed 2, sample 0 first goes negative at t = 70 and sample
+        # 1 already at t = 10: row order, not time, picks the sample.
+        ranges = default_ranges(OUTBREAK, rel=0.9)
+        cfg = SimConfig(**COARSE, negativity_policy="reject")
+        init = default_init(OUTBREAK)
+        rows = lhs_sample(ranges, 16, 2)
+        messages = []
+        for row in rows[:2]:
+            with pytest.raises(IntegrationError) as exc:
+                integrate_ode(_params_for_row(OUTBREAK, ranges.names, row), init, cfg)
+            messages.append(str(exc.value))
+        assert "t=70" in messages[0] and "t=10" in messages[1]
+        with pytest.raises(IntegrationError) as exc:
+            sensitivity_of_peak_symptomatic(ranges, 16, 2, OUTBREAK, cfg)
+        assert str(exc.value) == f"sample 0: {messages[0]}"
