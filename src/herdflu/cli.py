@@ -27,13 +27,7 @@ import numpy as np
 from .config import RunConfig, load_config, parse_ranges
 from .ensemble import run_ensemble
 from .equilibrium import MultipleEndemicRoots, solve_endemic
-from .integrate import (
-    IntegrationError,
-    NoiseStream,
-    integrate_ode,
-    integrate_sde,
-    iter_path_blocks,
-)
+from .integrate import IntegrationError, NoiseStream, integrate_ode, integrate_sde
 from .model import (
     COMPARTMENTS,
     disease_free_equilibrium,
@@ -51,8 +45,8 @@ from .output import (
 )
 from .sensitivity import sensitivity_of_peak_symptomatic, sensitivity_of_r0
 
-# Per-path CSV emission opens this many files at once; keeps the handle
-# count well under common ulimits while amortizing the stepping cost.
+# Per-path CSV emission opens at most this many files at once, well
+# under common ulimits.
 _PATH_GROUP = 128
 
 
@@ -116,44 +110,43 @@ def _cmd_simulate(args, rc: RunConfig) -> int:
     return 0
 
 
-def _write_path_csvs(args, rc: RunConfig, n_paths: int, seed: int) -> None:
-    os.makedirs(args.paths_out, exist_ok=True)
-    for lo in range(0, n_paths, _PATH_GROUP):
-        hi = min(lo + _PATH_GROUP, n_paths)
-        streams = [NoiseStream(seed, i) for i in range(lo, hi)]
-        handles = [
-            open(
-                os.path.join(args.paths_out, f"path_{i:04d}.csv"),
-                "w",
-                encoding="utf-8",
-                newline="\n",
-            )
-            for i in range(lo, hi)
-        ]
-        try:
-            for fh in handles:
-                fh.write(TRAJECTORY_HEADER + "\n")
-            it = iter_path_blocks(
-                rc.params, rc.init, rc.sim,
-                noise=rc.noise, streams=streams, threads=args.threads,
-            )
-            for times, blk in it:
-                for j, fh in enumerate(handles):
+def _path_csv_writer(out_dir: str, n_paths: int):
+    """Create one CSV per path and return an `on_block` consumer that
+    appends each engine block to them, `_PATH_GROUP` files at a time."""
+    os.makedirs(out_dir, exist_ok=True)
+    names = [os.path.join(out_dir, f"path_{i:04d}.csv") for i in range(n_paths)]
+    for name in names:
+        with open(name, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(TRAJECTORY_HEADER + "\n")
+
+    def on_block(times, blk) -> None:
+        for lo in range(0, n_paths, _PATH_GROUP):
+            hi = min(lo + _PATH_GROUP, n_paths)
+            handles = [
+                open(name, "a", encoding="utf-8", newline="\n")
+                for name in names[lo:hi]
+            ]
+            try:
+                for j, fh in enumerate(handles, lo):
                     write_csv_rows(fh, np.column_stack([times, blk[:, j]]))
-        finally:
-            for fh in handles:
-                fh.close()
+            finally:
+                for fh in handles:
+                    fh.close()
+
+    return on_block
 
 
 def _cmd_ensemble(args, rc: RunConfig) -> int:
     n_paths = rc.n_paths if args.paths is None else args.paths
     seed = rc.seed if args.seed is None else args.seed
+    on_block = None
+    if args.paths_out:
+        on_block = _path_csv_writer(args.paths_out, n_paths)
     summary = run_ensemble(
-        rc.params, rc.noise, rc.init, rc.sim, n_paths, seed, threads=args.threads
+        rc.params, rc.noise, rc.init, rc.sim, n_paths, seed,
+        threads=args.threads, on_block=on_block,
     )
     write_ensemble_csv(summary, args.out)
-    if args.paths_out:
-        _write_path_csvs(args, rc, n_paths, seed)
     return 0
 
 
@@ -201,7 +194,9 @@ def _build_parser() -> _Parser:
     ps = sub.add_parser("ensemble", help="seeded ensemble with per-time summaries")
     common(ps)
     ps.add_argument("--out", required=True, help="summary CSV path")
-    ps.add_argument("--paths", type=int, help="number of paths (default: config)")
+    ps.add_argument(
+        "--paths", type=_positive_int, help="number of paths (default: config)"
+    )
     ps.add_argument("--seed", type=int, help="override config master seed")
     ps.add_argument(
         "--threads", type=_positive_int, default=1,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -75,12 +76,18 @@ def run_ensemble(
     n_paths: int,
     master_seed: int,
     threads: int = 1,
+    *,
+    on_block: Callable[[np.ndarray, np.ndarray], None] | None = None,
 ) -> EnsembleSummary:
     """Integrate n_paths stochastic paths and reduce them per time.
 
     A one-path ensemble reproduces the corresponding `integrate_sde`
     trajectory exactly; with all intensities zero every path coincides
     and the standard deviation is identically 0.
+
+    `on_block`, if given, is called with every engine block
+    `(times, states)` (see `iter_path_blocks`) before the reduction
+    reorders it, so a caller can consume the paths of the same run.
     """
     if not isinstance(n_paths, int) or n_paths < 1:
         raise ValueError(f"n_paths must be an integer >= 1, got {n_paths!r}")
@@ -96,7 +103,7 @@ def run_ensemble(
 
     i = 0
     it = iter_path_blocks(p, init, cfg, noise=n, streams=streams, threads=threads)
-    for _, blk in it:
+    for t_blk, blk in it:
         j = i + len(blk)
         # Moments of the deviations from path 0, not of the raw values:
         # numpy's sequential reduction over a non-contiguous axis rounds
@@ -109,11 +116,19 @@ def run_ensemble(
         mean[i:j] = base + dm
         var = (dev * dev).mean(axis=1) - dm * dm
         std[i:j] = np.sqrt(np.maximum(var, 0.0))
-        q025[i:j], q50[i:j], q975[i:j] = np.quantile(blk, QUANTILES, axis=1)
+        # Per path, so before the sort; the last block's value stands.
+        extinct = float(np.mean(_infected_load(blk[-1]) < EXTINCTION_THRESHOLD))
+        if on_block is not None:
+            on_block(t_blk, blk)
+        # The reducer sorts the engine's block in place along the path
+        # axis: the quantiles of sorted data are the same order
+        # statistics, interpolated the same way, so the bytes are those
+        # of an untouched block, and partitioning sorted data is cheap.
+        blk.sort(axis=1)
+        q025[i:j], q50[i:j], q975[i:j] = np.quantile(
+            blk, QUANTILES, axis=1, overwrite_input=True
+        )
         i = j
-    # The engine yields at least the t = 0 block, so `blk` is bound and
-    # holds the final recorded row last.
-    extinct = float(np.mean(_infected_load(blk[-1]) < EXTINCTION_THRESHOLD))
     return EnsembleSummary(
         times=times,
         mean=mean,

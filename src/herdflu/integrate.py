@@ -27,7 +27,6 @@ from typing import Iterator, Literal, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import ndtri
 
 from .model import (
     COMPARTMENTS,
@@ -37,6 +36,8 @@ from .model import (
     RateCoefficients,
     rate_coefficients,
     rates,
+    rates_rows,
+    row_coefficients,
 )
 
 # Post-step values in (-NEG_TOL, 0) are floating-point dust and are
@@ -186,8 +187,8 @@ def wiener_increments(
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
     gen = Generator(stream._bit_generator(start_step))
-    z = np.empty((n_steps, 1, _N_NOISE))
-    return _fill_normals(z, [gen], math.sqrt(dt))[:, 0]
+    z = np.empty((n_steps, _N_NOISE, 1))
+    return _fill_normals(z, [gen], math.sqrt(dt))[:, :, 0]
 
 
 def wiener_increment(stream: NoiseStream, step: int, dt: float) -> np.ndarray:
@@ -198,29 +199,32 @@ def wiener_increment(stream: NoiseStream, step: int, dt: float) -> np.ndarray:
 def _fill_normals(
     z: np.ndarray, gens: Sequence[Generator], sqrt_dt: float
 ) -> np.ndarray:
-    """Fill z, shaped (m, len(gens), 5), with the next m steps of every
+    """Fill z, shaped (m, 5, len(gens)), with the next m steps of every
     stream's N(0, dt) increments, in place, and return it."""
+    # Imported here so that commands without noise never load
+    # scipy.special, a third of a second of start-up.
+    from scipy.special import ndtri
+
     m = len(z)
     for i, g in enumerate(gens):
         u = g.random(_DOUBLES_PER_STEP * m).reshape(m, _DOUBLES_PER_STEP)
-        z[:, i] = u[:, :_N_NOISE]
+        z[:, :, i] = u[:, :_N_NOISE]
     np.maximum(z, _MIN_U, out=z)
     ndtri(z, out=z)
     z *= sqrt_dt
     return z
 
 
-def _apply_policy(y: np.ndarray, policy: str, t: float, path_offset: int) -> np.ndarray:
-    # Truncation clamps every negative; reject only tolerates dust.
-    if policy == "reject":
-        mn = y.min()
-        if mn < -NEG_TOL:
-            i, j = np.unravel_index(int(np.argmin(y)), y.shape)
-            raise IntegrationError(
-                f"{COMPARTMENTS[j]} of path {path_offset + i} reached {mn:.3e} "
-                f"at t={t:.6g} (negativity_policy='reject')"
-            )
-    return np.maximum(y, 0.0)
+def _check_reject(y: np.ndarray, t: float, path_offset: int) -> None:
+    # Under "reject", a post-step state y of shape (paths, 6) may only
+    # hold negative dust; name the first most negative entry otherwise.
+    mn = y.min()
+    if mn < -NEG_TOL:
+        i, j = np.unravel_index(int(np.argmin(y)), y.shape)
+        raise IntegrationError(
+            f"{COMPARTMENTS[j]} of path {path_offset + i} reached {mn:.3e} "
+            f"at t={t:.6g} (negativity_policy='reject')"
+        )
 
 
 def _block_steps(recorded: np.ndarray, k0: int, m: int) -> np.ndarray:
@@ -244,40 +248,58 @@ def _finite_rows(
     yield times, buf
 
 
-def _advance_chunk(
-    state: np.ndarray,
-    gens: list[Generator],
-    sig6: np.ndarray,
-    c: RateCoefficients,
-    dt: float,
-    sqrt_dt: float,
-    k0: int,
-    m: int,
-    policy: str,
-    rec_rows: list[tuple[int, int]],
-    buf: np.ndarray | None,
-    lo: int,
-    hi: int,
-) -> np.ndarray:
-    """Advance paths [lo, hi) through steps [k0, k0 + m). Returns new state."""
-    z = _fill_normals(np.empty((m, hi - lo, _N_NOISE)), gens, sqrt_dt)
-    rec = dict(rec_rows)
-    f = np.empty_like(state)
-    for s_off in range(m):
-        f[:, 0], f[:, 1], f[:, 2], f[:, 3], f[:, 4], f[:, 5] = rates(*state.T, c)
-        y = state + f * dt
-        amp = state * sig6
-        dw = z[s_off]
-        y[:, 0] += amp[:, 0] * dw[:, 0]
-        y[:, 1] += amp[:, 1] * dw[:, 1]
-        y[:, 2] += amp[:, 2] * dw[:, 2]
-        y[:, 3] += amp[:, 3] * dw[:, 3]
-        y[:, 5] += amp[:, 5] * dw[:, 4]
-        state = _apply_policy(y, policy, (k0 + s_off + 1) * dt, lo)
-        row = rec.get(s_off + 1)
-        if row is not None:
-            buf[row, lo:hi, :] = state
-    return state
+class _PathChunk:
+    """Paths [lo, hi) of the engine with their generators and buffers.
+
+    The state is stacked compartment-major, (6, paths), in two buffers
+    that swap roles every step; coefficients, temporaries and row views
+    are built once, so a step costs a fixed set of whole-array calls.
+    """
+
+    def __init__(self, x0: np.ndarray, gens: list[Generator], sig: tuple,
+                 c: RateCoefficients, lo: int, hi: int):
+        n = hi - lo
+        self.gens = gens
+        self.lo, self.hi = lo, hi
+        self.k = row_coefficients(c, n)
+        self.sig4 = np.repeat(np.array(sig[:4])[:, None], n, axis=1)
+        self.sig_b = sig[4]
+        self.f = np.empty((6, n))
+        self.t4 = np.empty((4, n))
+        self.tb = np.empty(n)
+        bufs = [np.repeat(x0[:, None], n, axis=1), np.empty((6, n))]
+        self.views = [(x, x[:4], x[5]) for x in bufs]
+
+    def advance(self, dt: float, sqrt_dt: float, k0: int, m: int,
+                reject: bool, rec_rows: list[tuple[int, int]],
+                buf: np.ndarray | None) -> None:
+        """Steps [k0, k0 + m); writes recorded rows into buf[:, lo:hi]."""
+        k, f, t4, tb = self.k, self.f, self.t4, self.tb
+        sig4, sig_b, lo, hi = self.sig4, self.sig_b, self.lo, self.hi
+        z = _fill_normals(np.empty((m, _N_NOISE, hi - lo)), self.gens, sqrt_dt)
+        rec = dict(rec_rows)
+        (x, x4, xb), (y, y4, yb) = self.views
+        for s_off in range(m):
+            # y = x + f(x)*dt + (sig*x)*dW, the float path's operations
+            # in its order, element by element.
+            rates_rows(x, k, f)
+            np.multiply(f, dt, out=y)
+            y += x
+            dw = z[s_off]
+            np.multiply(x4, sig4, out=t4)
+            t4 *= dw[:4]
+            y4 += t4
+            np.multiply(xb, sig_b, out=tb)
+            tb *= dw[4]
+            yb += tb
+            if reject:
+                _check_reject(y.T, (k0 + s_off + 1) * dt, lo)
+            np.maximum(y, 0.0, out=y)
+            row = rec.get(s_off + 1)
+            if row is not None:
+                buf[row, lo:hi] = y.T
+            (x, x4, xb), (y, y4, yb) = (y, y4, yb), (x, x4, xb)
+        self.views = [(x, x4, xb), (y, y4, yb)]
 
 
 def _single_path_blocks(
@@ -318,8 +340,8 @@ def _single_path_blocks(
         rec = set(ks.tolist())
         rows = []
         if noisy:
-            z = _fill_normals(np.empty((m, 1, _N_NOISE)), gens, sqrt_dt)
-            zs = iter(z[:, 0].tolist())
+            z = _fill_normals(np.empty((m, _N_NOISE, 1)), gens, sqrt_dt)
+            zs = iter(z[:, :, 0].tolist())
         for k in range(k0 + 1, k0 + m + 1):
             ds, de, dis, dia, dr, db = rates(s, e, i_s, i_a, r, b, c)
             s1 = s + ds * dt
@@ -340,8 +362,7 @@ def _single_path_blocks(
                 or ia1 < -NEG_TOL or r1 < -NEG_TOL or b1 < -NEG_TOL
             ):
                 # Raises with the engine's message unless a NaN masks it.
-                y = np.array([[s1, e1, is1, ia1, r1, b1]])
-                _apply_policy(y, "reject", k * dt, 0)
+                _check_reject(np.array([[s1, e1, is1, ia1, r1, b1]]), k * dt, 0)
             s = s1 if s1 > 0.0 or s1 != s1 else 0.0
             e = e1 if e1 > 0.0 or e1 != e1 else 0.0
             i_s = is1 if is1 > 0.0 or is1 != is1 else 0.0
@@ -372,8 +393,9 @@ def iter_path_blocks(
     blocks gives the full recorded trajectory of every path. With
     `noise` None the run is deterministic forward Euler on a single
     path, stepped on plain floats; otherwise each path consumes its own
-    stream and all paths advance together on arrays. Yielded arrays
-    belong to the engine; copy them to retain.
+    stream and all paths advance together on arrays. Each yielded block
+    is a fresh array that the engine never reads again, so a consumer
+    may keep it or reorder it in place (`run_ensemble` sorts it).
 
     If a recorded state is non-finite, the rows before it are yielded
     as a shorter block and IntegrationError is raised.
@@ -389,9 +411,6 @@ def iter_path_blocks(
     if not streams:
         raise ValueError("stochastic runs need at least one NoiseStream")
     n_paths = len(streams)
-    sig6 = np.array(
-        [noise.sig_S, noise.sig_E, noise.sig_Is, noise.sig_Ia, 0.0, noise.sig_B]
-    )
     all_gens = [Generator(st._bit_generator()) for st in streams]
     c = rate_coefficients(p)
 
@@ -399,16 +418,17 @@ def iter_path_blocks(
     sqrt_dt = math.sqrt(dt)
     n_steps = cfg.n_steps()
     recorded = cfg.recorded_steps()
-    policy = cfg.negativity_policy
+    reject = cfg.negativity_policy == "reject"
 
-    state = np.tile(init.as_array(), (n_paths, 1))
-    yield np.zeros(1), state[None]
+    x0 = init.as_array()
+    yield np.zeros(1), np.tile(x0, (1, n_paths, 1))
 
     threads = max(1, min(int(threads), n_paths))
-    bounds = np.linspace(0, n_paths, threads + 1).astype(int)
-    chunks = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
-    chunk_states = [state[a:b].copy() for a, b in chunks]
-    chunk_gens = [all_gens[a:b] for a, b in chunks]
+    bounds = np.linspace(0, n_paths, threads + 1).astype(int).tolist()
+    chunks = [
+        _PathChunk(x0, all_gens[a:b], noise.as_tuple(), c, a, b)
+        for a, b in zip(bounds[:-1], bounds[1:])
+    ]
 
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     try:
@@ -419,16 +439,13 @@ def iter_path_blocks(
             rec_rows = [(int(k) - k0, row) for row, k in enumerate(ks)]
             buf = np.empty((len(ks), n_paths, 6)) if rec_rows else None
 
-            def job(ci: int) -> np.ndarray:
-                return _advance_chunk(
-                    chunk_states[ci], chunk_gens[ci], sig6, c, dt, sqrt_dt,
-                    k0, m, policy, rec_rows, buf, *chunks[ci],
-                )
+            def job(chunk: _PathChunk) -> None:
+                chunk.advance(dt, sqrt_dt, k0, m, reject, rec_rows, buf)
 
             if pool is None:
-                chunk_states = [job(0)]
+                job(chunks[0])
             else:
-                chunk_states = list(pool.map(job, range(threads)))
+                list(pool.map(job, chunks))
 
             if rec_rows:
                 yield from _finite_rows(ks * dt, buf)
@@ -469,7 +486,7 @@ def _path0_states(
 
 
 def _rk4_step(s, e, i_s, i_a, r, b, c: RateCoefficients, dt, half, sixth) -> tuple:
-    # One classical RK4 step of `rates`, on floats or on (n,) arrays.
+    # One classical RK4 step of `rates` on floats.
     k1 = rates(s, e, i_s, i_a, r, b, c)
     k2 = rates(s + half * k1[0], e + half * k1[1], i_s + half * k1[2],
                i_a + half * k1[3], r + half * k1[4], b + half * k1[5], c)
@@ -541,6 +558,7 @@ def rk4_peaks(
     "sample i: ".
     """
     (n,) = np.broadcast(*c).shape
+    rc = row_coefficients(c, n)
     dt = cfg.dt
     half = 0.5 * dt
     sixth = dt / 6.0
@@ -548,12 +566,31 @@ def rk4_peaks(
     reject = cfg.negativity_policy == "reject"
     errors: dict[int, str] = {}
 
-    x = tuple(np.full(n, v) for v in init.as_array().tolist())
+    x = np.repeat(init.as_array()[:, None], n, axis=1)
     peak = x[column].copy()
+    k1, k2, k3, k4, xi = (np.empty((6, n)) for _ in range(5))
     # Runs that already failed keep stepping; their values are unused.
     with np.errstate(all="ignore"):
         for k in range(1, cfg.n_steps() + 1):
-            xs = np.array(_rk4_step(*x, c, dt, half, sixth))
+            # `_rk4_step` on the stacked state: each element sees the
+            # same operations in the same order.
+            rates_rows(x, rc, k1)
+            np.multiply(k1, half, out=xi)
+            xi += x
+            rates_rows(xi, rc, k2)
+            np.multiply(k2, half, out=xi)
+            xi += x
+            rates_rows(xi, rc, k3)
+            np.multiply(k3, dt, out=xi)
+            xi += x
+            rates_rows(xi, rc, k4)
+            k2 *= 2.0
+            k1 += k2
+            k3 *= 2.0
+            k1 += k3
+            k1 += k4
+            k1 *= sixth
+            xs = k1 + x
             neg = xs < 0.0
             if neg.any():
                 # As in the scalar run: min() of a row whose S is NaN is
@@ -565,7 +602,7 @@ def rk4_peaks(
                         j = int(np.argmax(deep[:, i]))
                         errors.setdefault(i, _rk4_reject_text(j, float(xs[j, i]), k * dt))
                 xs[neg] = 0.0
-            x = tuple(xs)
+            x = xs
             if k in rec:
                 tot = xs[0] + xs[1] + xs[2] + xs[3] + xs[4] + xs[5]
                 for i in np.flatnonzero(~np.isfinite(tot)).tolist():

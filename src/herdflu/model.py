@@ -212,7 +212,7 @@ class RateCoefficients(NamedTuple):
 
     The composite rates are precomputed once per parameter set. Every
     field is a float for one parameter set, or an (n,) array holding n
-    parameter sets side by side.
+    parameter sets side by side (`row_coefficients` takes either).
     """
 
     lambda_recruit: Any
@@ -263,21 +263,16 @@ def _pressure(n, i_s, i_a, b, c: RateCoefficients):
     # Per-susceptible infection pressure at live herd size n. With N = 0
     # every host class is 0, so the substituted denominator never
     # changes the value; it only avoids 0/0.
-    if isinstance(n, np.ndarray):
-        den = np.where(n > 0.0, n, 1.0)
-    else:
-        den = n if n > 0.0 else 1.0
+    den = n if n > 0.0 else 1.0
     return c.beta_s * i_s / den + c.beta_a * i_a / den + c.beta_b * b / (c.k_half + b)
 
 
 def rates(s, e, i_s, i_a, r, b, c: RateCoefficients) -> tuple:
     """The deterministic vector field: (dS, dE, dI_s, dI_a, dR, dB).
 
-    The single definition of the drift. Compartments are floats, or
-    (n,) arrays for n states at once; `c` holds floats, or (n,) arrays
-    for n parameter sets (see `rate_coefficients`). Every expression is
-    evaluated elementwise in the same order in either form, so a batch
-    reproduces the scalar results bit for bit.
+    The float definition of the drift, over the float coefficients of
+    one parameter set (see `rate_coefficients`). `rates_rows` evaluates
+    the same expressions on stacked arrays, bit for bit.
 
     Summing the five host components gives
     Lambda - mu*N - d*(I_s + I_a): disease mortality acts on both
@@ -294,6 +289,77 @@ def rates(s, e, i_s, i_a, r, b, c: RateCoefficients) -> tuple:
         gam * i_s + dlt * i_a - mu * r,
         ws * i_s + wa * i_a - eps * b,
     )
+
+
+class RowCoefficients(NamedTuple):
+    """`RateCoefficients` grouped and broadcast for `rates_rows`.
+
+    Every field ends in an axis of length n, one entry per state column,
+    so that `rates_rows` multiplies arrays of one shape (numpy charges
+    more for broadcasting a (rows, 1) operand than for the product).
+    """
+
+    loss: np.ndarray    # (6, n): mu, sigma+mu, mu+d+gamma, mu+d+delta, mu, eps
+    direct: np.ndarray  # (2, n): beta_s, beta_a
+    prog: np.ndarray    # (2, n): nu*sigma, (1-nu)*sigma
+    gain: np.ndarray    # (2, 2, n): [[gamma, delta], [omega_s, omega_a]]
+    lambda_recruit: np.ndarray  # (n,)
+    beta_b: np.ndarray  # (n,)
+    k_half: np.ndarray  # (n,)
+
+
+def row_coefficients(c: RateCoefficients, n: int) -> RowCoefficients:
+    """`c` laid out for n state columns.
+
+    The fields of `c` are floats (one parameter set, shared by every
+    column) or (n,) arrays (parameter set i drives column i).
+    """
+    a = np.array(np.broadcast_arrays(*c, np.empty(n))[:-1], dtype=float)
+    i = RateCoefficients._fields.index
+    return RowCoefficients(
+        loss=a[[i("mu"), i("out_e"), i("out_s"), i("out_a"), i("mu"), i("eps_decay")]],
+        direct=a[[i("beta_s"), i("beta_a")]],
+        prog=a[[i("prog_s"), i("prog_a")]],
+        gain=a[[[i("gamma_rem"), i("delta_rem")], [i("omega_s"), i("omega_a")]]],
+        lambda_recruit=a[i("lambda_recruit")],
+        beta_b=a[i("beta_b")],
+        k_half=a[i("k_half")],
+    )
+
+
+def rates_rows(x: np.ndarray, k: RowCoefficients, out: np.ndarray) -> np.ndarray:
+    """`rates` on a stacked (6, n) state, rows in COMPARTMENTS order.
+
+    The array definition of the drift: column i is a state driven by
+    parameter set i of `k` (see `row_coefficients`). Writes the (6, n)
+    drift into `out`, which must not overlap `x`, and returns it.
+    Products of one shape are grouped into one call across compartments
+    (the six loss terms, the two direct routes, the two progressions,
+    the four shedding and removal inflows), and the inflows are built in
+    `out` so that one subtraction of the losses finishes every row. Each
+    element still sees the IEEE operations of `rates` in the same order,
+    so each column equals `rates` of that column bit for bit.
+    """
+    s, e, i_s, i_a, r, b = x
+    i_sa = x[2:4]
+    loss = k.loss * x
+    n = s + e
+    n += i_s
+    n += i_a
+    n += r
+    direct = k.direct * i_sa
+    # Dividing by 1.0 is exact, so skipping it is `rates`'s N <= 0 branch.
+    np.divide(direct, n, out=direct, where=n > 0.0)
+    d_s, inc, prog, gain = out[0], out[1], out[2:4], out[4:]
+    np.add(*direct, out=inc)
+    inc += k.beta_b * b / (k.k_half + b)
+    inc *= s
+    np.subtract(k.lambda_recruit, inc, out=d_s)
+    np.multiply(k.prog, e, out=prog)
+    g = k.gain * i_sa
+    np.add(g[:, 0], g[:, 1], out=gain)
+    out -= loss
+    return out
 
 
 def force_of_infection(state: HerdState, p: ModelParams) -> float:

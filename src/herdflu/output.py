@@ -3,9 +3,10 @@
 Floats are written with `repr`, the shortest string that round-trips to
 the identical double, so re-parsing a file recovers the computed values
 bit for bit and identical runs produce identical bytes. The CSV writers
-format rows with `fmt_row` over `.tolist()` rows (Python floats, so the
-text equals `fmt_float` of each value) and stream them in chunks of
-_CHUNK_ROWS instead of holding the whole file as lines.
+apply `repr` to `.tolist()` values (Python floats, so the text equals
+`fmt_float` of each value; `fmt_row` joins one row) and stream them in
+chunks of _CHUNK_ROWS instead of holding the whole file as lines; the
+trajectory SVG streams its polylines the same way.
 """
 
 from __future__ import annotations
@@ -61,16 +62,19 @@ def read_trajectory_csv(path: str) -> Trajectory:
 def write_ensemble_csv(summary: EnsembleSummary, path: str) -> None:
     """One row per (time, compartment), compartments in model order."""
     stats = (summary.mean, summary.std, summary.q025, summary.q50, summary.q975)
+    line = "{},{},{},{},{},{},{}\n".format
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(ENSEMBLE_HEADER + "\n")
         for a in range(0, len(summary.times), _CHUNK_ROWS):
             b = a + _CHUNK_ROWS
-            # (rows, 6, 5): the five statistics of each (time, compartment).
-            chunk = np.stack([x[a:b] for x in stats], axis=-1).tolist()
+            # (rows, 6, 5): the five statistics of each (time, compartment),
+            # formatted in one pass and consumed five at a time.
+            chunk = np.stack([x[a:b] for x in stats], axis=-1)
+            vals = map(repr, chunk.ravel().tolist())
             fh.write("".join([
-                f"{t!r},{comp},{fmt_row(vals)}\n"
-                for t, per_comp in zip(summary.times[a:b].tolist(), chunk)
-                for comp, vals in zip(COMPARTMENTS, per_comp)
+                line(t, comp, *five)
+                for t in map(repr, summary.times[a:b].tolist())
+                for comp, five in zip(COMPARTMENTS, zip(vals, vals, vals, vals, vals))
             ]))
 
 
@@ -130,7 +134,7 @@ def read_sensitivity_csv(path: str) -> list[tuple[str, float, float, bool]]:
 _PALETTE = ("#4477aa", "#ee6677", "#228833", "#ccbb44", "#66ccee", "#aa3377")
 
 
-def _svg_doc(width: int, height: int, body: list[str]) -> str:
+def _svg_head(width: int, height: int) -> str:
     head = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">'
@@ -139,20 +143,28 @@ def _svg_doc(width: int, height: int, body: list[str]) -> str:
         "<style>text{font-family:sans-serif;font-size:11px;fill:#333}"
         "line.axis{stroke:#333;stroke-width:1}</style>"
     )
-    return "\n".join([head, style] + body + ["</svg>"]) + "\n"
+    return f"{head}\n{style}\n"
+
+
+def _svg_doc(width: int, height: int, body: list[str]) -> str:
+    return _svg_head(width, height) + "\n".join(body + ["</svg>"]) + "\n"
 
 
 def write_trajectory_svg(
     traj: Trajectory, path: str, compartments: tuple[str, ...] = COMPARTMENTS
 ) -> None:
-    """Polyline time-series plot of the chosen compartments."""
+    """Polyline time-series plot of the chosen compartments.
+
+    The polylines are streamed to the file in chunks of points, so the
+    document is never held in memory whole.
+    """
     w, h, ml, mr, mt, mb = 820, 420, 55, 120, 15, 35
     pw, ph = w - ml - mr, h - mt - mb
     t = traj.times
     t0, t1 = float(t[0]), float(t[-1]) or 1.0
     cols = [COMPARTMENTS.index(c) for c in compartments]
     ymax = max(float(traj.states[:, cols].max()), 1e-12)
-    body = [
+    axes = [
         f'<line class="axis" x1="{ml}" y1="{mt + ph}" x2="{ml + pw}" y2="{mt + ph}"/>',
         f'<line class="axis" x1="{ml}" y1="{mt}" x2="{ml}" y2="{mt + ph}"/>',
         f'<text x="{ml + pw / 2:.0f}" y="{h - 8}">time (days)</text>',
@@ -162,23 +174,29 @@ def write_trajectory_svg(
         f'<text x="{ml + pw - 20}" y="{h - 8}">{t1:.4g}</text>',
     ]
     span = (t1 - t0) or 1.0
-    for idx, c in enumerate(compartments):
-        y = traj.states[:, COMPARTMENTS.index(c)]
-        pts = " ".join(
-            f"{ml + pw * (ti - t0) / span:.2f},{mt + ph * (1.0 - yi / ymax):.2f}"
-            for ti, yi in zip(t, y)
-        )
-        color = _PALETTE[idx % len(_PALETTE)]
-        body.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-            f'points="{pts}"/>'
-        )
-        body.append(
-            f'<text x="{ml + pw + 8}" y="{mt + 14 + 16 * idx}" '
-            f'fill="{color}">{c}</text>'
-        )
+    # " x," of every point, formatted once and shared by every series;
+    # the first point has no separating space.
+    xs = [f" {ml + pw * (ti - t0) / span:.2f}," for ti in t.tolist()]
+    xs[0] = xs[0][1:]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_svg_doc(w, h, body))
+        fh.write(_svg_head(w, h))
+        fh.write("\n".join(axes) + "\n")
+        for idx, (c, j) in enumerate(zip(compartments, cols)):
+            color = _PALETTE[idx % len(_PALETTE)]
+            fh.write(
+                f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="'
+            )
+            for a in range(0, len(xs), _CHUNK_ROWS):
+                b = a + _CHUNK_ROWS
+                fh.write("".join([
+                    f"{x}{mt + ph * (1.0 - yi / ymax):.2f}"
+                    for x, yi in zip(xs[a:b], traj.states[a:b, j].tolist())
+                ]))
+            fh.write(
+                f'"/>\n<text x="{ml + pw + 8}" y="{mt + 14 + 16 * idx}" '
+                f'fill="{color}">{c}</text>\n'
+            )
+        fh.write("</svg>\n")
 
 
 def write_prcc_svg(report: SensitivityReport, path: str) -> None:

@@ -24,7 +24,6 @@ from dataclasses import dataclass, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.special import stdtr
 
 # bench/child.py wraps herdflu.sensitivity.integrate_ode by name when it
 # traces a run, so the name stays importable from this module.
@@ -218,6 +217,10 @@ def prcc(
         names = tuple(f"x{j}" for j in range(k))
     if len(names) != k:
         raise ValueError("one name per sample column is required")
+
+    # Imported here so that commands without a PRCC never load
+    # scipy.special, a third of a second of start-up.
+    from scipy.special import stdtr
 
     rank_x = np.column_stack([rank_average(samples[:, j]) for j in range(k)])
     rank_y = rank_average(outputs)

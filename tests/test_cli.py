@@ -7,9 +7,11 @@ import pytest
 from herdflu import (
     BASELINE_PARAMS,
     DEFAULT_NOISE,
+    NoiseStream,
     SimConfig,
     default_init,
     integrate_ode,
+    integrate_sde,
     read_ensemble_csv,
     read_sensitivity_csv,
     read_trajectory_csv,
@@ -17,6 +19,7 @@ from herdflu import (
     sensitivity_of_r0,
     write_trajectory_csv,
 )
+from herdflu import cli
 from herdflu.cli import _build_parser, run_cli
 from herdflu.sensitivity import R0_PARAM_KEYS
 
@@ -135,6 +138,25 @@ class TestEnsemble:
         run_cli(["simulate", "--mode", "sde", "--config", fast_config,
                  "--out", str(sim)])
         assert (members / "path_0000.csv").read_bytes() == sim.read_bytes()
+
+    def test_paths_out_files_equal_integrate_sde(
+        self, fast_config, tmp_path, monkeypatch
+    ):
+        # One engine pass feeds every path file; with groups of two files
+        # the five paths span three groups.
+        monkeypatch.setattr(cli, "_PATH_GROUP", 2)
+        members = tmp_path / "members"
+        assert run_cli(["ensemble", "--config", fast_config, "--out",
+                        str(tmp_path / "ens.csv"), "--paths", "5",
+                        "--paths-out", str(members)]) == 0
+        init = default_init(BASELINE_PARAMS)
+        for i in range(5):
+            tr = integrate_sde(BASELINE_PARAMS, DEFAULT_NOISE, init,
+                               SimConfig(2.0, 0.01), NoiseStream(3, i))
+            write_trajectory_csv(tr, str(tmp_path / "ref.csv"))
+            assert (members / f"path_{i:04d}.csv").read_bytes() == (
+                tmp_path / "ref.csv"
+            ).read_bytes()
 
     def test_thread_count_does_not_change_bytes(self, fast_config, tmp_path):
         a, b = tmp_path / "t1.csv", tmp_path / "t4.csv"
@@ -259,12 +281,24 @@ class TestExitCodes:
         assert rc == 2
         capsys.readouterr()
 
-    def test_bad_paths_value_exits_2(self, fast_config, tmp_path, capsys):
+    def test_bad_paths_value_exits_1(self, fast_config, tmp_path, capsys):
+        # A bad flag value is a usage error, as for --threads.
         out = tmp_path / "ens.csv"
-        rc = run_cli(["ensemble", "--config", fast_config, "--out", str(out),
-                      "--paths", "0"])
-        assert rc == 2
-        capsys.readouterr()
+        for paths in ("0", "-3"):
+            rc = run_cli(["ensemble", "--config", fast_config, "--out", str(out),
+                          "--paths", paths])
+            assert rc == 1
+            assert "--paths" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_config_zero_paths_exits_2(self, tmp_path, capsys):
+        # The same value from a config file is a validation failure.
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text("t_end = 2\nn_paths = 0\n")
+        out = tmp_path / "ens.csv"
+        assert run_cli(["ensemble", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "n_paths" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_diagnostics_go_to_stderr_not_stdout(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -294,3 +328,17 @@ def test_cli_import_leaves_out_scipy_stats():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_commands_without_noise_or_prcc_leave_out_scipy_special():
+    # scipy.special is a third of a second of start-up; only the
+    # stochastic integrators and prcc import it.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, herdflu.cli; "
+         "assert herdflu.cli.run_cli(['r0']) == 0; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"

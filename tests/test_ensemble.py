@@ -121,6 +121,41 @@ class TestRunEnsemble:
         assert summ.extinct_fraction == float(np.mean(load < EXTINCTION_THRESHOLD))
         assert 0.0 < summ.extinct_fraction < 1.0
 
+    def test_in_place_reduction_matches_untouched_blocks(self):
+        # The reducer sorts each engine block in place. Reference: the
+        # same statistics on a copy of each block taken before the sort
+        # (through on_block), with np.quantile on the untouched copy.
+        # Loud noise on S clamps many paths to exactly 0, so order
+        # statistics tie; the extinct share is per path and must survive
+        # the sort.
+        p = replace(BASELINE_PARAMS, beta_a=0.46665)
+        init = HerdState(2000.0, 3.0, 2.0, 1.0, 8.0, 5.0)
+        loud = NoiseIntensities(3.0, 1.0, 1.0, 1.0, 3.0)
+        cfg = SimConfig(t_end=10.0, dt=0.1, record_stride=3)
+        copies = []
+        summ = run_ensemble(
+            p, loud, init, cfg, 40, 8,
+            on_block=lambda times, blk: copies.append(blk.copy()),
+        )
+        stack = np.concatenate(copies)
+        assert np.mean(stack[1:, :, 0] == 0.0) > 0.05
+        base = stack[:, 0]
+        dev = stack - base[:, None]
+        dm = dev.mean(axis=1)
+        var = (dev * dev).mean(axis=1) - dm * dm
+        ref = dict(
+            mean=base + dm,
+            std=np.sqrt(np.maximum(var, 0.0)),
+            **dict(zip(("q025", "q50", "q975"),
+                       np.quantile(stack, QUANTILES, axis=1))),
+        )
+        for name, want in ref.items():
+            assert getattr(summ, name).tobytes() == want.tobytes(), name
+        assert np.any(summ.q025[:, 0] == 0.0)
+        load = stack[-1, :, 1] + stack[-1, :, 2] + stack[-1, :, 3]
+        assert summ.extinct_fraction == float(np.mean(load < EXTINCTION_THRESHOLD))
+        assert 0.0 < summ.extinct_fraction < 1.0
+
     def test_bad_n_paths_rejected(self):
         for n in (0, -3, 2.0):
             with pytest.raises(ValueError):

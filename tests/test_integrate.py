@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -25,7 +26,7 @@ from herdflu import (
     wiener_increments,
 )
 from herdflu.integrate import _BLOCK_STEPS
-from herdflu.model import rate_coefficients, rates
+from herdflu.model import rate_coefficients, rates_rows, row_coefficients
 from herdflu.output import write_trajectory_csv
 
 ZERO_NOISE = NoiseIntensities(0.0, 0.0, 0.0, 0.0, 0.0)
@@ -316,14 +317,16 @@ class TestSde:
 
 class TestBatchEngine:
     def test_batch_drift_matches_scalar(self):
-        # The one kernel on (n,) arrays equals the scalar drift row by row.
+        # The array kernel on a stacked state equals the float drift
+        # column by column.
         rng = np.random.default_rng(12)
-        x = rng.uniform(0.0, 4000.0, size=(64, 6))
-        x[:3, :5] = 0.0  # empty herds take the N = 0 branch
-        out = np.array(rates(*x.T, rate_coefficients(BASELINE_PARAMS))).T
+        x = rng.uniform(0.0, 4000.0, size=(6, 64))
+        x[:5, :3] = 0.0  # empty herds take the N = 0 branch
+        c = rate_coefficients(BASELINE_PARAMS)
+        out = rates_rows(x, row_coefficients(c, 64), np.empty_like(x))
         for i in range(64):
-            row = drift(HerdState.from_array(x[i]), BASELINE_PARAMS).as_array()
-            assert np.array_equal(out[i], row)
+            row = drift(HerdState.from_array(x[:, i]), BASELINE_PARAMS).as_array()
+            assert np.array_equal(out[:, i], row)
 
     def test_single_path_slab_equals_integrate_sde(self):
         cfg = SimConfig(t_end=1.0, dt=0.01)
@@ -444,6 +447,49 @@ class TestFloatPath:
         )
         rows = np.array([slab.copy() for _, slab in it])
         assert det.states.tobytes() == rows[:, 1].tobytes()
+
+    def test_engine_blocks_do_not_depend_on_threads_when_clamping(self):
+        # Loud noise drives compartments below zero, so the clamp acts in
+        # every chunk; each thread count splits the paths differently.
+        p = replace(BASELINE_PARAMS, beta_a=0.46665)
+        init = HerdState(2000.0, 40.0, 25.0, 12.0, 8.0, 90.0)
+        cfg = SimConfig(t_end=15.0, dt=0.01, record_stride=4)
+        streams = [NoiseStream(6, i) for i in range(7)]
+
+        def collect(threads):
+            it = iter_path_blocks(p, init, cfg, noise=LOUD, streams=streams,
+                                  threads=threads)
+            return np.concatenate([blk.copy() for _, blk in it])
+
+        one = collect(1)
+        assert np.sum(one[1:, :, :4] == 0.0) > 0
+        for threads in (2, 3):
+            assert collect(threads).tobytes() == one.tobytes()
+
+    def test_engine_reject_names_the_float_path_failure(self):
+        # Several paths on one thread: the engine stops at the first step
+        # where any path leaves the dust band and names the most negative
+        # entry. Each float path reports its own first failure as path 0.
+        p = BASELINE_PARAMS
+        init = HerdState(1.0, 0.5, 0.0, 0.0, 0.0, 0.0)
+        loud = NoiseIntensities(40.0, 40.0, 0.0, 0.0, 0.0)
+        cfg = SimConfig(t_end=2.0, dt=0.25, negativity_policy="reject")
+        pattern = re.compile(r"^(\w+) of path (\d+) reached (\S+) at t=(\S+) ")
+        for seed in range(5):
+            streams = [NoiseStream(seed, i) for i in range(5)]
+            fails = []
+            for i, st in enumerate(streams):
+                try:
+                    integrate_sde(p, loud, init, cfg, st)
+                except IntegrationError as exc:
+                    comp, path, v, t = pattern.match(str(exc)).groups()
+                    assert path == "0"
+                    fails.append((float(t), float(v), i, str(exc)))
+            assert fails
+            t, _, i, text = min(fails)
+            with pytest.raises(IntegrationError) as engine:
+                list(iter_path_blocks(p, init, cfg, noise=loud, streams=streams))
+            assert str(engine.value) == text.replace("path 0", f"path {i}")
 
     def test_float_em_reject_message_equals_engine(self):
         p = BASELINE_PARAMS

@@ -1,5 +1,6 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from herdflu import (
     r0_spectral,
     total_population,
 )
+from herdflu.model import rate_coefficients, rates, rates_rows, row_coefficients
 
 # Rational-arithmetic evaluations of the closed form, frozen.
 R0_BASELINE = 0.047240362811791385
@@ -239,3 +241,40 @@ class TestEquilibriumPoints:
         tiny = replace(BASELINE_PARAMS, lambda_recruit=0.001, mu=0.01)
         with pytest.raises(ValueError):
             default_init(tiny)
+
+
+class TestRatesRows:
+    """The stacked array kernel against the float definition."""
+
+    @staticmethod
+    def states(rng, n):
+        x = rng.uniform(0.0, 5000.0, size=(6, n))
+        x[:5, :4] = 0.0                       # empty herds (N = 0)
+        x[:, 4:6] = 0.0                       # all zero
+        x[:, 6:9] *= 1e150                    # large values
+        x[5, 9] = 1e300                       # saturated reservoir
+        x[:, 10] = rng.uniform(-50.0, 50.0, size=6)  # RK4 stages go negative
+        return x
+
+    def check(self, x, k, coeffs):
+        out = rates_rows(x, k, np.full_like(x, np.nan))
+        for i in range(x.shape[1]):
+            ref = np.array(rates(*x[:, i].tolist(), coeffs(i)))
+            assert out[:, i].tobytes() == ref.tobytes(), i
+
+    def test_one_parameter_set(self):
+        rng = np.random.default_rng(31)
+        x = self.states(rng, 40)
+        c = rate_coefficients(BASELINE_PARAMS)
+        self.check(x, row_coefficients(c, 40), lambda i: c)
+
+    def test_one_parameter_set_per_column(self):
+        rng = np.random.default_rng(32)
+        sets = [random_params(rng) for _ in range(40)]
+        cs = [rate_coefficients(p) for p in sets]
+        cols = rate_coefficients(SimpleNamespace(**{
+            f.name: np.array([getattr(p, f.name) for p in sets])
+            for f in fields(ModelParams)
+        }))
+        x = self.states(rng, 40)
+        self.check(x, row_coefficients(cols, 40), lambda i: cs[i])
