@@ -36,7 +36,6 @@ from .model import (
     BASELINE_PARAMS,
     COMPARTMENTS,
     DEFAULT_NOISE,
-    DriftVector,
     HerdState,
     ModelParams,
     NoiseIntensities,
@@ -81,7 +80,6 @@ __all__ = [
     "COMPARTMENTS",
     "ConfigError",
     "DEFAULT_NOISE",
-    "DriftVector",
     "ENSEMBLE_HEADER",
     "EndemicEquilibrium",
     "EnsembleSummary",

@@ -6,39 +6,42 @@ to E at equilibrium,
 
     I_s = alpha_s*E,  I_a = alpha_a*E,  R = rho*E,  B = zeta*E,
 
-and two expressions for the equilibrium infection pressure must agree:
-the host balance gives
+and dS + dE = 0 gives S = (Lambda - (sigma + mu)*E)/mu. So S, the live
+herd N = S + c*E and the dose denominator D = K + zeta*E are all linear
+in E. With the infection pressure lam = a1*E/N + a2*E/D, the balance
+lam*S = (sigma + mu)*E of the exposed class becomes, for E > 0,
 
-    lam(E) = (sigma + mu)*mu*E / (Lambda - (sigma + mu)*E),
+    P(E) = S*(a1*D + a2*N) - (sigma + mu)*N*D = c2*E^2 + c1*E + c0 = 0.
 
-while the transmission terms give lam = a1*E/N + a2*E/(K + zeta*E) with
-N = S + c*E and S = Lambda/(mu + lam). `endemic_gap` is the difference
-of the two pressures per exposed head; its sign changes on the
-admissible interval 0 < E < Lambda/(sigma + mu) locate endemic
-equilibria. `solve_endemic` brackets sign changes on a uniform scan and
-refines each by bisection.
+Endemic equilibria are the roots of this quadratic on the admissible
+interval 0 < E < Lambda/(sigma + mu), where S > 0; `solve_endemic`
+takes them in closed form. `endemic_gap` equals -P/(S*N*D) there, so it
+vanishes at the same points and serves as an independent check.
+
+The root count follows by construction: c0 = P(0) =
+S0*K*(sigma + mu)*(R_herd - 1), where S0 = Lambda/mu and R_herd is
+`r0_closed_form` with beta_b scaled by S0, while P < 0 at
+E = Lambda/(sigma + mu). Moreover P = N*D*(a1*S/N + a2*S/D - sigma - mu)
+on the interval, and S/N and S/D fall as E grows, so P changes sign at
+most once. R_herd > 1 thus gives exactly one root and R_herd < 1 none:
+the model has no backward bifurcation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .model import HerdState, ModelParams, drift
 
-# Uniform subintervals scanned for sign changes of the gap function.
-SCAN_SUBINTERVALS = 4096
-# Relative inset keeping scan endpoints off the interval boundary, where
-# the host-balance pressure has a pole.
-EDGE_INSET = 1e-12
-
 
 class MultipleEndemicRoots(Exception):
-    """More than one admissible root of the gap function was bracketed.
+    """The equilibrium quadratic has two admissible roots.
 
-    Carried on the exception so callers can inspect every candidate
-    instead of having one picked silently.
+    That would be a backward bifurcation, which the model rules out
+    (see the module docstring); should rounding ever produce two roots,
+    the solve reports both instead of picking one silently. Both
+    equilibria are carried on the exception.
     """
 
     def __init__(self, roots: list["EndemicEquilibrium"]):
@@ -96,8 +99,8 @@ def intermediates(p: ModelParams) -> EquilibriumIntermediates:
     return EquilibriumIntermediates(alpha_s, alpha_a, rho, zeta, c, a1, a2)
 
 
-def _pressure(e_star, p: ModelParams):
-    # Host-balance pressure; no admissibility check, array friendly.
+def _pressure(e_star: float, p: ModelParams) -> float:
+    # Host-balance pressure; no admissibility check.
     sm = p.sigma_prog + p.mu
     return sm * p.mu * e_star / (p.lambda_recruit - sm * e_star)
 
@@ -115,20 +118,7 @@ def pressure_from_e(e_star: float, p: ModelParams) -> float:
         raise ValueError(
             f"e_star must lie in (0, {admissible_upper(p)!r}), got {e_star!r}"
         )
-    return float(_pressure(e_star, p))
-
-
-def _gap(e_star, p: ModelParams, im: EquilibriumIntermediates):
-    # Host-balance pressure minus transmission pressure, per exposed head.
-    sm = p.sigma_prog + p.mu
-    lam = _pressure(e_star, p)
-    s = p.lambda_recruit / (p.mu + lam)
-    n = s + im.c * e_star
-    return (
-        sm * p.mu / (p.lambda_recruit - sm * e_star)
-        - im.a1 / n
-        - im.a2 / (p.k_half + im.zeta * e_star)
-    )
+    return _pressure(e_star, p)
 
 
 def endemic_gap(
@@ -136,9 +126,10 @@ def endemic_gap(
 ) -> float:
     """Signed defect of the equilibrium condition at exposed count E**.
 
-    Zero exactly at endemic equilibria. Tends to +inf at the right end
-    of the admissible interval, where recruitment can no longer sustain
-    the exposed pool.
+    The host-balance pressure minus the transmission pressure, per
+    exposed head. Zero exactly at endemic equilibria. Tends to +inf at
+    the right end of the admissible interval, where recruitment can no
+    longer sustain the exposed pool.
 
     Raises:
         ValueError: e_star outside the open admissible interval.
@@ -149,11 +140,18 @@ def endemic_gap(
         )
     if im is None:
         im = intermediates(p)
-    return float(_gap(e_star, p, im))
+    sm = p.sigma_prog + p.mu
+    s = p.lambda_recruit / (p.mu + _pressure(e_star, p))
+    n = s + im.c * e_star
+    return (
+        sm * p.mu / (p.lambda_recruit - sm * e_star)
+        - im.a1 / n
+        - im.a2 / (p.k_half + im.zeta * e_star)
+    )
 
 
 def _recover(e_root: float, p: ModelParams, im: EquilibriumIntermediates) -> EndemicEquilibrium:
-    lam = float(_pressure(e_root, p))
+    lam = _pressure(e_root, p)
     s = p.lambda_recruit / (p.mu + lam)
     state = HerdState(
         s=s,
@@ -163,78 +161,66 @@ def _recover(e_root: float, p: ModelParams, im: EquilibriumIntermediates) -> End
         r=im.rho * e_root,
         b=im.zeta * e_root,
     )
-    res = float(np.max(np.abs(drift(state, p).as_array())))
     return EndemicEquilibrium(
         state=state,
         lambda_star=lam,
         n_star=s + im.c * e_root,
-        residual_norm=res,
+        residual_norm=max(abs(v) for v in drift(state, p)),
         im=im,
     )
 
 
-def _bisect(f, lo: float, hi: float, width: float) -> float:
-    # Plain bisection; the bracket is assumed to hold a sign change.
-    flo = f(lo)
-    if flo == 0.0:
-        return lo
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if (flo < 0.0) == (fmid < 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def solve_endemic(p: ModelParams) -> EndemicEquilibrium | None:
+    """The endemic equilibrium, if any, as a root of the quadratic P.
 
-
-def solve_endemic(p: ModelParams, tol: float = 1e-12) -> EndemicEquilibrium | None:
-    """Locate the endemic equilibrium, if any, on the admissible interval.
-
-    A uniform scan over SCAN_SUBINTERVALS brackets every sign change of
-    `endemic_gap`; each bracket is bisected down to a width of
-    tol * Lambda/(sigma + mu) and the full state is recovered from the
-    per-head ratios. Baseline parameters admit no root (the gap stays
-    positive); raising transmission far enough produces exactly one.
+    Writes S = s0 + s1*E, N = s0 + n1*E and D = K + zeta*E, multiplies
+    out P(E) = c2*E^2 + c1*E + c0 and takes its roots without
+    cancellation: q = -(c1 + sign(c1)*sqrt(c1^2 - 4*c2*c0))/2 gives the
+    roots c0/q and q/c2. With no shedding (zeta = 0) c2 vanishes and
+    c0/q alone is the root of the linear equation. Each root gets one
+    Newton step on P, and those inside the admissible interval are
+    kept; the full state is recovered from the per-head ratios.
+    Baseline parameters admit no root; raising transmission far enough
+    produces exactly one.
 
     Args:
         p: validated parameter set.
-        tol: relative bisection width, > 0.
 
     Returns:
-        The equilibrium, or None when the gap has no admissible root.
+        The equilibrium, or None when P has no admissible root.
 
     Raises:
-        MultipleEndemicRoots: more than one sign change was bracketed;
-            every refined candidate is attached to the exception.
+        MultipleEndemicRoots: two admissible roots; both equilibria are
+            attached to the exception.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol!r}")
     im = intermediates(p)
-    e_max = admissible_upper(p)
-    lo = e_max * EDGE_INSET
-    hi = e_max * (1.0 - EDGE_INSET)
-    grid = np.linspace(lo, hi, SCAN_SUBINTERVALS + 1)
-    g = _gap(grid, p, im)
+    sm = p.sigma_prog + p.mu
+    s0 = p.lambda_recruit / p.mu
+    s1 = -sm / p.mu
+    n1 = s1 + im.c
+    # a1*D + a2*N = t0 + t1*E
+    t0 = im.a1 * p.k_half + im.a2 * s0
+    t1 = im.a1 * im.zeta + im.a2 * n1
+    c2 = s1 * t1 - sm * n1 * im.zeta
+    c1 = s0 * t1 + s1 * t0 - sm * (s0 * im.zeta + n1 * p.k_half)
+    c0 = s0 * (t0 - sm * p.k_half)
 
-    roots: list[float] = []
-    for i in range(SCAN_SUBINTERVALS):
-        gi, gj = g[i], g[i + 1]
-        if gi == 0.0:
-            roots.append(float(grid[i]))
-        elif gi * gj < 0.0:
-            roots.append(
-                _bisect(
-                    lambda e: _gap(e, p, im),
-                    float(grid[i]),
-                    float(grid[i + 1]),
-                    tol * e_max,
-                )
-            )
-    if g[-1] == 0.0:
-        roots.append(float(grid[-1]))
+    disc = c1 * c1 - 4.0 * c2 * c0
+    if disc < 0.0:
+        return None
+    q = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
+    if q == 0.0:
+        # c1 = 0 and c2*c0 = 0: P is a negative constant or c2*E^2,
+        # with no admissible root either way.
+        return None
+    e_max = admissible_upper(p)
+    roots = []
+    for e in sorted([c0 / q] if c2 == 0.0 else [c0 / q, q / c2]):
+        slope = 2.0 * c2 * e + c1
+        if slope != 0.0:
+            e -= ((c2 * e + c1) * e + c0) / slope
+        if 0.0 < e < e_max:
+            roots.append(e)
 
     if not roots:
         return None

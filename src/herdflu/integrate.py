@@ -218,13 +218,17 @@ def _fill_normals(
 def _check_reject(y: np.ndarray, t: float, path_offset: int) -> None:
     # Under "reject", a post-step state y of shape (paths, 6) may only
     # hold negative dust; name the first most negative entry otherwise.
+    # The error carries (t, value, path) as `_order`: of the failures of
+    # several thread chunks, the least is the one a single pass raises.
     mn = y.min()
     if mn < -NEG_TOL:
         i, j = np.unravel_index(int(np.argmin(y)), y.shape)
-        raise IntegrationError(
+        err = IntegrationError(
             f"{COMPARTMENTS[j]} of path {path_offset + i} reached {mn:.3e} "
             f"at t={t:.6g} (negativity_policy='reject')"
         )
+        err._order = (t, float(mn), path_offset + int(i))
+        raise err
 
 
 def _block_steps(recorded: np.ndarray, k0: int, m: int) -> np.ndarray:
@@ -445,7 +449,13 @@ def iter_path_blocks(
             if pool is None:
                 job(chunks[0])
             else:
-                list(pool.map(job, chunks))
+                # Every chunk finishes its part of the block; of their
+                # failures, raise the one a single thread would meet
+                # first (errors other than a reject take precedence).
+                futures = [pool.submit(job, chunk) for chunk in chunks]
+                errors = [e for e in (f.exception() for f in futures) if e is not None]
+                if errors:
+                    raise min(errors, key=lambda e: getattr(e, "_order", (-math.inf,)))
 
             if rec_rows:
                 yield from _finite_rows(ks * dt, buf)

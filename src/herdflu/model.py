@@ -154,24 +154,6 @@ class HerdState:
         return cls(s, e, i_s, i_a, r, b)
 
 
-@dataclass(frozen=True)
-class DriftVector:
-    """Deterministic rates of change, one entry per compartment."""
-
-    ds: float
-    de: float
-    di_s: float
-    di_a: float
-    dr: float
-    db: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.ds, self.de, self.di_s, self.di_a, self.dr, self.db],
-            dtype=float,
-        )
-
-
 # Baseline scenario: a ~3000-head herd (Lambda/mu) with slow turnover.
 BASELINE_PARAMS = ModelParams(
     lambda_recruit=30.0,
@@ -374,12 +356,15 @@ def force_of_infection(state: HerdState, p: ModelParams) -> float:
     )
 
 
-def drift(state: HerdState, p: ModelParams) -> DriftVector:
-    """Deterministic vector field of the herd model at `state` (see `rates`)."""
-    return DriftVector(
-        *rates(state.s, state.e, state.i_s, state.i_a, state.r, state.b,
-               rate_coefficients(p))
-    )
+def drift(
+    state: HerdState, p: ModelParams
+) -> tuple[float, float, float, float, float, float]:
+    """Deterministic vector field of the herd model at `state` (see `rates`).
+
+    (dS, dE, dI_s, dI_a, dR, dB), in COMPARTMENTS order.
+    """
+    return rates(state.s, state.e, state.i_s, state.i_a, state.r, state.b,
+                 rate_coefficients(p))
 
 
 def diffusion(

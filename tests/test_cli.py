@@ -330,13 +330,18 @@ def test_cli_import_leaves_out_scipy_stats():
     assert proc.stdout.strip() == "[]"
 
 
-def test_commands_without_noise_or_prcc_leave_out_scipy_special():
+@pytest.mark.parametrize("command", ["r0", "equilibrium"])
+def test_commands_without_noise_or_prcc_leave_out_scipy_special(command, tmp_path):
     # scipy.special is a third of a second of start-up; only the
-    # stochastic integrators and prcc import it.
+    # stochastic integrators and prcc import it. The endemic config makes
+    # `equilibrium` solve for a root.
+    cfg = tmp_path / "hot.cfg"
+    cfg.write_text("beta_a = 0.46665\n")
+    argv = [command, "--config", str(cfg)]
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, herdflu.cli; "
-         "assert herdflu.cli.run_cli(['r0']) == 0; "
+         f"assert herdflu.cli.run_cli({argv!r}) == 0; "
          "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))"],
         capture_output=True, text=True,
     )

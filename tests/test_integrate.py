@@ -226,7 +226,7 @@ class TestSde:
         tr = integrate_sde(p, DEFAULT_NOISE, init, cfg, stream)
         dw = wiener_increment(stream, 0, cfg.dt)
         x = init.as_array()
-        y = x + drift(init, p).as_array() * cfg.dt
+        y = x + np.array(drift(init, p)) * cfg.dt
         sig = np.array([0.05, 0.05, 0.05, 0.05, 0.0, 0.05])
         dw6 = np.array([dw[0], dw[1], dw[2], dw[3], 0.0, dw[4]])
         y += sig * x * dw6
@@ -325,7 +325,7 @@ class TestBatchEngine:
         c = rate_coefficients(BASELINE_PARAMS)
         out = rates_rows(x, row_coefficients(c, 64), np.empty_like(x))
         for i in range(64):
-            row = drift(HerdState.from_array(x[:, i]), BASELINE_PARAMS).as_array()
+            row = drift(HerdState.from_array(x[:, i]), BASELINE_PARAMS)
             assert np.array_equal(out[:, i], row)
 
     def test_single_path_slab_equals_integrate_sde(self):
@@ -466,10 +466,12 @@ class TestFloatPath:
         for threads in (2, 3):
             assert collect(threads).tobytes() == one.tobytes()
 
-    def test_engine_reject_names_the_float_path_failure(self):
-        # Several paths on one thread: the engine stops at the first step
-        # where any path leaves the dust band and names the most negative
-        # entry. Each float path reports its own first failure as path 0.
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_engine_reject_names_the_float_path_failure(self, threads):
+        # Several paths: the engine stops at the first step where any
+        # path leaves the dust band and names the most negative entry,
+        # whichever thread chunk holds it. Each float path reports its
+        # own first failure as path 0.
         p = BASELINE_PARAMS
         init = HerdState(1.0, 0.5, 0.0, 0.0, 0.0, 0.0)
         loud = NoiseIntensities(40.0, 40.0, 0.0, 0.0, 0.0)
@@ -488,7 +490,8 @@ class TestFloatPath:
             assert fails
             t, _, i, text = min(fails)
             with pytest.raises(IntegrationError) as engine:
-                list(iter_path_blocks(p, init, cfg, noise=loud, streams=streams))
+                list(iter_path_blocks(p, init, cfg, noise=loud, streams=streams,
+                                      threads=threads))
             assert str(engine.value) == text.replace("path 0", f"path {i}")
 
     def test_float_em_reject_message_equals_engine(self):
