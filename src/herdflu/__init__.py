@@ -13,7 +13,6 @@ from .ensemble import EnsembleSummary, extinction_fraction, run_ensemble
 from .equilibrium import (
     EndemicEquilibrium,
     EquilibriumIntermediates,
-    MultipleEndemicRoots,
     admissible_upper,
     endemic_gap,
     intermediates,
@@ -87,7 +86,6 @@ __all__ = [
     "HerdState",
     "IntegrationError",
     "ModelParams",
-    "MultipleEndemicRoots",
     "NoiseIntensities",
     "NoiseStream",
     "ParamRanges",

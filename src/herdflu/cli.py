@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import RunConfig, load_config, parse_ranges
 from .ensemble import run_ensemble
-from .equilibrium import MultipleEndemicRoots, solve_endemic
+from .equilibrium import solve_endemic
 from .integrate import IntegrationError, NoiseStream, integrate_ode, integrate_sde
 from .model import (
     COMPARTMENTS,
@@ -210,7 +210,7 @@ def _build_parser() -> _Parser:
     common(ps)
     ps.add_argument("--out", required=True, help="PRCC report CSV path")
     ps.add_argument("--ranges", help="`key = low high` ranges file (default: ±50%%)")
-    ps.add_argument("--samples", type=int, default=1000)
+    ps.add_argument("--samples", type=_positive_int, default=1000)
     ps.add_argument("--seed", type=int, help="override config seed")
     ps.add_argument(
         "--metric", choices=("r0", "peak"), default="r0",
@@ -229,7 +229,7 @@ def run_cli(argv: list[str] | None = None) -> int:
     try:
         rc = load_config(args.config)
         return args.func(args, rc)
-    except (ValueError, IntegrationError, MultipleEndemicRoots, OSError) as exc:
+    except (ValueError, IntegrationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

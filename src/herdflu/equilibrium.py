@@ -35,23 +35,6 @@ from dataclasses import dataclass
 from .model import HerdState, ModelParams, drift
 
 
-class MultipleEndemicRoots(Exception):
-    """The equilibrium quadratic has two admissible roots.
-
-    That would be a backward bifurcation, which the model rules out
-    (see the module docstring); should rounding ever produce two roots,
-    the solve reports both instead of picking one silently. Both
-    equilibria are carried on the exception.
-    """
-
-    def __init__(self, roots: list["EndemicEquilibrium"]):
-        self.roots = roots
-        super().__init__(
-            f"{len(roots)} endemic roots found at "
-            f"E** = {[round(r.state.e, 6) for r in roots]}"
-        )
-
-
 @dataclass(frozen=True)
 class EquilibriumIntermediates:
     """Per-exposed-head equilibrium ratios and pressure coefficients."""
@@ -178,20 +161,16 @@ def solve_endemic(p: ModelParams) -> EndemicEquilibrium | None:
     cancellation: q = -(c1 + sign(c1)*sqrt(c1^2 - 4*c2*c0))/2 gives the
     roots c0/q and q/c2. With no shedding (zeta = 0) c2 vanishes and
     c0/q alone is the root of the linear equation. Each root gets one
-    Newton step on P, and those inside the admissible interval are
-    kept; the full state is recovered from the per-head ratios.
-    Baseline parameters admit no root; raising transmission far enough
-    produces exactly one.
+    Newton step on P; the one inside the admissible interval (P changes
+    sign there at most once) is recovered into the full state from the
+    per-head ratios. Baseline parameters admit no root; raising
+    transmission far enough produces exactly one.
 
     Args:
         p: validated parameter set.
 
     Returns:
         The equilibrium, or None when P has no admissible root.
-
-    Raises:
-        MultipleEndemicRoots: two admissible roots; both equilibria are
-            attached to the exception.
     """
     im = intermediates(p)
     sm = p.sigma_prog + p.mu
@@ -214,16 +193,10 @@ def solve_endemic(p: ModelParams) -> EndemicEquilibrium | None:
         # with no admissible root either way.
         return None
     e_max = admissible_upper(p)
-    roots = []
-    for e in sorted([c0 / q] if c2 == 0.0 else [c0 / q, q / c2]):
+    for e in [c0 / q] if c2 == 0.0 else [c0 / q, q / c2]:
         slope = 2.0 * c2 * e + c1
         if slope != 0.0:
             e -= ((c2 * e + c1) * e + c0) / slope
         if 0.0 < e < e_max:
-            roots.append(e)
-
-    if not roots:
-        return None
-    if len(roots) > 1:
-        raise MultipleEndemicRoots([_recover(e, p, im) for e in roots])
-    return _recover(roots[0], p, im)
+            return _recover(e, p, im)
+    return None

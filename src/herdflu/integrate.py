@@ -40,10 +40,6 @@ from .model import (
     row_coefficients,
 )
 
-# Post-step values in (-NEG_TOL, 0) are floating-point dust and are
-# clamped to 0 under either negativity policy.
-NEG_TOL = 1e-12
-
 # Each step consumes two Philox counter blocks (8 doubles) and uses the
 # first five, so step k starts exactly at counter offset 2*k.
 _BLOCKS_PER_STEP = 2
@@ -64,17 +60,20 @@ _GRID_RTOL = 1e-9
 
 
 class IntegrationError(RuntimeError):
-    """A step produced a state the active policy cannot accept."""
+    """A step produced a non-finite state."""
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Time grid and negativity handling for a single integration."""
+    """Time grid of a single integration.
+
+    Positivity has one policy: every integrator clamps a component that
+    a step leaves below zero to 0.
+    """
 
     t_end: float = 500.0
     dt: float = 0.01
     record_stride: int = 1
-    negativity_policy: Literal["truncate", "reject"] = "truncate"
 
     def __post_init__(self) -> None:
         if not (isinstance(self.t_end, (int, float)) and math.isfinite(self.t_end)):
@@ -96,11 +95,6 @@ class SimConfig:
         if not (isinstance(self.record_stride, int) and self.record_stride >= 1):
             raise ValueError(
                 f"record_stride must be an integer >= 1, got {self.record_stride!r}"
-            )
-        if self.negativity_policy not in ("truncate", "reject"):
-            raise ValueError(
-                f"negativity_policy must be 'truncate' or 'reject', "
-                f"got {self.negativity_policy!r}"
             )
 
     def n_steps(self) -> int:
@@ -215,22 +209,6 @@ def _fill_normals(
     return z
 
 
-def _check_reject(y: np.ndarray, t: float, path_offset: int) -> None:
-    # Under "reject", a post-step state y of shape (paths, 6) may only
-    # hold negative dust; name the first most negative entry otherwise.
-    # The error carries (t, value, path) as `_order`: of the failures of
-    # several thread chunks, the least is the one a single pass raises.
-    mn = y.min()
-    if mn < -NEG_TOL:
-        i, j = np.unravel_index(int(np.argmin(y)), y.shape)
-        err = IntegrationError(
-            f"{COMPARTMENTS[j]} of path {path_offset + i} reached {mn:.3e} "
-            f"at t={t:.6g} (negativity_policy='reject')"
-        )
-        err._order = (t, float(mn), path_offset + int(i))
-        raise err
-
-
 def _block_steps(recorded: np.ndarray, k0: int, m: int) -> np.ndarray:
     # Recorded step indices in (k0, k0 + m].
     return recorded[
@@ -275,8 +253,7 @@ class _PathChunk:
         self.views = [(x, x[:4], x[5]) for x in bufs]
 
     def advance(self, dt: float, sqrt_dt: float, k0: int, m: int,
-                reject: bool, rec_rows: list[tuple[int, int]],
-                buf: np.ndarray | None) -> None:
+                rec_rows: list[tuple[int, int]], buf: np.ndarray | None) -> None:
         """Steps [k0, k0 + m); writes recorded rows into buf[:, lo:hi]."""
         k, f, t4, tb = self.k, self.f, self.t4, self.tb
         sig4, sig_b, lo, hi = self.sig4, self.sig_b, self.lo, self.hi
@@ -296,8 +273,6 @@ class _PathChunk:
             np.multiply(xb, sig_b, out=tb)
             tb *= dw[4]
             yb += tb
-            if reject:
-                _check_reject(y.T, (k0 + s_off + 1) * dt, lo)
             np.maximum(y, 0.0, out=y)
             row = rec.get(s_off + 1)
             if row is not None:
@@ -306,43 +281,40 @@ class _PathChunk:
         self.views = [(x, x4, xb), (y, y4, yb)]
 
 
-def _single_path_blocks(
+def _single_path(
     p: ModelParams,
     init: HerdState,
     cfg: SimConfig,
     noise: NoiseIntensities | None = None,
     stream: NoiseStream | None = None,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """`iter_path_blocks` for one path, on plain floats.
+) -> Trajectory:
+    """One recorded path, stepped on plain floats.
 
     Forward Euler with `noise` None, otherwise Euler-Maruyama driven by
     `stream`. Noise comes in `_BLOCK_STEPS` blocks from the same Philox
     window, and the update, the clamp (np.maximum(y, 0.0): NaN stays,
-    -0.0 becomes 0.0), the reject check and the non-finite check per
-    block are the batch engine's, so the path equals the matching
-    ensemble member bit for bit. On one 6-vector, numpy call overhead
-    costs more than the float arithmetic.
+    -0.0 becomes 0.0) and the non-finite check per block are the batch
+    engine's, so the path equals the matching ensemble member bit for
+    bit and a failing run raises the engine's message. On one 6-vector,
+    numpy call overhead costs more than the float arithmetic.
     """
     c = rate_coefficients(p)
     dt = cfg.dt
     n_steps = cfg.n_steps()
     recorded = cfg.recorded_steps()
-    reject = cfg.negativity_policy == "reject"
+    rec_at = {int(k): i for i, k in enumerate(recorded)}
+    times = recorded * dt
+    states = np.empty((len(recorded), 6))
     noisy = noise is not None
     if noisy:
         sg_s, sg_e, sg_is, sg_ia, sg_b = noise.as_tuple()
         gens = [Generator(stream._bit_generator())]
         sqrt_dt = math.sqrt(dt)
 
-    x = init.as_array()
-    yield np.zeros(1), x[None, None]
-    s, e, i_s, i_a, r, b = x.tolist()
-    k0 = 0
-    while k0 < n_steps:
+    states[0] = init.as_array()
+    s, e, i_s, i_a, r, b = states[0].tolist()
+    for k0 in range(0, n_steps, _BLOCK_STEPS):
         m = min(_BLOCK_STEPS, n_steps - k0)
-        ks = _block_steps(recorded, k0, m)
-        rec = set(ks.tolist())
-        rows = []
         if noisy:
             z = _fill_normals(np.empty((m, _N_NOISE, 1)), gens, sqrt_dt)
             zs = iter(z[:, :, 0].tolist())
@@ -361,31 +333,29 @@ def _single_path_blocks(
                 is1 += i_s * sg_is * w_is
                 ia1 += i_a * sg_ia * w_ia
                 b1 += b * sg_b * w_b
-            if reject and (
-                s1 < -NEG_TOL or e1 < -NEG_TOL or is1 < -NEG_TOL
-                or ia1 < -NEG_TOL or r1 < -NEG_TOL or b1 < -NEG_TOL
-            ):
-                # Raises with the engine's message unless a NaN masks it.
-                _check_reject(np.array([[s1, e1, is1, ia1, r1, b1]]), k * dt, 0)
             s = s1 if s1 > 0.0 or s1 != s1 else 0.0
             e = e1 if e1 > 0.0 or e1 != e1 else 0.0
             i_s = is1 if is1 > 0.0 or is1 != is1 else 0.0
             i_a = ia1 if ia1 > 0.0 or ia1 != ia1 else 0.0
             r = r1 if r1 > 0.0 or r1 != r1 else 0.0
             b = b1 if b1 > 0.0 or b1 != b1 else 0.0
-            if k in rec:
-                rows.append((s, e, i_s, i_a, r, b))
-        if rows:
-            yield from _finite_rows(ks * dt, np.array(rows)[:, None])
-        k0 += m
+            i = rec_at.get(k)
+            if i is not None:
+                states[i] = s, e, i_s, i_a, r, b
+        lo, hi = np.searchsorted(recorded, (k0, k0 + m), side="right")
+        ok = np.isfinite(states[lo:hi]).all(axis=1)
+        if not ok.all():
+            t = times[lo + ok.argmin()]
+            raise IntegrationError(f"non-finite state at t={t:.6g}")
+    return Trajectory(times=times, states=states, stream=stream)
 
 
 def iter_path_blocks(
     p: ModelParams,
     init: HerdState,
     cfg: SimConfig,
-    noise: NoiseIntensities | None = None,
-    streams: Sequence[NoiseStream] | None = None,
+    noise: NoiseIntensities,
+    streams: Sequence[NoiseStream],
     threads: int = 1,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Step-synchronous Euler-Maruyama engine behind the ensembles.
@@ -394,10 +364,9 @@ def iter_path_blocks(
     `times` holds the block's recorded times and `states` has shape
     (len(times), n_paths, 6). The first yield is the initial state at
     t = 0 alone. Recorded rows come in grid order, so concatenating the
-    blocks gives the full recorded trajectory of every path. With
-    `noise` None the run is deterministic forward Euler on a single
-    path, stepped on plain floats; otherwise each path consumes its own
-    stream and all paths advance together on arrays. Each yielded block
+    blocks gives the full recorded trajectory of every path. Each path
+    consumes its own stream and all paths advance together on arrays;
+    for a deterministic run, use `integrate_ode`. Each yielded block
     is a fresh array that the engine never reads again, so a consumer
     may keep it or reorder it in place (`run_ensemble` sorts it).
 
@@ -407,11 +376,6 @@ def iter_path_blocks(
     Thread count only partitions the path axis, never the arithmetic,
     so results are identical for every `threads` value.
     """
-    if noise is None:
-        if streams is not None:
-            raise ValueError("streams are only meaningful for stochastic runs")
-        yield from _single_path_blocks(p, init, cfg)
-        return
     if not streams:
         raise ValueError("stochastic runs need at least one NoiseStream")
     n_paths = len(streams)
@@ -422,7 +386,6 @@ def iter_path_blocks(
     sqrt_dt = math.sqrt(dt)
     n_steps = cfg.n_steps()
     recorded = cfg.recorded_steps()
-    reject = cfg.negativity_policy == "reject"
 
     x0 = init.as_array()
     yield np.zeros(1), np.tile(x0, (1, n_paths, 1))
@@ -444,18 +407,12 @@ def iter_path_blocks(
             buf = np.empty((len(ks), n_paths, 6)) if rec_rows else None
 
             def job(chunk: _PathChunk) -> None:
-                chunk.advance(dt, sqrt_dt, k0, m, reject, rec_rows, buf)
+                chunk.advance(dt, sqrt_dt, k0, m, rec_rows, buf)
 
             if pool is None:
                 job(chunks[0])
             else:
-                # Every chunk finishes its part of the block; of their
-                # failures, raise the one a single thread would meet
-                # first (errors other than a reject take precedence).
-                futures = [pool.submit(job, chunk) for chunk in chunks]
-                errors = [e for e in (f.exception() for f in futures) if e is not None]
-                if errors:
-                    raise min(errors, key=lambda e: getattr(e, "_order", (-math.inf,)))
+                list(pool.map(job, chunks))
 
             if rec_rows:
                 yield from _finite_rows(ks * dt, buf)
@@ -469,8 +426,8 @@ def iter_path_states(
     p: ModelParams,
     init: HerdState,
     cfg: SimConfig,
-    noise: NoiseIntensities | None = None,
-    streams: Sequence[NoiseStream] | None = None,
+    noise: NoiseIntensities,
+    streams: Sequence[NoiseStream],
     threads: int = 1,
 ) -> Iterator[tuple[float, np.ndarray]]:
     """Per-row view of `iter_path_blocks`.
@@ -481,18 +438,6 @@ def iter_path_states(
     """
     for times, blk in iter_path_blocks(p, init, cfg, noise, streams, threads):
         yield from zip(times.tolist(), blk)
-
-
-def _path0_states(
-    blocks: Iterator[tuple[np.ndarray, np.ndarray]], n_rec: int
-) -> np.ndarray:
-    # Stack path 0 of every engine block into one (n_rec, 6) array.
-    states = np.empty((n_rec, 6))
-    i = 0
-    for _, blk in blocks:
-        states[i:i + len(blk)] = blk[:, 0]
-        i += len(blk)
-    return states
 
 
 def _rk4_step(s, e, i_s, i_a, r, b, c: RateCoefficients, dt, half, sixth) -> tuple:
@@ -514,14 +459,9 @@ def _rk4_step(s, e, i_s, i_a, r, b, c: RateCoefficients, dt, half, sixth) -> tup
     )
 
 
-def _rk4_reject_text(j: int, v: float, t: float) -> str:
-    return f"{COMPARTMENTS[j]} reached {v:.3e} at t={t:.6g} (negativity_policy='reject')"
-
-
 def _integrate_rk4(p: ModelParams, init: HerdState, cfg: SimConfig) -> Trajectory:
     # Plain floats: on one 6-vector, numpy call overhead costs more than
-    # the arithmetic. A negative component is clamped to 0 (-0.0 stays),
-    # except that under "reject" one below -NEG_TOL raises.
+    # the arithmetic. A negative component is clamped to 0 (-0.0 stays).
     c = rate_coefficients(p)
     dt = cfg.dt
     half = 0.5 * dt
@@ -531,19 +471,13 @@ def _integrate_rk4(p: ModelParams, init: HerdState, cfg: SimConfig) -> Trajector
     rec_at = {int(k): i for i, k in enumerate(recorded)}
     times = recorded * dt
     states = np.empty((len(recorded), 6))
-    reject = cfg.negativity_policy == "reject"
 
     x = init.as_array().tolist()
     states[0] = x
     for k in range(1, n_steps + 1):
         x = _rk4_step(*x, c, dt, half, sixth)
         if min(x) < 0.0:
-            x = list(x)
-            for j, v in enumerate(x):
-                if v < 0.0:
-                    if reject and v < -NEG_TOL:
-                        raise IntegrationError(_rk4_reject_text(j, v, k * dt))
-                    x[j] = 0.0
+            x = [0.0 if v < 0.0 else v for v in x]
         i = rec_at.get(k)
         if i is not None:
             if not math.isfinite(x[0] + x[1] + x[2] + x[3] + x[4] + x[5]):
@@ -562,10 +496,9 @@ def rk4_peaks(
     maximum of compartment `column` over the recorded times of the run
     from `init` under parameter set i: bit for bit
     `integrate_ode(params_i, init, cfg).states[:, column].max()`. The
-    clamp, the reject check and the non-finite check act per entry
-    exactly as in that run; if any run would raise, IntegrationError is
-    raised for the first such entry with that run's message, prefixed by
-    "sample i: ".
+    clamp and the non-finite check act per entry exactly as in that run;
+    if any run would raise, IntegrationError is raised for the first
+    such entry with that run's message, prefixed by "sample i: ".
     """
     (n,) = np.broadcast(*c).shape
     rc = row_coefficients(c, n)
@@ -573,7 +506,6 @@ def rk4_peaks(
     half = 0.5 * dt
     sixth = dt / 6.0
     rec = set(cfg.recorded_steps().tolist())
-    reject = cfg.negativity_policy == "reject"
     errors: dict[int, str] = {}
 
     x = np.repeat(init.as_array()[:, None], n, axis=1)
@@ -606,11 +538,6 @@ def rk4_peaks(
                 # As in the scalar run: min() of a row whose S is NaN is
                 # NaN, so that row is left alone.
                 neg &= ~np.isnan(xs[0])
-                if reject:
-                    deep = neg & (xs < -NEG_TOL)
-                    for i in np.flatnonzero(deep.any(axis=0)).tolist():
-                        j = int(np.argmax(deep[:, i]))
-                        errors.setdefault(i, _rk4_reject_text(j, float(xs[j, i]), k * dt))
                 xs[neg] = 0.0
             x = xs
             if k in rec:
@@ -641,9 +568,7 @@ def integrate_ode(
         return _integrate_rk4(p, init, cfg)
     if method != "euler":
         raise ValueError(f"method must be 'rk4' or 'euler', got {method!r}")
-    recorded = cfg.recorded_steps()
-    states = _path0_states(_single_path_blocks(p, init, cfg), len(recorded))
-    return Trajectory(times=recorded * cfg.dt, states=states, stream=None)
+    return _single_path(p, init, cfg)
 
 
 def integrate_sde(
@@ -659,7 +584,4 @@ def integrate_sde(
     path equals the corresponding member of any ensemble built from the
     same master seed.
     """
-    recorded = cfg.recorded_steps()
-    blocks = _single_path_blocks(p, init, cfg, n, stream)
-    states = _path0_states(blocks, len(recorded))
-    return Trajectory(times=recorded * cfg.dt, states=states, stream=stream)
+    return _single_path(p, init, cfg, n, stream)

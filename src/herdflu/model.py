@@ -413,8 +413,6 @@ def r0_closed_form(p: ModelParams) -> float:
     """
     out_s = p.mu + p.d_dis + p.gamma_rem
     out_a = p.mu + p.delta_rem + p.d_dis
-    if out_s <= 0.0 or out_a <= 0.0:
-        raise ValueError("infectious residence rates must be positive")
     survive = p.sigma_prog / (p.sigma_prog + p.mu)
     direct = p.nu * p.beta_s / out_s + (1.0 - p.nu) * p.beta_a / out_a
     shed = p.nu * p.omega_s / out_s + (1.0 - p.nu) * p.omega_a / out_a

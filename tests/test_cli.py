@@ -291,6 +291,14 @@ class TestExitCodes:
             assert "--paths" in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_bad_samples_value_exits_1(self, samples, tmp_path, capsys):
+        out = tmp_path / "prcc.csv"
+        rc = run_cli(["sensitivity", "--out", str(out), "--samples", samples])
+        assert rc == 1
+        assert "--samples" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_zero_paths_exits_2(self, tmp_path, capsys):
         # The same value from a config file is a validation failure.
         cfg = tmp_path / "zero.cfg"

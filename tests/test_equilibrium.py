@@ -5,7 +5,6 @@ import pytest
 
 from herdflu import (
     BASELINE_PARAMS,
-    MultipleEndemicRoots,
     admissible_upper,
     drift,
     endemic_gap,
@@ -135,12 +134,7 @@ class TestSolveEndemic:
         found = 0
         for _ in range(200):
             p = random_params(rng)
-            try:
-                eq = solve_endemic(p)
-            except MultipleEndemicRoots as exc:
-                for r in exc.roots:
-                    assert r.residual_norm < 1e-6
-                continue
+            eq = solve_endemic(p)
             if eq is None:
                 continue
             found += 1
@@ -206,11 +200,3 @@ class TestSolveEndemic:
         # shedding it is a negative constant (c2 = c1 = 0).
         p = replace(ENDEMIC_PARAMS, beta_s=0.0, beta_a=0.0, beta_b=0.0, **extra)
         assert solve_endemic(p) is None
-
-
-class TestMultipleRootsReport:
-    def test_exception_carries_roots(self):
-        eq = solve_endemic(ENDEMIC_PARAMS)
-        exc = MultipleEndemicRoots([eq, eq])
-        assert len(exc.roots) == 2
-        assert "2 endemic roots" in str(exc)

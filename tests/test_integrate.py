@@ -1,5 +1,4 @@
 import math
-import re
 from dataclasses import replace
 
 import numpy as np
@@ -25,7 +24,7 @@ from herdflu import (
     wiener_increment,
     wiener_increments,
 )
-from herdflu.integrate import _BLOCK_STEPS
+from herdflu.integrate import _BLOCK_STEPS, _PathChunk
 from herdflu.model import rate_coefficients, rates_rows, row_coefficients
 from herdflu.output import write_trajectory_csv
 
@@ -49,7 +48,7 @@ class TestSimConfig:
             {"t_end": 1.0, "dt": 2.0},
             {"record_stride": 0},
             {"record_stride": 1.5},
-            {"negativity_policy": "clamp"},
+            {"dt": float("nan")},
         ],
     )
     def test_rejects_bad_grid(self, kwargs):
@@ -237,19 +236,13 @@ class TestSde:
         p = BASELINE_PARAMS
         init = HerdState(1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         loud = NoiseIntensities(50.0, 0.0, 0.0, 0.0, 0.0)
-        cfg = SimConfig(t_end=1.0, dt=0.5, negativity_policy="truncate")
+        cfg = SimConfig(t_end=1.0, dt=0.5)
+        clamped = 0
         for seed in range(20):
             tr = integrate_sde(p, loud, init, cfg, NoiseStream(seed, 0))
             assert np.all(tr.states >= 0.0)
-
-    def test_reject_policy_raises_with_path_index(self):
-        p = BASELINE_PARAMS
-        init = HerdState(1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        loud = NoiseIntensities(50.0, 0.0, 0.0, 0.0, 0.0)
-        cfg = SimConfig(t_end=1.0, dt=0.5, negativity_policy="reject")
-        with pytest.raises(IntegrationError, match="path"):
-            for seed in range(20):
-                integrate_sde(p, loud, init, cfg, NoiseStream(seed, 0))
+            clamped += int(np.sum(tr.states[1:, 0] == 0.0))
+        assert clamped > 0
 
     def test_overflow_keeps_rows_before_the_bad_one(self):
         # The per-row view yields every finite row before it raises.
@@ -259,9 +252,13 @@ class TestSde:
         times = []
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(IntegrationError, match="non-finite state at t=2"):
-                for t, slab in iter_path_states(p, init, cfg):
+                for t, slab in iter_path_states(
+                    p, init, cfg, noise=ZERO_NOISE, streams=[NoiseStream(0, 0)]
+                ):
                     assert np.all(np.isfinite(slab))
                     times.append(t)
+            with pytest.raises(IntegrationError, match="non-finite state at t=2$"):
+                integrate_ode(p, init, cfg, method="euler")
         assert times == [0.0, 0.5, 1.0, 1.5]
 
     def test_overflow_is_reported_not_silent(self):
@@ -359,13 +356,34 @@ class TestBatchEngine:
         cfg = SimConfig(t_end=1.0, dt=0.5)
         init = default_init(BASELINE_PARAMS)
         with pytest.raises(ValueError):
-            list(iter_path_states(BASELINE_PARAMS, init, cfg, noise=DEFAULT_NOISE))
-        with pytest.raises(ValueError):
-            list(
-                iter_path_states(
-                    BASELINE_PARAMS, init, cfg, streams=[NoiseStream(0, 0)]
-                )
-            )
+            list(iter_path_states(
+                BASELINE_PARAMS, init, cfg, noise=DEFAULT_NOISE, streams=[]
+            ))
+        # The engine is stochastic only; integrate_ode runs without noise.
+        with pytest.raises(TypeError):
+            list(iter_path_states(
+                BASELINE_PARAMS, init, cfg, streams=[NoiseStream(0, 0)]
+            ))
+
+    def test_error_in_a_thread_chunk_surfaces(self, monkeypatch):
+        # Only the chunks past the first fail, so the error must cross
+        # from a worker thread to the consumer.
+        cfg = SimConfig(t_end=1.0, dt=0.01)
+        init = default_init(BASELINE_PARAMS)
+        streams = [NoiseStream(5, i) for i in range(6)]
+        advance = _PathChunk.advance
+
+        def failing(chunk, *args):
+            if chunk.lo > 0:
+                raise RuntimeError(f"chunk at {chunk.lo} failed")
+            advance(chunk, *args)
+
+        monkeypatch.setattr(_PathChunk, "advance", failing)
+        it = iter_path_blocks(BASELINE_PARAMS, init, cfg, noise=DEFAULT_NOISE,
+                              streams=streams, threads=3)
+        assert next(it)[0].tolist() == [0.0]
+        with pytest.raises(RuntimeError, match=r"^chunk at 2 failed$"):
+            next(it)
 
     def test_blocks_concatenate_to_the_recorded_rows(self):
         # Rows straddle the first block boundary; stride 5 leaves a
@@ -400,7 +418,9 @@ class TestBatchEngine:
     def test_recorded_times_follow_stride(self):
         cfg = SimConfig(t_end=1.0, dt=0.1, record_stride=4)
         init = default_init(BASELINE_PARAMS)
-        times = [t for t, _ in iter_path_states(BASELINE_PARAMS, init, cfg)]
+        it = iter_path_states(BASELINE_PARAMS, init, cfg, noise=ZERO_NOISE,
+                              streams=[NoiseStream(0, 0)])
+        times = [t for t, _ in it]
         assert times == pytest.approx([0.0, 0.4, 0.8, 1.0])
 
 
@@ -465,50 +485,3 @@ class TestFloatPath:
         assert np.sum(one[1:, :, :4] == 0.0) > 0
         for threads in (2, 3):
             assert collect(threads).tobytes() == one.tobytes()
-
-    @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_engine_reject_names_the_float_path_failure(self, threads):
-        # Several paths: the engine stops at the first step where any
-        # path leaves the dust band and names the most negative entry,
-        # whichever thread chunk holds it. Each float path reports its
-        # own first failure as path 0.
-        p = BASELINE_PARAMS
-        init = HerdState(1.0, 0.5, 0.0, 0.0, 0.0, 0.0)
-        loud = NoiseIntensities(40.0, 40.0, 0.0, 0.0, 0.0)
-        cfg = SimConfig(t_end=2.0, dt=0.25, negativity_policy="reject")
-        pattern = re.compile(r"^(\w+) of path (\d+) reached (\S+) at t=(\S+) ")
-        for seed in range(5):
-            streams = [NoiseStream(seed, i) for i in range(5)]
-            fails = []
-            for i, st in enumerate(streams):
-                try:
-                    integrate_sde(p, loud, init, cfg, st)
-                except IntegrationError as exc:
-                    comp, path, v, t = pattern.match(str(exc)).groups()
-                    assert path == "0"
-                    fails.append((float(t), float(v), i, str(exc)))
-            assert fails
-            t, _, i, text = min(fails)
-            with pytest.raises(IntegrationError) as engine:
-                list(iter_path_blocks(p, init, cfg, noise=loud, streams=streams,
-                                      threads=threads))
-            assert str(engine.value) == text.replace("path 0", f"path {i}")
-
-    def test_float_em_reject_message_equals_engine(self):
-        p = BASELINE_PARAMS
-        init = HerdState(1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        loud = NoiseIntensities(50.0, 0.0, 0.0, 0.0, 0.0)
-        cfg = SimConfig(t_end=1.0, dt=0.5, negativity_policy="reject")
-        seen = 0
-        for seed in range(20):
-            stream = NoiseStream(seed, 0)
-            try:
-                integrate_sde(p, loud, init, cfg, stream)
-            except IntegrationError as exc:
-                with pytest.raises(IntegrationError) as engine:
-                    list(iter_path_blocks(p, init, cfg, noise=loud, streams=[stream]))
-                assert str(exc) == str(engine.value)
-                seen += 1
-            else:
-                list(iter_path_blocks(p, init, cfg, noise=loud, streams=[stream]))
-        assert seen > 0

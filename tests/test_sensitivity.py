@@ -224,7 +224,7 @@ class TestModelSensitivity:
 
 
 OUTBREAK = replace(BASELINE_PARAMS, beta_a=0.46665)
-# dt = 10 overshoots: most rows clamp (truncate) or fail (reject).
+# dt = 10 overshoots: most rows clamp at 0.
 COARSE = dict(t_end=100.0, dt=10.0)
 
 
@@ -258,19 +258,22 @@ class TestBatchedPeakSweep:
         rep = sensitivity_of_peak_symptomatic(ranges, n, seed, OUTBREAK, cfg)
         assert rep == prcc(samples, ref, names=ranges.names, seed=seed)
 
-    def test_reject_names_first_failing_sample_in_row_order(self):
-        # With seed 2, sample 0 first goes negative at t = 70 and sample
-        # 1 already at t = 10: row order, not time, picks the sample.
-        ranges = default_ranges(OUTBREAK, rel=0.9)
-        cfg = SimConfig(**COARSE, negativity_policy="reject")
+    def test_nonfinite_names_first_failing_sample_in_row_order(self):
+        # Sample 1 overflows later than sample 2: row order, not time,
+        # picks the sample the error names.
+        cfg = SimConfig(t_end=50.0, dt=0.5)
         init = default_init(OUTBREAK)
-        rows = lhs_sample(ranges, 16, 2)
+        params = [OUTBREAK] + [
+            replace(OUTBREAK, lambda_recruit=v) for v in (1e307, 3e307)
+        ]
         messages = []
-        for row in rows[:2]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p in params[1:]:
+                with pytest.raises(IntegrationError) as exc:
+                    integrate_ode(p, init, cfg)
+                messages.append(str(exc.value))
             with pytest.raises(IntegrationError) as exc:
-                integrate_ode(_params_for_row(OUTBREAK, ranges.names, row), init, cfg)
-            messages.append(str(exc.value))
-        assert "t=70" in messages[0] and "t=10" in messages[1]
-        with pytest.raises(IntegrationError) as exc:
-            sensitivity_of_peak_symptomatic(ranges, 16, 2, OUTBREAK, cfg)
-        assert str(exc.value) == f"sample 0: {messages[0]}"
+                _peak_symptomatic(params, init, cfg)
+        late, early = (float(m.rsplit("=", 1)[1]) for m in messages)
+        assert early < late
+        assert str(exc.value) == f"sample 1: {messages[0]}"
