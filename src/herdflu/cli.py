@@ -58,14 +58,26 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
+def _int(text: str) -> int:
     # argparse reports ArgumentTypeError through _Parser.error (exit 1).
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _seed(text: str) -> int:
+    # The range of NoiseStream.master_seed and of the config key `seed`.
+    value = _int(text)
+    if not 0 <= value < 2 ** 64:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 2**64), got {value}")
     return value
 
 
@@ -187,7 +199,7 @@ def _build_parser() -> _Parser:
     common(ps)
     ps.add_argument("--mode", choices=("ode", "sde"), required=True)
     ps.add_argument("--out", required=True, help="trajectory CSV path")
-    ps.add_argument("--seed", type=int, help="override config seed (sde only)")
+    ps.add_argument("--seed", type=_seed, help="override config seed (sde only)")
     ps.add_argument("--svg", help="also write a time-series plot")
     ps.set_defaults(func=_cmd_simulate)
 
@@ -197,7 +209,7 @@ def _build_parser() -> _Parser:
     ps.add_argument(
         "--paths", type=_positive_int, help="number of paths (default: config)"
     )
-    ps.add_argument("--seed", type=int, help="override config master seed")
+    ps.add_argument("--seed", type=_seed, help="override config master seed")
     ps.add_argument(
         "--threads", type=_positive_int, default=1,
         help="worker threads over the path axis (default 1); any value "
@@ -211,7 +223,7 @@ def _build_parser() -> _Parser:
     ps.add_argument("--out", required=True, help="PRCC report CSV path")
     ps.add_argument("--ranges", help="`key = low high` ranges file (default: ±50%%)")
     ps.add_argument("--samples", type=_positive_int, default=1000)
-    ps.add_argument("--seed", type=int, help="override config seed")
+    ps.add_argument("--seed", type=_seed, help="override config seed")
     ps.add_argument(
         "--metric", choices=("r0", "peak"), default="r0",
         help="r0: reproduction number; peak: max symptomatic head count",

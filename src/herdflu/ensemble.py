@@ -167,6 +167,8 @@ def extinction_fraction(
     t_last = float(cfg.recorded_steps()[-1] * cfg.dt)
     if by_time is None:
         by_time = t_last
+    if not math.isfinite(by_time):
+        raise ValueError(f"by_time must be finite, got {by_time!r}")
     # Small slack so by_time = t_end matches the last grid point even
     # when t_end is not an exact float multiple of dt.
     cut = by_time - 1e-9 * max(1.0, abs(by_time))

@@ -56,7 +56,6 @@ class EndemicEquilibrium:
     lambda_star: float   # equilibrium infection pressure, 1/day
     n_star: float        # live herd size at equilibrium
     residual_norm: float  # max |drift| at state, should be ~0
-    im: EquilibriumIntermediates
 
 
 def admissible_upper(p: ModelParams) -> float:
@@ -104,9 +103,7 @@ def pressure_from_e(e_star: float, p: ModelParams) -> float:
     return _pressure(e_star, p)
 
 
-def endemic_gap(
-    e_star: float, p: ModelParams, im: EquilibriumIntermediates | None = None
-) -> float:
+def endemic_gap(e_star: float, p: ModelParams) -> float:
     """Signed defect of the equilibrium condition at exposed count E**.
 
     The host-balance pressure minus the transmission pressure, per
@@ -121,8 +118,7 @@ def endemic_gap(
         raise ValueError(
             f"e_star must lie in (0, {admissible_upper(p)!r}), got {e_star!r}"
         )
-    if im is None:
-        im = intermediates(p)
+    im = intermediates(p)
     sm = p.sigma_prog + p.mu
     s = p.lambda_recruit / (p.mu + _pressure(e_star, p))
     n = s + im.c * e_star
@@ -149,7 +145,6 @@ def _recover(e_root: float, p: ModelParams, im: EquilibriumIntermediates) -> End
         lambda_star=lam,
         n_star=s + im.c * e_root,
         residual_norm=max(abs(v) for v in drift(state, p)),
-        im=im,
     )
 
 

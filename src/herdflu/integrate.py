@@ -1,14 +1,14 @@
 """Fixed-step integrators for the herd model.
 
-Deterministic runs use the classical fourth-order Runge-Kutta scheme; a
-separate forward Euler mode exists so that the stochastic integrator can
-be checked against it bit for bit at zero noise. Stochastic runs use
-Euler-Maruyama,
+Deterministic runs (`integrate_ode`) use the classical fourth-order
+Runge-Kutta scheme. Stochastic runs (`integrate_sde` and the ensemble
+engine) use Euler-Maruyama,
 
     X[k+1] = X[k] + f(X[k])*dt + sig_X*X[k]*dW_X[k],
 
 with five independent Wiener increments per step (S, E, I_s, I_a, B; R
-is drift only) and dW = sqrt(dt)*Z, Z standard normal.
+is drift only) and dW = sqrt(dt)*Z, Z standard normal. With every
+sig_X = 0 this is forward Euler.
 
 Noise is drawn from counter-based Philox streams keyed by
 (master_seed, path_index), so any path, and any step within a path, can
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Literal, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -134,13 +134,11 @@ class Trajectory:
     """One recorded solution path.
 
     `states` has one row per recorded time, columns in COMPARTMENTS
-    order. `stream` identifies the noise path for stochastic runs and is
-    None for deterministic ones.
+    order.
     """
 
     times: np.ndarray
     states: np.ndarray
-    stream: NoiseStream | None = None
 
     def __post_init__(self) -> None:
         if self.times.ndim != 1 or self.states.shape != (len(self.times), 6):
@@ -281,22 +279,23 @@ class _PathChunk:
         self.views = [(x, x4, xb), (y, y4, yb)]
 
 
-def _single_path(
+def integrate_sde(
     p: ModelParams,
+    n: NoiseIntensities,
     init: HerdState,
     cfg: SimConfig,
-    noise: NoiseIntensities | None = None,
-    stream: NoiseStream | None = None,
+    stream: NoiseStream,
 ) -> Trajectory:
-    """One recorded path, stepped on plain floats.
+    """One Euler-Maruyama path driven by `stream`, stepped on plain floats.
 
-    Forward Euler with `noise` None, otherwise Euler-Maruyama driven by
-    `stream`. Noise comes in `_BLOCK_STEPS` blocks from the same Philox
-    window, and the update, the clamp (np.maximum(y, 0.0): NaN stays,
-    -0.0 becomes 0.0) and the non-finite check per block are the batch
-    engine's, so the path equals the matching ensemble member bit for
-    bit and a failing run raises the engine's message. On one 6-vector,
-    numpy call overhead costs more than the float arithmetic.
+    Noise comes in `_BLOCK_STEPS` blocks from the same Philox window,
+    and the update, the clamp (np.maximum(y, 0.0): NaN stays, -0.0
+    becomes 0.0) and the non-finite check per block are the batch
+    engine's, so the path equals the matching member of any ensemble
+    built from the same master seed bit for bit, and a failing run
+    raises the engine's message. Reruns with identical arguments
+    reproduce identical bits. On one 6-vector, numpy call overhead costs
+    more than the float arithmetic.
     """
     c = rate_coefficients(p)
     dt = cfg.dt
@@ -305,34 +304,25 @@ def _single_path(
     rec_at = {int(k): i for i, k in enumerate(recorded)}
     times = recorded * dt
     states = np.empty((len(recorded), 6))
-    noisy = noise is not None
-    if noisy:
-        sg_s, sg_e, sg_is, sg_ia, sg_b = noise.as_tuple()
-        gens = [Generator(stream._bit_generator())]
-        sqrt_dt = math.sqrt(dt)
+    sg_s, sg_e, sg_is, sg_ia, sg_b = n.as_tuple()
+    gens = [Generator(stream._bit_generator())]
+    sqrt_dt = math.sqrt(dt)
 
     states[0] = init.as_array()
     s, e, i_s, i_a, r, b = states[0].tolist()
     for k0 in range(0, n_steps, _BLOCK_STEPS):
         m = min(_BLOCK_STEPS, n_steps - k0)
-        if noisy:
-            z = _fill_normals(np.empty((m, _N_NOISE, 1)), gens, sqrt_dt)
-            zs = iter(z[:, :, 0].tolist())
+        z = _fill_normals(np.empty((m, _N_NOISE, 1)), gens, sqrt_dt)
+        zs = iter(z[:, :, 0].tolist())
         for k in range(k0 + 1, k0 + m + 1):
             ds, de, dis, dia, dr, db = rates(s, e, i_s, i_a, r, b, c)
-            s1 = s + ds * dt
-            e1 = e + de * dt
-            is1 = i_s + dis * dt
-            ia1 = i_a + dia * dt
+            w_s, w_e, w_is, w_ia, w_b = next(zs)
+            s1 = s + ds * dt + s * sg_s * w_s
+            e1 = e + de * dt + e * sg_e * w_e
+            is1 = i_s + dis * dt + i_s * sg_is * w_is
+            ia1 = i_a + dia * dt + i_a * sg_ia * w_ia
             r1 = r + dr * dt
-            b1 = b + db * dt
-            if noisy:
-                w_s, w_e, w_is, w_ia, w_b = next(zs)
-                s1 += s * sg_s * w_s
-                e1 += e * sg_e * w_e
-                is1 += i_s * sg_is * w_is
-                ia1 += i_a * sg_ia * w_ia
-                b1 += b * sg_b * w_b
+            b1 = b + db * dt + b * sg_b * w_b
             s = s1 if s1 > 0.0 or s1 != s1 else 0.0
             e = e1 if e1 > 0.0 or e1 != e1 else 0.0
             i_s = is1 if is1 > 0.0 or is1 != is1 else 0.0
@@ -347,7 +337,7 @@ def _single_path(
         if not ok.all():
             t = times[lo + ok.argmin()]
             raise IntegrationError(f"non-finite state at t={t:.6g}")
-    return Trajectory(times=times, states=states, stream=stream)
+    return Trajectory(times=times, states=states)
 
 
 def iter_path_blocks(
@@ -459,9 +449,13 @@ def _rk4_step(s, e, i_s, i_a, r, b, c: RateCoefficients, dt, half, sixth) -> tup
     )
 
 
-def _integrate_rk4(p: ModelParams, init: HerdState, cfg: SimConfig) -> Trajectory:
-    # Plain floats: on one 6-vector, numpy call overhead costs more than
-    # the arithmetic. A negative component is clamped to 0 (-0.0 stays).
+def integrate_ode(p: ModelParams, init: HerdState, cfg: SimConfig) -> Trajectory:
+    """Deterministic trajectory of the herd model by classical RK4.
+
+    Stepped on plain floats: on one 6-vector, numpy call overhead costs
+    more than the arithmetic. A negative component is clamped to 0
+    (-0.0 stays).
+    """
     c = rate_coefficients(p)
     dt = cfg.dt
     half = 0.5 * dt
@@ -483,7 +477,7 @@ def _integrate_rk4(p: ModelParams, init: HerdState, cfg: SimConfig) -> Trajector
             if not math.isfinite(x[0] + x[1] + x[2] + x[3] + x[4] + x[5]):
                 raise IntegrationError(f"non-finite state at t={k * dt:.6g}")
             states[i] = x
-    return Trajectory(times=times, states=states, stream=None)
+    return Trajectory(times=times, states=states)
 
 
 def rk4_peaks(
@@ -496,9 +490,12 @@ def rk4_peaks(
     maximum of compartment `column` over the recorded times of the run
     from `init` under parameter set i: bit for bit
     `integrate_ode(params_i, init, cfg).states[:, column].max()`. The
-    clamp and the non-finite check act per entry exactly as in that run;
-    if any run would raise, IntegrationError is raised for the first
-    such entry with that run's message, prefixed by "sample i: ".
+    clamp and the non-finite check act per entry as in that run. The
+    one difference, after S turns NaN, never shows: the scalar run then
+    leaves the other components unclamped, but S feeds every compartment
+    within the next step, so the first non-finite recorded row is the
+    same. If any run would raise, IntegrationError is raised for the
+    first such entry with that run's message, prefixed by "sample i: ".
     """
     (n,) = np.broadcast(*c).shape
     rc = row_coefficients(c, n)
@@ -535,9 +532,6 @@ def rk4_peaks(
             xs = k1 + x
             neg = xs < 0.0
             if neg.any():
-                # As in the scalar run: min() of a row whose S is NaN is
-                # NaN, so that row is left alone.
-                neg &= ~np.isnan(xs[0])
                 xs[neg] = 0.0
             x = xs
             if k in rec:
@@ -549,39 +543,3 @@ def rk4_peaks(
         i = min(errors)
         raise IntegrationError(f"sample {i}: {errors[i]}")
     return peak
-
-
-def integrate_ode(
-    p: ModelParams,
-    init: HerdState,
-    cfg: SimConfig,
-    method: Literal["rk4", "euler"] = "rk4",
-) -> Trajectory:
-    """Deterministic trajectory of the herd model.
-
-    The default method is classical RK4. `method="euler"` runs the same
-    update the stochastic integrator uses, minus the noise term; it
-    exists so zero-noise stochastic runs can be verified bit for bit
-    and is first order only.
-    """
-    if method == "rk4":
-        return _integrate_rk4(p, init, cfg)
-    if method != "euler":
-        raise ValueError(f"method must be 'rk4' or 'euler', got {method!r}")
-    return _single_path(p, init, cfg)
-
-
-def integrate_sde(
-    p: ModelParams,
-    n: NoiseIntensities,
-    init: HerdState,
-    cfg: SimConfig,
-    stream: NoiseStream,
-) -> Trajectory:
-    """One Euler-Maruyama path driven by `stream`.
-
-    Reruns with identical arguments reproduce identical bits, and the
-    path equals the corresponding member of any ensemble built from the
-    same master seed.
-    """
-    return _single_path(p, init, cfg, n, stream)

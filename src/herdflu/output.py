@@ -56,7 +56,7 @@ def read_trajectory_csv(path: str) -> Trajectory:
             raise ValueError(f"unexpected trajectory header: {header!r}")
         rows = [[float(v) for v in line.split(",")] for line in fh if line.strip()]
     data = np.array(rows)
-    return Trajectory(times=data[:, 0], states=data[:, 1:], stream=None)
+    return Trajectory(times=data[:, 0], states=data[:, 1:])
 
 
 def write_ensemble_csv(summary: EnsembleSummary, path: str) -> None:
@@ -150,10 +150,8 @@ def _svg_doc(width: int, height: int, body: list[str]) -> str:
     return _svg_head(width, height) + "\n".join(body + ["</svg>"]) + "\n"
 
 
-def write_trajectory_svg(
-    traj: Trajectory, path: str, compartments: tuple[str, ...] = COMPARTMENTS
-) -> None:
-    """Polyline time-series plot of the chosen compartments.
+def write_trajectory_svg(traj: Trajectory, path: str) -> None:
+    """Polyline time-series plot of every compartment.
 
     The polylines are streamed to the file in chunks of points, so the
     document is never held in memory whole.
@@ -162,8 +160,7 @@ def write_trajectory_svg(
     pw, ph = w - ml - mr, h - mt - mb
     t = traj.times
     t0, t1 = float(t[0]), float(t[-1]) or 1.0
-    cols = [COMPARTMENTS.index(c) for c in compartments]
-    ymax = max(float(traj.states[:, cols].max()), 1e-12)
+    ymax = max(float(traj.states.max()), 1e-12)
     axes = [
         f'<line class="axis" x1="{ml}" y1="{mt + ph}" x2="{ml + pw}" y2="{mt + ph}"/>',
         f'<line class="axis" x1="{ml}" y1="{mt}" x2="{ml}" y2="{mt + ph}"/>',
@@ -181,8 +178,8 @@ def write_trajectory_svg(
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_svg_head(w, h))
         fh.write("\n".join(axes) + "\n")
-        for idx, (c, j) in enumerate(zip(compartments, cols)):
-            color = _PALETTE[idx % len(_PALETTE)]
+        for j, c in enumerate(COMPARTMENTS):
+            color = _PALETTE[j]
             fh.write(
                 f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="'
             )
@@ -193,7 +190,7 @@ def write_trajectory_svg(
                     for x, yi in zip(xs[a:b], traj.states[a:b, j].tolist())
                 ]))
             fh.write(
-                f'"/>\n<text x="{ml + pw + 8}" y="{mt + 14 + 16 * idx}" '
+                f'"/>\n<text x="{ml + pw + 8}" y="{mt + 14 + 16 * j}" '
                 f'fill="{color}">{c}</text>\n'
             )
         fh.write("</svg>\n")

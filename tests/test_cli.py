@@ -259,7 +259,9 @@ class TestExitCodes:
 
     def test_help_exits_0(self, capsys):
         assert run_cli(["--help"]) == 0
-        assert "subcommand" in capsys.readouterr().out or True
+        out = capsys.readouterr().out
+        for name in ("r0", "equilibrium", "simulate", "ensemble", "sensitivity"):
+            assert name in out
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -298,6 +300,19 @@ class TestExitCodes:
         assert rc == 1
         assert "--samples" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_bad_seed_value_exits_1(self, seed, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        for argv in (
+            ["ensemble"],
+            ["simulate", "--mode", "sde"],
+            ["simulate", "--mode", "ode"],
+            ["sensitivity"],
+        ):
+            assert run_cli(argv + ["--out", str(out), "--seed", seed]) == 1
+            assert "--seed" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_config_zero_paths_exits_2(self, tmp_path, capsys):
         # The same value from a config file is a validation failure.

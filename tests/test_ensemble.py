@@ -13,7 +13,6 @@ from herdflu import (
     SimConfig,
     default_init,
     extinction_fraction,
-    integrate_ode,
     integrate_sde,
     iter_path_states,
     run_ensemble,
@@ -35,7 +34,7 @@ class TestRunEnsemble:
 
     def test_zero_noise_collapses_paths(self):
         summ = run_ensemble(BASELINE_PARAMS, ZERO_NOISE, INIT, CFG, 8, 0)
-        det = integrate_ode(BASELINE_PARAMS, INIT, CFG, method="euler")
+        det = integrate_sde(BASELINE_PARAMS, ZERO_NOISE, INIT, CFG, NoiseStream(0, 0))
         assert np.all(summ.std == 0.0)
         assert np.array_equal(summ.mean, det.states)
         assert np.array_equal(summ.q025, summ.q975)
@@ -199,10 +198,11 @@ class TestExtinction:
         )
         assert frac == summ.extinct_fraction
 
-    def test_by_time_beyond_grid_rejected(self):
+    @pytest.mark.parametrize("by_time", [3.0, float("nan"), float("inf")])
+    def test_by_time_beyond_grid_rejected(self, by_time):
         with pytest.raises(ValueError):
             extinction_fraction(
-                BASELINE_PARAMS, DEFAULT_NOISE, INIT, CFG, 4, 0, by_time=3.0
+                BASELINE_PARAMS, DEFAULT_NOISE, INIT, CFG, 4, 0, by_time=by_time
             )
 
     def test_earlier_cutoff_never_increases_fraction(self):

@@ -174,19 +174,13 @@ class TestOde:
         ref = integrate_ode(p, init, SimConfig(t_end=10.0, dt=0.001))
         errs = []
         for dt in (0.2, 0.1):
-            tr = integrate_ode(p, init, SimConfig(t_end=10.0, dt=dt), method="euler")
+            # Euler-Maruyama with every sigma = 0 is forward Euler.
+            tr = integrate_sde(
+                p, ZERO_NOISE, init, SimConfig(t_end=10.0, dt=dt), NoiseStream(0)
+            )
             errs.append(np.max(np.abs(tr.states[-1] - ref.states[-1])))
         ratio = errs[0] / errs[1]
         assert 1.6 < ratio < 2.4
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            integrate_ode(
-                BASELINE_PARAMS,
-                default_init(BASELINE_PARAMS),
-                SimConfig(t_end=1.0, dt=0.5),
-                method="heun",
-            )
 
     def test_rk4_mass_conservation_without_sinks(self):
         # With no disease deaths and recruitment balancing turnover at
@@ -208,27 +202,25 @@ class TestSde:
         c = integrate_sde(BASELINE_PARAMS, DEFAULT_NOISE, init, cfg, NoiseStream(7, 1))
         assert not np.array_equal(a.states, c.states)
 
-    def test_zero_noise_equals_euler_bitwise(self):
-        cfg = SimConfig(t_end=5.0, dt=0.01)
-        init = default_init(BASELINE_PARAMS)
-        det = integrate_ode(BASELINE_PARAMS, init, cfg, method="euler")
-        sde = integrate_sde(BASELINE_PARAMS, ZERO_NOISE, init, cfg, NoiseStream(1, 0))
-        assert np.array_equal(det.states, sde.states)
-
-    def test_em_update_rule_one_step(self):
+    @pytest.mark.parametrize(
+        "noise", [DEFAULT_NOISE, ZERO_NOISE], ids=["default", "zero"]
+    )
+    def test_em_update_rule_one_step(self, noise):
         # One hand-rolled Euler-Maruyama step must match the engine bit
-        # for bit: x + f dt + sigma x dW on (S, E, I_s, I_a, B).
+        # for bit: x + f dt + sigma x dW on (S, E, I_s, I_a, B). At zero
+        # noise the expected step has no noise term: forward Euler.
         p = BASELINE_PARAMS
         init = HerdState(2000.0, 40.0, 25.0, 12.0, 8.0, 90.0)
         cfg = SimConfig(t_end=0.02, dt=0.02)
         stream = NoiseStream(44, 0)
-        tr = integrate_sde(p, DEFAULT_NOISE, init, cfg, stream)
-        dw = wiener_increment(stream, 0, cfg.dt)
+        tr = integrate_sde(p, noise, init, cfg, stream)
         x = init.as_array()
         y = x + np.array(drift(init, p)) * cfg.dt
-        sig = np.array([0.05, 0.05, 0.05, 0.05, 0.0, 0.05])
-        dw6 = np.array([dw[0], dw[1], dw[2], dw[3], 0.0, dw[4]])
-        y += sig * x * dw6
+        if noise == DEFAULT_NOISE:
+            dw = wiener_increment(stream, 0, cfg.dt)
+            sig = np.array([0.05, 0.05, 0.05, 0.05, 0.0, 0.05])
+            dw6 = np.array([dw[0], dw[1], dw[2], dw[3], 0.0, dw[4]])
+            y += sig * x * dw6
         assert np.array_equal(tr.states[-1], np.maximum(y, 0.0))
 
     def test_truncate_policy_clamps(self):
@@ -258,7 +250,7 @@ class TestSde:
                     assert np.all(np.isfinite(slab))
                     times.append(t)
             with pytest.raises(IntegrationError, match="non-finite state at t=2$"):
-                integrate_ode(p, init, cfg, method="euler")
+                integrate_sde(p, ZERO_NOISE, init, cfg, NoiseStream(0, 0))
         assert times == [0.0, 0.5, 1.0, 1.5]
 
     def test_overflow_is_reported_not_silent(self):
@@ -448,7 +440,7 @@ class TestFloatPath:
         clamped = 0
         for i, st in enumerate(streams):
             tr = integrate_sde(p, LOUD, init, cfg, st)
-            ref = Trajectory(times=times, states=member[:, i], stream=st)
+            ref = Trajectory(times=times, states=member[:, i])
             write_trajectory_csv(tr, tmp_path / "float.csv")
             write_trajectory_csv(ref, tmp_path / "engine.csv")
             assert (tmp_path / "float.csv").read_bytes() == (
@@ -457,10 +449,10 @@ class TestFloatPath:
             clamped += int(np.sum(tr.states[1:, :4] == 0.0))
         assert clamped > 0
 
-    def test_float_euler_equals_engine_at_zero_noise(self):
+    def test_float_em_equals_engine_at_zero_noise(self):
         cfg = SimConfig(t_end=3.0, dt=0.01, record_stride=7)
         init = default_init(BASELINE_PARAMS)
-        det = integrate_ode(BASELINE_PARAMS, init, cfg, method="euler")
+        det = integrate_sde(BASELINE_PARAMS, ZERO_NOISE, init, cfg, NoiseStream(1, 1))
         it = iter_path_states(
             BASELINE_PARAMS, init, cfg,
             noise=ZERO_NOISE, streams=[NoiseStream(1, 0), NoiseStream(1, 1)],
