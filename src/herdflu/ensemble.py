@@ -4,10 +4,13 @@ Path i of an ensemble is driven by NoiseStream(master_seed, i), so the
 set of trajectories is fixed by the master seed alone. All paths are
 advanced step-synchronously, and each engine block of recorded rows,
 shaped (rows, paths, 6), is reduced to per-time mean, standard deviation
-and quantile bands at once, along the path axis. Memory is therefore
-O(block x paths) for the block in flight plus O(grid) for the output,
-instead of every trajectory. Because the reductions always see the same
-assembled block, serial and threaded execution produce identical bytes.
+and quantile bands at once, along the path axis. The engine sizes its
+blocks by bytes over all paths (see `iter_path_blocks`), and the
+reducer adds one copy of a block's rows and lets the block go before the
+engine fills the next, so memory is one block in flight plus O(grid) for
+the output, instead of every trajectory. Because the reductions always
+see the same assembled block, serial and threaded execution and every
+block length produce identical bytes.
 """
 
 from __future__ import annotations
@@ -114,7 +117,8 @@ def run_ensemble(
         dev = blk - base[:, None]
         dm = dev.mean(axis=1)
         mean[i:j] = base + dm
-        var = (dev * dev).mean(axis=1) - dm * dm
+        np.multiply(dev, dev, out=dev)
+        var = dev.mean(axis=1) - dm * dm
         std[i:j] = np.sqrt(np.maximum(var, 0.0))
         # Per path, so before the sort; the last block's value stands.
         extinct = float(np.mean(_infected_load(blk[-1]) < EXTINCTION_THRESHOLD))
@@ -129,6 +133,9 @@ def run_ensemble(
             blk, QUANTILES, axis=1, overwrite_input=True
         )
         i = j
+        # Drop the block, its path-0 view and the deviations before the
+        # engine fills the next block.
+        del blk, base, dev
     return EnsembleSummary(
         times=times,
         mean=mean,
@@ -180,7 +187,7 @@ def extinction_fraction(
     extinct = np.ones(n_paths, dtype=bool)
     it = iter_path_blocks(p, init, cfg, noise=n, streams=streams, threads=threads)
     for times, blk in it:
-        tail = blk[times >= cut]
-        if len(tail):
-            extinct &= (_infected_load(tail) < threshold).all(axis=0)
+        # A block before the cut selects no rows, and all() of none is True.
+        extinct &= (_infected_load(blk[times >= cut]) < threshold).all(axis=0)
+        del blk
     return float(extinct.mean())

@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,10 +16,20 @@ from herdflu import (
     default_init,
     extinction_fraction,
     integrate_sde,
+    iter_path_blocks,
     iter_path_states,
     run_ensemble,
 )
+from herdflu import integrate
+from herdflu.cli import run_cli
 from herdflu.ensemble import EXTINCTION_THRESHOLD, QUANTILES
+from herdflu.integrate import (
+    _MAX_BLOCK_STEPS,
+    _MIN_BLOCK_STEPS,
+    _NOISE_BYTES,
+    _ROW_BYTES,
+    _block_length,
+)
 
 ZERO_NOISE = NoiseIntensities(0.0, 0.0, 0.0, 0.0, 0.0)
 CFG = SimConfig(t_end=2.0, dt=0.01)
@@ -221,3 +233,100 @@ class TestExtinction:
             extinction_fraction(
                 BASELINE_PARAMS, DEFAULT_NOISE, INIT, CFG, 4, 0, threshold=-1.0
             )
+
+
+def _budgets(n_paths: int, stride: int) -> dict[int, int]:
+    # _BLOCK_BYTES values that make the block the floor, 300 steps and
+    # the cap, keyed by that length.
+    per_step = n_paths * (_NOISE_BYTES + _ROW_BYTES / stride)
+    return {
+        _MIN_BLOCK_STEPS: 1,
+        300: math.ceil(300 * per_step),
+        _MAX_BLOCK_STEPS: 2 ** 40,
+    }
+
+
+class TestBlockLength:
+    """How many steps an engine block spans never changes a value."""
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_values_do_not_depend_on_block_length(
+        self, threads, tmp_path, monkeypatch
+    ):
+        # Loud noise on S and B clamps them to 0, and some paths die out
+        # before t = 12.5, others after; 2500 steps at stride 7 put
+        # recorded rows and partial strides on either side of every
+        # block boundary at all three lengths.
+        p = replace(BASELINE_PARAMS, beta_a=0.46665)
+        loud = NoiseIntensities(3.0, 1.0, 1.0, 1.0, 3.0)
+        init = HerdState(2000.0, 40.0, 25.0, 12.0, 8.0, 90.0)
+        cfg = SimConfig(t_end=25.0, dt=0.01, record_stride=7)
+        n_paths, seed = 6, 4
+        streams = [NoiseStream(seed, i) for i in range(n_paths)]
+        config = tmp_path / "loud.cfg"
+        config.write_text(
+            "beta_a = 0.46665\nt_end = 25\nseed = 4\nn_paths = 6\n"
+            "s0 = 2000\ne0 = 40\nis0 = 25\nia0 = 12\nr0 = 8\nb0 = 90\n"
+            "sig_s = 3\nsig_e = 1\nsig_is = 1\nsig_ia = 1\nsig_b = 3\n"
+        )
+        seen = {}
+        for m, budget in _budgets(n_paths, cfg.record_stride).items():
+            monkeypatch.setattr(integrate, "_BLOCK_BYTES", budget)
+            assert _block_length(n_paths, cfg.record_stride) == m
+            blocks = [
+                (times.copy(), blk.copy())
+                for times, blk in iter_path_blocks(
+                    p, init, cfg, noise=loud, streams=streams, threads=threads
+                )
+            ]
+            assert len(blocks) == 1 + math.ceil(cfg.n_steps() / m)
+            summ = run_ensemble(p, loud, init, cfg, n_paths, seed, threads=threads)
+            tail = extinction_fraction(p, loud, init, cfg, n_paths, seed,
+                                       by_time=12.5, threads=threads)
+            out = tmp_path / f"m{m}"
+            assert run_cli(["ensemble", "--config", str(config), "--out",
+                            str(out / "summary.csv"), "--threads", str(threads),
+                            "--paths-out", str(out)]) == 0
+            seen[m] = (
+                np.concatenate([t for t, _ in blocks]).tobytes(),
+                np.concatenate([b for _, b in blocks]).tobytes(),
+                [getattr(summ, name).tobytes()
+                 for name in ("times", "mean", "std", "q025", "q50", "q975")],
+                summ.extinct_fraction,
+                tail,
+                {f.name: f.read_bytes() for f in sorted(out.iterdir())},
+            )
+        ref = seen.pop(_MAX_BLOCK_STEPS)
+        assert np.sum(np.frombuffer(ref[1]) == 0.0) > 0
+        assert 0.0 < ref[4] < ref[3] < 1.0
+        assert len(ref[5]) == n_paths + 1
+        for m, got in seen.items():
+            assert got == ref, m
+
+    @pytest.mark.parametrize("budget", [None, 16 * 2 ** 20])
+    def test_working_set_stays_within_one_block(self, budget, monkeypatch):
+        # 2000 paths at stride 1: the default budget leaves the block at
+        # the floor, 16 MiB lets the budget decide.
+        if budget is not None:
+            monkeypatch.setattr(integrate, "_BLOCK_BYTES", budget)
+        n_paths = 2000
+        cfg = SimConfig(t_end=3.0, dt=0.01)
+        m = _block_length(n_paths, cfg.record_stride)
+        block = m * n_paths * (_NOISE_BYTES + _ROW_BYTES)
+        if budget is None:
+            assert m == _MIN_BLOCK_STEPS
+        else:
+            assert _MIN_BLOCK_STEPS < m < _MAX_BLOCK_STEPS and block <= budget
+        # Load scipy.special outside the traced run.
+        run_ensemble(BASELINE_PARAMS, DEFAULT_NOISE, INIT, CFG, 1, 5)
+        tracemalloc.start()
+        try:
+            run_ensemble(BASELINE_PARAMS, DEFAULT_NOISE, INIT, cfg, n_paths, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The engine block, plus the reducer's deviations from path 0 (a
+        # copy of the block's rows, 6/11 of it) and np.quantile's scratch;
+        # a second copy of the rows, or the previous block kept alive
+        # while the engine fills the next, goes past this.
+        assert peak < 1.5 * block

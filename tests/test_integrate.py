@@ -24,7 +24,7 @@ from herdflu import (
     wiener_increment,
     wiener_increments,
 )
-from herdflu.integrate import _BLOCK_STEPS, _PathChunk
+from herdflu.integrate import _MAX_BLOCK_STEPS, _PathChunk, _block_length
 from herdflu.model import rate_coefficients, rates_rows, row_coefficients
 from herdflu.output import write_trajectory_csv
 
@@ -389,12 +389,14 @@ class TestBatchEngine:
                 BASELINE_PARAMS, init, cfg, noise=DEFAULT_NOISE, streams=streams
             )
         ]
+        m = _block_length(len(streams), cfg.record_stride)
+        assert m == _MAX_BLOCK_STEPS == 1024
         assert [len(t) for t, _ in blocks] == [1, 204, 205, 12]
         ks = cfg.recorded_steps()
         assert np.array_equal(np.concatenate([t for t, _ in blocks]), ks * cfg.dt)
         for times, _ in blocks[1:]:
             steps = np.rint(times / cfg.dt).astype(int)
-            assert len(set((steps - 1) // _BLOCK_STEPS)) == 1
+            assert len(set((steps - 1) // m)) == 1
         rows = [
             (t, slab.copy())
             for t, slab in iter_path_states(
