@@ -4,13 +4,12 @@ Path i of an ensemble is driven by NoiseStream(master_seed, i), so the
 set of trajectories is fixed by the master seed alone. All paths are
 advanced step-synchronously, and each engine block of recorded rows,
 shaped (rows, paths, 6), is reduced to per-time mean, standard deviation
-and quantile bands at once, along the path axis. The engine sizes its
-blocks by bytes over all paths (see `iter_path_blocks`), and the
-reducer adds one copy of a block's rows and lets the block go before the
-engine fills the next, so memory is one block in flight plus O(grid) for
-the output, instead of every trajectory. Because the reductions always
-see the same assembled block, serial and threaded execution and every
-block length produce identical bytes.
+and quantile bands at once, along the path axis. The reducer adds one
+copy of a block's rows and lets the block go before the engine fills
+the next, so memory is one block in flight plus O(grid) for the output,
+instead of every trajectory. Because the reductions always see the
+same assembled block, serial and threaded execution and every block
+length produce identical bytes.
 """
 
 from __future__ import annotations

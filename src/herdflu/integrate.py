@@ -50,17 +50,9 @@ _N_NOISE = 5
 # return exactly 0.0, which ndtri would map to -inf.
 _MIN_U = 2.0 ** -53
 
-# Engine blocks are sized in bytes over all paths: a block holds five
-# noise doubles per path-step and six state doubles per recorded
-# path-row. Within _BLOCK_BYTES it takes as many steps as fit, at most
-# _MAX_BLOCK_STEPS (one path and small ensembles) and at least
-# _MIN_BLOCK_STEPS, below which the per-path Philox call in
-# `_fill_normals` is no longer amortised over the block.
-_NOISE_BYTES = 8 * _N_NOISE
-_ROW_BYTES = 8 * 6
-_BLOCK_BYTES = 2 * 2 ** 20
-_MAX_BLOCK_STEPS = 1024
-_MIN_BLOCK_STEPS = 64
+# Steps advanced per engine block. A block holds 40 B of noise per
+# path-step, so its size grows with the path count: 2.6 MB at 500 paths.
+_BLOCK_STEPS = 128
 
 _U64 = 2 ** 64
 
@@ -206,25 +198,14 @@ def _fill_normals(
     # scipy.special, a third of a second of start-up.
     from scipy.special import ndtri
 
-    # One staging array takes each stream's next m windows in turn.
-    stage = np.empty((len(z), _DOUBLES_PER_STEP))
-    used = stage[:, :_N_NOISE]
+    m = len(z)
     for i, g in enumerate(gens):
-        g.random(out=stage)
-        z[:, :, i] = used
+        u = g.random(_DOUBLES_PER_STEP * m).reshape(m, _DOUBLES_PER_STEP)
+        z[:, :, i] = u[:, :_N_NOISE]
     np.maximum(z, _MIN_U, out=z)
     ndtri(z, out=z)
     z *= sqrt_dt
     return z
-
-
-def _block_length(n_paths: int, record_stride: int) -> int:
-    """Steps per engine block for `n_paths` paths recording every
-    `record_stride`-th step: the most whose noise and recorded rows fit
-    in _BLOCK_BYTES, clipped to [_MIN_BLOCK_STEPS, _MAX_BLOCK_STEPS]."""
-    per_step = n_paths * (_NOISE_BYTES + _ROW_BYTES / record_stride)
-    m = int(_BLOCK_BYTES // per_step)
-    return min(_MAX_BLOCK_STEPS, max(_MIN_BLOCK_STEPS, m))
 
 
 def _block_steps(recorded: np.ndarray, k0: int, m: int) -> np.ndarray:
@@ -308,9 +289,9 @@ def integrate_sde(
 ) -> Trajectory:
     """One Euler-Maruyama path driven by `stream`, stepped on plain floats.
 
-    Noise comes in _MAX_BLOCK_STEPS blocks (40 KB) from the same Philox
-    window, and the update, the clamp (np.maximum(y, 0.0): NaN stays,
-    -0.0 becomes 0.0) and the non-finite check per block are the batch
+    Noise comes in `_BLOCK_STEPS` blocks from the same Philox window,
+    and the update, the clamp (np.maximum(y, 0.0): NaN stays, -0.0
+    becomes 0.0) and the non-finite check per block are the batch
     engine's, so the path equals the matching member of any ensemble
     built from the same master seed bit for bit, and a failing run
     raises the engine's message. Reruns with identical arguments
@@ -330,8 +311,8 @@ def integrate_sde(
 
     states[0] = init.as_array()
     s, e, i_s, i_a, r, b = states[0].tolist()
-    for k0 in range(0, n_steps, _MAX_BLOCK_STEPS):
-        m = min(_MAX_BLOCK_STEPS, n_steps - k0)
+    for k0 in range(0, n_steps, _BLOCK_STEPS):
+        m = min(_BLOCK_STEPS, n_steps - k0)
         z = _fill_normals(np.empty((m, _N_NOISE, 1)), gens, sqrt_dt)
         zs = iter(z[:, :, 0].tolist())
         for k in range(k0 + 1, k0 + m + 1):
@@ -380,13 +361,9 @@ def iter_path_blocks(
     is a fresh array that the engine never reads again, so a consumer
     may keep it or reorder it in place (`run_ensemble` sorts it).
 
-    A block spans `_block_length(n_paths, record_stride)` steps, so the
-    noise and recorded rows of all thread chunks together stay within
-    _BLOCK_BYTES (2 MiB), except that a block never drops below
-    _MIN_BLOCK_STEPS: past about 370 paths at stride 1 (820 at long
-    strides) the floor decides, and the block grows by 5.6 KB (2.6 KB)
-    per path. Block length never changes a value, because each path's
-    stream is consumed in order.
+    A block spans _BLOCK_STEPS steps, so memory is one block of noise
+    and recorded rows over all paths. Block length never changes a
+    value, because each path's stream is consumed in order.
 
     If a recorded state is non-finite, the rows before it are yielded
     as a shorter block and IntegrationError is raised.
@@ -415,12 +392,11 @@ def iter_path_blocks(
         for a, b in zip(bounds[:-1], bounds[1:])
     ]
 
-    block = _block_length(n_paths, cfg.record_stride)
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     try:
         k0 = 0
         while k0 < n_steps:
-            m = min(block, n_steps - k0)
+            m = min(_BLOCK_STEPS, n_steps - k0)
             ks = _block_steps(recorded, k0, m)
             rec_rows = [(int(k) - k0, row) for row, k in enumerate(ks)]
             buf = np.empty((len(ks), n_paths, 6)) if rec_rows else None

@@ -23,13 +23,7 @@ from herdflu import (
 from herdflu import integrate
 from herdflu.cli import run_cli
 from herdflu.ensemble import EXTINCTION_THRESHOLD, QUANTILES
-from herdflu.integrate import (
-    _MAX_BLOCK_STEPS,
-    _MIN_BLOCK_STEPS,
-    _NOISE_BYTES,
-    _ROW_BYTES,
-    _block_length,
-)
+from herdflu.integrate import _BLOCK_STEPS
 
 ZERO_NOISE = NoiseIntensities(0.0, 0.0, 0.0, 0.0, 0.0)
 CFG = SimConfig(t_end=2.0, dt=0.01)
@@ -235,17 +229,6 @@ class TestExtinction:
             )
 
 
-def _budgets(n_paths: int, stride: int) -> dict[int, int]:
-    # _BLOCK_BYTES values that make the block the floor, 300 steps and
-    # the cap, keyed by that length.
-    per_step = n_paths * (_NOISE_BYTES + _ROW_BYTES / stride)
-    return {
-        _MIN_BLOCK_STEPS: 1,
-        300: math.ceil(300 * per_step),
-        _MAX_BLOCK_STEPS: 2 ** 40,
-    }
-
-
 class TestBlockLength:
     """How many steps an engine block spans never changes a value."""
 
@@ -256,7 +239,7 @@ class TestBlockLength:
         # Loud noise on S and B clamps them to 0, and some paths die out
         # before t = 12.5, others after; 2500 steps at stride 7 put
         # recorded rows and partial strides on either side of every
-        # block boundary at all three lengths.
+        # block boundary at all three lengths (37, the default and 1024).
         p = replace(BASELINE_PARAMS, beta_a=0.46665)
         loud = NoiseIntensities(3.0, 1.0, 1.0, 1.0, 3.0)
         init = HerdState(2000.0, 40.0, 25.0, 12.0, 8.0, 90.0)
@@ -270,9 +253,8 @@ class TestBlockLength:
             "sig_s = 3\nsig_e = 1\nsig_is = 1\nsig_ia = 1\nsig_b = 3\n"
         )
         seen = {}
-        for m, budget in _budgets(n_paths, cfg.record_stride).items():
-            monkeypatch.setattr(integrate, "_BLOCK_BYTES", budget)
-            assert _block_length(n_paths, cfg.record_stride) == m
+        for m in (37, _BLOCK_STEPS, 1024):
+            monkeypatch.setattr(integrate, "_BLOCK_STEPS", m)
             blocks = [
                 (times.copy(), blk.copy())
                 for times, blk in iter_path_blocks(
@@ -296,27 +278,19 @@ class TestBlockLength:
                 tail,
                 {f.name: f.read_bytes() for f in sorted(out.iterdir())},
             )
-        ref = seen.pop(_MAX_BLOCK_STEPS)
+        ref = seen.pop(1024)
         assert np.sum(np.frombuffer(ref[1]) == 0.0) > 0
         assert 0.0 < ref[4] < ref[3] < 1.0
         assert len(ref[5]) == n_paths + 1
         for m, got in seen.items():
             assert got == ref, m
 
-    @pytest.mark.parametrize("budget", [None, 16 * 2 ** 20])
-    def test_working_set_stays_within_one_block(self, budget, monkeypatch):
-        # 2000 paths at stride 1: the default budget leaves the block at
-        # the floor, 16 MiB lets the budget decide.
-        if budget is not None:
-            monkeypatch.setattr(integrate, "_BLOCK_BYTES", budget)
+    def test_working_set_stays_within_one_block(self):
+        # 2000 paths at stride 1: a block holds five noise doubles per
+        # path-step and six state doubles per recorded path-row.
         n_paths = 2000
         cfg = SimConfig(t_end=3.0, dt=0.01)
-        m = _block_length(n_paths, cfg.record_stride)
-        block = m * n_paths * (_NOISE_BYTES + _ROW_BYTES)
-        if budget is None:
-            assert m == _MIN_BLOCK_STEPS
-        else:
-            assert _MIN_BLOCK_STEPS < m < _MAX_BLOCK_STEPS and block <= budget
+        block = _BLOCK_STEPS * n_paths * 8 * (5 + 6)
         # Load scipy.special outside the traced run.
         run_ensemble(BASELINE_PARAMS, DEFAULT_NOISE, INIT, CFG, 1, 5)
         tracemalloc.start()

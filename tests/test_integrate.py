@@ -24,7 +24,8 @@ from herdflu import (
     wiener_increment,
     wiener_increments,
 )
-from herdflu.integrate import _MAX_BLOCK_STEPS, _PathChunk, _block_length
+from herdflu import integrate
+from herdflu.integrate import _PathChunk
 from herdflu.model import rate_coefficients, rates_rows, row_coefficients
 from herdflu.output import write_trajectory_csv
 
@@ -377,9 +378,11 @@ class TestBatchEngine:
         with pytest.raises(RuntimeError, match=r"^chunk at 2 failed$"):
             next(it)
 
-    def test_blocks_concatenate_to_the_recorded_rows(self):
-        # Rows straddle the first block boundary; stride 5 leaves a
-        # final partial stride at step 2102.
+    def test_blocks_concatenate_to_the_recorded_rows(self, monkeypatch):
+        # At 1024-step blocks, rows straddle the first block boundary;
+        # stride 5 leaves a final partial stride at step 2102.
+        m = 1024
+        monkeypatch.setattr(integrate, "_BLOCK_STEPS", m)
         cfg = SimConfig(t_end=262.75, dt=0.125, record_stride=5)
         init = default_init(BASELINE_PARAMS)
         streams = [NoiseStream(4, i) for i in range(3)]
@@ -389,8 +392,6 @@ class TestBatchEngine:
                 BASELINE_PARAMS, init, cfg, noise=DEFAULT_NOISE, streams=streams
             )
         ]
-        m = _block_length(len(streams), cfg.record_stride)
-        assert m == _MAX_BLOCK_STEPS == 1024
         assert [len(t) for t, _ in blocks] == [1, 204, 205, 12]
         ks = cfg.recorded_steps()
         assert np.array_equal(np.concatenate([t for t, _ in blocks]), ks * cfg.dt)
