@@ -70,6 +70,39 @@ def _infected_load(states: np.ndarray) -> np.ndarray:
     return states[..., 1] + states[..., 2] + states[..., 3]
 
 
+def _sorted_quantiles(srt: np.ndarray, outs) -> None:
+    """Write the QUANTILES of `srt`, sorted along axis 1, into `outs`,
+    one array per level.
+
+    Linear interpolation between order statistics (Hyndman & Fan 1996,
+    definition 7) with numpy's positions and weights, so on finite data
+    the values are those of `np.quantile(method="linear")` bit for bit:
+    at h = (n - 1)*p the quantile is a + (b - a)*g, or b - (b - a)*(1 - g)
+    when g >= 0.5 (numpy's `_lerp`), with a and b the order statistics
+    around h and g its fractional part.
+    """
+    n = srt.shape[1]
+    for q, p in zip(outs, QUANTILES):
+        h = (n - 1) * p
+        if h < n - 1:
+            lo = math.floor(h)
+            hi, g = lo + 1, h - lo
+        else:
+            # Only at n = 1: numpy takes the one value as the upper
+            # neighbour with weight 1, which keeps a -0.0.
+            lo = hi = n - 1
+            g = 1.0
+        a = srt[:, lo]
+        b = srt[:, hi]
+        d = b - a
+        if g >= 0.5:
+            d *= 1.0 - g
+            np.subtract(b, d, q)
+        else:
+            d *= g
+            np.add(a, d, q)
+
+
 def run_ensemble(
     p: ModelParams,
     n: NoiseIntensities,
@@ -124,13 +157,11 @@ def run_ensemble(
         if on_block is not None:
             on_block(t_blk, blk)
         # The reducer sorts the engine's block in place along the path
-        # axis: the quantiles of sorted data are the same order
-        # statistics, interpolated the same way, so the bytes are those
-        # of an untouched block, and partitioning sorted data is cheap.
+        # axis and reads the quantiles off as order statistics: the
+        # engine's blocks are finite, so these are np.quantile's values
+        # bit for bit (see `_sorted_quantiles`).
         blk.sort(axis=1)
-        q025[i:j], q50[i:j], q975[i:j] = np.quantile(
-            blk, QUANTILES, axis=1, overwrite_input=True
-        )
+        _sorted_quantiles(blk, (q025[i:j], q50[i:j], q975[i:j]))
         i = j
         # Drop the block, its path-0 view and the deviations before the
         # engine fills the next block.

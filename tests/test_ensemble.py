@@ -22,7 +22,7 @@ from herdflu import (
 )
 from herdflu import integrate
 from herdflu.cli import run_cli
-from herdflu.ensemble import EXTINCTION_THRESHOLD, QUANTILES
+from herdflu.ensemble import EXTINCTION_THRESHOLD, QUANTILES, _sorted_quantiles
 from herdflu.integrate import _BLOCK_STEPS
 
 ZERO_NOISE = NoiseIntensities(0.0, 0.0, 0.0, 0.0, 0.0)
@@ -175,6 +175,49 @@ class TestRunEnsemble:
                 q50=good, q975=good, n_paths=1, master_seed=0,
                 extinct_fraction=0.0,
             )
+
+
+class TestSortedQuantiles:
+    """Order statistics of the sorted block against np.quantile."""
+
+    @staticmethod
+    def check(blk):
+        want = np.quantile(blk, QUANTILES, axis=1, method="linear")
+        srt = np.sort(blk, axis=1)
+        got = np.full((3, len(blk), 6), np.nan)
+        _sorted_quantiles(srt, tuple(got))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n_paths", range(1, 131))
+    def test_bitwise_equal_to_np_quantile(self, n_paths):
+        rng = np.random.default_rng(n_paths)
+        blk = rng.lognormal(3.0, 2.0, size=(5, n_paths, 6))
+        blk[1] = np.round(blk[1])                      # ties
+        blk[2] = blk[2, :1]                            # all paths identical
+        blk[3, :, 4:] = 0.0                            # zero columns
+        # Zeros of one sign among other values. 0.0 and -0.0 compare
+        # equal, so their order after a sort is unspecified; engine
+        # blocks never mix them (the clamp writes 0.0, and only the
+        # t = 0 block, where every path is equal, can hold a -0.0).
+        blk[4, :, 1] = rng.choice([-0.0, 1e-300, 2.0], size=n_paths)
+        blk[4, :, 2] = rng.choice([0.0, -1e-300, 2.0], size=n_paths)
+        self.check(blk)
+
+    @pytest.mark.parametrize("n_paths", [1, 2, 3, 41])
+    def test_initial_block(self, n_paths):
+        # The t = 0 block: every path at the initial state, zeros of
+        # either sign included.
+        x0 = np.array([2999.0, 1.0, -0.0, 0.0, 0.0, 5e-324])
+        self.check(np.tile(x0, (1, n_paths, 1)))
+
+    def test_run_ensemble_keeps_negative_zero(self):
+        init = HerdState(3000.0, -0.0, -0.0, 0.0, 0.0, -0.0)
+        for n_paths in (1, 2, 5):
+            summ = run_ensemble(BASELINE_PARAMS, DEFAULT_NOISE, init, CFG, n_paths, 4)
+            first = np.tile(init.as_array(), (1, n_paths, 1))
+            want = np.quantile(first, QUANTILES, axis=1)[:, 0]
+            got = np.array([summ.q025[0], summ.q50[0], summ.q975[0]])
+            assert got.tobytes() == want.tobytes(), n_paths
 
 
 class TestExtinction:
