@@ -232,52 +232,53 @@ def _finite_rows(
 class _PathChunk:
     """Paths [lo, hi) of the engine with their generators and buffers.
 
-    The state is stacked compartment-major, (6, paths), in two buffers
-    that swap roles every step; coefficients, temporaries and row views
-    are built once, so a step costs a fixed set of whole-array calls.
+    The state is stacked compartment-major, (6, paths), and updated in
+    place. Coefficients, temporaries, the bound drift and the row views
+    are built once, and every operand is an array, so a step costs a
+    fixed set of whole-array ufunc calls.
     """
 
     def __init__(self, x0: np.ndarray, gens: list[Generator], sig: tuple,
-                 c: RateCoefficients, lo: int, hi: int):
+                 c: RateCoefficients, lo: int, hi: int, dt: float):
         n = hi - lo
         self.gens = gens
         self.lo, self.hi = lo, hi
-        self.k = row_coefficients(c, n)
-        self.sig4 = np.repeat(np.array(sig[:4])[:, None], n, axis=1)
-        self.sig_b = sig[4]
+        self.x = np.repeat(x0[:, None], n, axis=1)
         self.f = np.empty((6, n))
+        self.drift = rates_rows(row_coefficients(c, n), n)(self.x, self.f)
+        self.sig4 = np.repeat(np.array(sig[:4])[:, None], n, axis=1)
+        self.sig_b = np.full(n, sig[4])
+        self.dt = np.full((6, n), dt)
+        self.zero = np.zeros((6, n))
         self.t4 = np.empty((4, n))
         self.tb = np.empty(n)
-        bufs = [np.repeat(x0[:, None], n, axis=1), np.empty((6, n))]
-        self.views = [(x, x[:4], x[5]) for x in bufs]
 
-    def advance(self, dt: float, sqrt_dt: float, k0: int, m: int,
+    def advance(self, sqrt_dt: float, k0: int, m: int,
                 rec_rows: list[tuple[int, int]], buf: np.ndarray | None) -> None:
         """Steps [k0, k0 + m); writes recorded rows into buf[:, lo:hi]."""
-        k, f, t4, tb = self.k, self.f, self.t4, self.tb
+        add, multiply = np.add, np.multiply
+        x, f, drift, dt, zero = self.x, self.f, self.drift, self.dt, self.zero
+        x4, xb, t4, tb = x[:4], x[5], self.t4, self.tb
         sig4, sig_b, lo, hi = self.sig4, self.sig_b, self.lo, self.hi
         z = _fill_normals(np.empty((m, _N_NOISE, hi - lo)), self.gens, sqrt_dt)
         rec = dict(rec_rows)
-        (x, x4, xb), (y, y4, yb) = self.views
-        for s_off in range(m):
-            # y = x + f(x)*dt + (sig*x)*dW, the float path's operations
-            # in its order, element by element.
-            rates_rows(x, k, f)
-            np.multiply(f, dt, out=y)
-            y += x
-            dw = z[s_off]
-            np.multiply(x4, sig4, out=t4)
-            t4 *= dw[:4]
-            y4 += t4
-            np.multiply(xb, sig_b, out=tb)
-            tb *= dw[4]
-            yb += tb
-            np.maximum(y, 0.0, out=y)
-            row = rec.get(s_off + 1)
+        for s_off, (dw4, dwb) in enumerate(zip(z[:, :4], z[:, 4]), 1):
+            # x <- x + f(x)*dt + (sig*x)*dW, the float path's operations
+            # in its order, element by element; the noise terms are
+            # taken from x before it is overwritten.
+            drift()
+            multiply(x4, sig4, t4)
+            multiply(t4, dw4, t4)
+            multiply(xb, sig_b, tb)
+            multiply(tb, dwb, tb)
+            multiply(f, dt, f)
+            add(f, x, x)
+            add(x4, t4, x4)
+            add(xb, tb, xb)
+            np.maximum(x, zero, out=x)
+            row = rec.get(s_off)
             if row is not None:
-                buf[row, lo:hi] = y.T
-            (x, x4, xb), (y, y4, yb) = (y, y4, yb), (x, x4, xb)
-        self.views = [(x, x4, xb), (y, y4, yb)]
+                buf[row, lo:hi] = x.T
 
 
 def integrate_sde(
@@ -388,7 +389,7 @@ def iter_path_blocks(
     threads = max(1, min(int(threads), n_paths))
     bounds = np.linspace(0, n_paths, threads + 1).astype(int).tolist()
     chunks = [
-        _PathChunk(x0, all_gens[a:b], noise.as_tuple(), c, a, b)
+        _PathChunk(x0, all_gens[a:b], noise.as_tuple(), c, a, b, dt)
         for a, b in zip(bounds[:-1], bounds[1:])
     ]
 
@@ -402,7 +403,7 @@ def iter_path_blocks(
             buf = np.empty((len(ks), n_paths, 6)) if rec_rows else None
 
             def job(chunk: _PathChunk) -> None:
-                chunk.advance(dt, sqrt_dt, k0, m, rec_rows, buf)
+                chunk.advance(sqrt_dt, k0, m, rec_rows, buf)
 
             if pool is None:
                 job(chunks[0])
@@ -513,37 +514,38 @@ def rk4_peaks(
     x = np.repeat(init.as_array()[:, None], n, axis=1)
     peak = x[column].copy()
     k1, k2, k3, k4, xi = (np.empty((6, n)) for _ in range(5))
+    bind = rates_rows(rc, n)
+    f1, f2, f3, f4 = bind(x, k1), bind(xi, k2), bind(xi, k3), bind(xi, k4)
     # Runs that already failed keep stepping; their values are unused.
     with np.errstate(all="ignore"):
         for k in range(1, cfg.n_steps() + 1):
             # `_rk4_step` on the stacked state: each element sees the
             # same operations in the same order.
-            rates_rows(x, rc, k1)
+            f1()
             np.multiply(k1, half, out=xi)
             xi += x
-            rates_rows(xi, rc, k2)
+            f2()
             np.multiply(k2, half, out=xi)
             xi += x
-            rates_rows(xi, rc, k3)
+            f3()
             np.multiply(k3, dt, out=xi)
             xi += x
-            rates_rows(xi, rc, k4)
+            f4()
             k2 *= 2.0
             k1 += k2
             k3 *= 2.0
             k1 += k3
             k1 += k4
             k1 *= sixth
-            xs = k1 + x
-            neg = xs < 0.0
+            np.add(k1, x, out=x)
+            neg = x < 0.0
             if neg.any():
-                xs[neg] = 0.0
-            x = xs
+                x[neg] = 0.0
             if k in rec:
-                tot = xs[0] + xs[1] + xs[2] + xs[3] + xs[4] + xs[5]
+                tot = x[0] + x[1] + x[2] + x[3] + x[4] + x[5]
                 for i in np.flatnonzero(~np.isfinite(tot)).tolist():
                     errors.setdefault(i, f"non-finite state at t={k * dt:.6g}")
-                np.maximum(peak, xs[column], out=peak)
+                np.maximum(peak, x[column], out=peak)
     if errors:
         i = min(errors)
         raise IntegrationError(f"sample {i}: {errors[i]}")

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Any, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -309,39 +309,73 @@ def row_coefficients(c: RateCoefficients, n: int) -> RowCoefficients:
     )
 
 
-def rates_rows(x: np.ndarray, k: RowCoefficients, out: np.ndarray) -> np.ndarray:
-    """`rates` on a stacked (6, n) state, rows in COMPARTMENTS order.
+def rates_rows(
+    k: RowCoefficients, n: int
+) -> Callable[[np.ndarray, np.ndarray], Callable[[], np.ndarray]]:
+    """`rates` on stacked (6, n) states, rows in COMPARTMENTS order.
 
     The array definition of the drift: column i is a state driven by
-    parameter set i of `k` (see `row_coefficients`). Writes the (6, n)
-    drift into `out`, which must not overlap `x`, and returns it.
+    parameter set i of `k` (see `row_coefficients`). Returns `bind`, and
+    `bind(x, out)` returns `drift()`, which writes the (6, n) drift at
+    the current contents of the buffer x into the buffer out (the two
+    must not overlap) and returns out. The temporaries are allocated
+    here and the row views in `bind`, so a call of `drift` is a fixed
+    sequence of whole-array ufunc calls. Every function bound by one
+    `rates_rows` call shares its temporaries, so they must not run at
+    the same time.
+
     Products of one shape are grouped into one call across compartments
     (the six loss terms, the two direct routes, the two progressions,
     the four shedding and removal inflows), and the inflows are built in
-    `out` so that one subtraction of the losses finishes every row. Each
+    out so that one subtraction of the losses finishes every row. Each
     element still sees the IEEE operations of `rates` in the same order,
     so each column equals `rates` of that column bit for bit.
     """
-    s, e, i_s, i_a, r, b = x
-    i_sa = x[2:4]
-    loss = k.loss * x
-    n = s + e
-    n += i_s
-    n += i_a
-    n += r
-    direct = k.direct * i_sa
-    # Dividing by 1.0 is exact, so skipping it is `rates`'s N <= 0 branch.
-    np.divide(direct, n, out=direct, where=n > 0.0)
-    d_s, inc, prog, gain = out[0], out[1], out[2:4], out[4:]
-    np.add(*direct, out=inc)
-    inc += k.beta_b * b / (k.k_half + b)
-    inc *= s
-    np.subtract(k.lambda_recruit, inc, out=d_s)
-    np.multiply(k.prog, e, out=prog)
-    g = k.gain * i_sa
-    np.add(g[:, 0], g[:, 1], out=gain)
-    out -= loss
-    return out
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    k_loss, k_direct, k_prog, k_gain, k_lam, k_bb, k_half = k
+    loss = np.empty((6, n))
+    n_live = np.empty(n)
+    zero = np.zeros(n)
+    live = np.empty(n, dtype=bool)
+    direct = np.empty((2, n))
+    d_s_route, d_a_route = direct
+    env = np.empty(n)
+    den = np.empty(n)
+    g = np.empty((2, 2, n))
+    g_s, g_a = g[:, 0], g[:, 1]
+
+    def bind(x: np.ndarray, out: np.ndarray) -> Callable[[], np.ndarray]:
+        s, e, i_s, i_a, r, b = x
+        i_sa = x[2:4]
+        d_s, inc, prog, gain = out[0], out[1], out[2:4], out[4:]
+
+        def drift() -> np.ndarray:
+            multiply(k_loss, x, loss)
+            add(s, e, n_live)
+            add(n_live, i_s, n_live)
+            add(n_live, i_a, n_live)
+            add(n_live, r, n_live)
+            multiply(k_direct, i_sa, direct)
+            # Dividing by 1.0 is exact, so skipping it is `rates`'s
+            # N <= 0 branch.
+            np.greater(n_live, zero, live)
+            divide(direct, n_live, direct, where=live)
+            add(d_s_route, d_a_route, inc)
+            multiply(k_bb, b, env)
+            add(k_half, b, den)
+            divide(env, den, env)
+            add(inc, env, inc)
+            multiply(inc, s, inc)
+            subtract(k_lam, inc, d_s)
+            multiply(k_prog, e, prog)
+            multiply(k_gain, i_sa, g)
+            add(g_s, g_a, gain)
+            subtract(out, loss, out)
+            return out
+
+        return drift
+
+    return bind
 
 
 def force_of_infection(state: HerdState, p: ModelParams) -> float:

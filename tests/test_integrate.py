@@ -313,7 +313,7 @@ class TestBatchEngine:
         x = rng.uniform(0.0, 4000.0, size=(6, 64))
         x[:5, :3] = 0.0  # empty herds take the N = 0 branch
         c = rate_coefficients(BASELINE_PARAMS)
-        out = rates_rows(x, row_coefficients(c, 64), np.empty_like(x))
+        out = rates_rows(row_coefficients(c, 64), 64)(x, np.empty_like(x))()
         for i in range(64):
             row = drift(HerdState.from_array(x[:, i]), BASELINE_PARAMS)
             assert np.array_equal(out[:, i], row)

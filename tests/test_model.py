@@ -256,7 +256,7 @@ class TestRatesRows:
         return x
 
     def check(self, x, k, coeffs):
-        out = rates_rows(x, k, np.full_like(x, np.nan))
+        out = rates_rows(k, x.shape[1])(x, np.full_like(x, np.nan))()
         for i in range(x.shape[1]):
             ref = np.array(rates(*x[:, i].tolist(), coeffs(i)))
             assert out[:, i].tobytes() == ref.tobytes(), i
@@ -277,3 +277,24 @@ class TestRatesRows:
         }))
         x = self.states(rng, 40)
         self.check(x, row_coefficients(cols, 40), lambda i: cs[i])
+
+    def test_bound_calls_on_alternating_buffers(self):
+        # Two state buffers bound to one set of temporaries, called in
+        # turn as the engine's stages are. The columns are shuffled
+        # between calls, so a column with N <= 0 (the skipped division)
+        # had N > 0 in the call before: a temporary or an output row
+        # that kept a value from an earlier call would show.
+        rng = np.random.default_rng(33)
+        n = 40
+        c = rate_coefficients(BASELINE_PARAMS)
+        bind = rates_rows(row_coefficients(c, n), n)
+        bufs = [(np.empty((6, n)), np.full((6, n), np.nan)) for _ in range(2)]
+        drifts = [bind(x, out) for x, out in bufs]
+        for call in range(8):
+            x, out = bufs[call % 2]
+            x[...] = self.states(rng, n)[:, rng.permutation(n)]
+            x[:5, rng.integers(n)] = -rng.uniform(1.0, 50.0, size=5)  # N < 0
+            assert drifts[call % 2]() is out
+            for i in range(n):
+                ref = np.array(rates(*x[:, i].tolist(), c))
+                assert out[:, i].tobytes() == ref.tobytes(), (call, i)
