@@ -21,12 +21,10 @@ integrator consumes sequentially.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .model import (
     COMPARTMENTS,
@@ -39,6 +37,9 @@ from .model import (
     rates_rows,
     row_coefficients,
 )
+
+if TYPE_CHECKING:
+    from numpy.random import Generator
 
 # Each step consumes two Philox counter blocks (8 doubles) and uses the
 # first five, so step k starts exactly at counter offset 2*k.
@@ -123,11 +124,15 @@ class NoiseStream:
             if not isinstance(v, int) or not 0 <= v < _U64:
                 raise ValueError(f"{name} must be an integer in [0, 2**64), got {v!r}")
 
-    def _bit_generator(self, start_step: int = 0) -> Philox:
+    def _generator(self, start_step: int = 0) -> Generator:
+        # numpy.random is imported here, so that commands without noise
+        # never load it.
+        from numpy.random import Generator, Philox
+
         bg = Philox(key=[self.master_seed, self.path_index])
         if start_step:
             bg.advance(_BLOCKS_PER_STEP * start_step)
-        return bg
+        return Generator(bg)
 
 
 @dataclass(frozen=True)
@@ -179,7 +184,7 @@ def wiener_increments(
         raise ValueError(f"start_step must be >= 0, got {start_step!r}")
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
-    gen = Generator(stream._bit_generator(start_step))
+    gen = stream._generator(start_step)
     z = np.empty((n_steps, _N_NOISE, 1))
     return _fill_normals(z, [gen], math.sqrt(dt))[:, :, 0]
 
@@ -307,7 +312,7 @@ def integrate_sde(
     times = recorded * dt
     states = np.empty((len(recorded), 6))
     sg_s, sg_e, sg_is, sg_ia, sg_b = n.as_tuple()
-    gens = [Generator(stream._bit_generator())]
+    gens = [stream._generator()]
     sqrt_dt = math.sqrt(dt)
 
     states[0] = init.as_array()
@@ -375,7 +380,7 @@ def iter_path_blocks(
     if not streams:
         raise ValueError("stochastic runs need at least one NoiseStream")
     n_paths = len(streams)
-    all_gens = [Generator(st._bit_generator()) for st in streams]
+    all_gens = [st._generator() for st in streams]
     c = rate_coefficients(p)
 
     dt = cfg.dt
@@ -393,7 +398,11 @@ def iter_path_blocks(
         for a, b in zip(bounds[:-1], bounds[1:])
     ]
 
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    pool = None
+    if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(max_workers=threads)
     try:
         k0 = 0
         while k0 < n_steps:

@@ -370,3 +370,30 @@ def test_commands_without_noise_or_prcc_leave_out_scipy_special(command, tmp_pat
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    None,
+    ["r0"],
+    ["equilibrium"],
+    ["simulate", "--mode", "ode", "--out", "{tmp}/traj.csv"],
+])
+def test_commands_without_noise_leave_out_numpy_random_and_thread_pool(argv, tmp_path):
+    # numpy.random is imported only where a noise stream or an LHS sample
+    # is built, and concurrent.futures only for more than one thread;
+    # `import herdflu.cli` and the commands without noise need neither.
+    cfg = tmp_path / "fast.cfg"
+    cfg.write_text(FAST)
+    run = ""
+    if argv is not None:
+        argv = [a.format(tmp=tmp_path) for a in argv] + ["--config", str(cfg)]
+        run = f"assert herdflu.cli.run_cli({argv!r}) == 0; "
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, herdflu.cli; " + run +
+         "print(sorted(m for m in sys.modules "
+         "if m.startswith(('numpy.random', 'concurrent.futures'))))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
