@@ -70,7 +70,7 @@ def _infected_load(states: np.ndarray) -> np.ndarray:
     return states[..., 1] + states[..., 2] + states[..., 3]
 
 
-def _sorted_quantiles(srt: np.ndarray, outs) -> None:
+def _sorted_quantiles(srt: np.ndarray, outs: tuple[np.ndarray, ...]) -> None:
     """Write the QUANTILES of `srt`, sorted along axis 1, into `outs`,
     one array per level.
 
