@@ -12,7 +12,6 @@ from .config import ConfigError, RunConfig, load_config, parse_config, parse_ran
 from .ensemble import EnsembleSummary, extinction_fraction, run_ensemble
 from .equilibrium import (
     EndemicEquilibrium,
-    EquilibriumIntermediates,
     admissible_upper,
     endemic_gap,
     intermediates,
@@ -28,7 +27,6 @@ from .integrate import (
     integrate_sde,
     iter_path_blocks,
     iter_path_states,
-    wiener_increment,
     wiener_increments,
 )
 from .model import (
@@ -39,7 +37,6 @@ from .model import (
     ModelParams,
     NoiseIntensities,
     default_init,
-    diffusion,
     disease_free_equilibrium,
     drift,
     force_of_infection,
@@ -51,7 +48,6 @@ from .output import (
     ENSEMBLE_HEADER,
     SENSITIVITY_HEADER,
     TRAJECTORY_HEADER,
-    fmt_float,
     read_ensemble_csv,
     read_sensitivity_csv,
     read_trajectory_csv,
@@ -82,7 +78,6 @@ __all__ = [
     "ENSEMBLE_HEADER",
     "EndemicEquilibrium",
     "EnsembleSummary",
-    "EquilibriumIntermediates",
     "HerdState",
     "IntegrationError",
     "ModelParams",
@@ -99,12 +94,10 @@ __all__ = [
     "admissible_upper",
     "default_init",
     "default_ranges",
-    "diffusion",
     "disease_free_equilibrium",
     "drift",
     "endemic_gap",
     "extinction_fraction",
-    "fmt_float",
     "force_of_infection",
     "integrate_ode",
     "integrate_sde",
@@ -127,7 +120,6 @@ __all__ = [
     "sensitivity_of_r0",
     "solve_endemic",
     "total_population",
-    "wiener_increment",
     "wiener_increments",
     "write_ensemble_csv",
     "write_prcc_svg",

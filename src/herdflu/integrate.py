@@ -14,13 +14,18 @@ Noise is drawn from counter-based Philox streams keyed by
 (master_seed, path_index), so any path, and any step within a path, can
 be regenerated independently of execution order. Each step owns a fixed
 window of the stream (two Philox blocks), which is what makes
-`wiener_increment(stream, k, dt)` agree exactly with the increments an
-integrator consumes sequentially.
+`wiener_increments(stream, 1, dt, start_step=k)` agree exactly with the
+increments an integrator consumes sequentially.
+
+The ensemble engine (`iter_path_blocks`) draws part of its noise in a
+forked helper process while the main process steps the paths; see
+`_NoiseHelper`.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -189,11 +194,6 @@ def wiener_increments(
     return _fill_normals(z, [gen], math.sqrt(dt))[:, :, 0]
 
 
-def wiener_increment(stream: NoiseStream, step: int, dt: float) -> np.ndarray:
-    """The five N(0, dt) increments consumed at one step of one path."""
-    return wiener_increments(stream, 1, dt, start_step=step)[0]
-
-
 def _fill_normals(
     z: np.ndarray, gens: Sequence[Generator], sqrt_dt: float
 ) -> np.ndarray:
@@ -235,7 +235,7 @@ def _finite_rows(
 
 
 class _PathChunk:
-    """Paths [lo, hi) of the engine with their generators and buffers.
+    """Paths [lo, hi) of the engine with their state and buffers.
 
     The state is stacked compartment-major, (6, paths), and updated in
     place. Coefficients, temporaries, the bound drift and the row views
@@ -243,10 +243,9 @@ class _PathChunk:
     fixed set of whole-array ufunc calls.
     """
 
-    def __init__(self, x0: np.ndarray, gens: list[Generator], sig: tuple,
-                 c: RateCoefficients, lo: int, hi: int, dt: float):
+    def __init__(self, x0: np.ndarray, sig: tuple, c: RateCoefficients,
+                 lo: int, hi: int, dt: float):
         n = hi - lo
-        self.gens = gens
         self.lo, self.hi = lo, hi
         self.x = np.repeat(x0[:, None], n, axis=1)
         self.f = np.empty((6, n))
@@ -258,15 +257,15 @@ class _PathChunk:
         self.t4 = np.empty((4, n))
         self.tb = np.empty(n)
 
-    def advance(self, sqrt_dt: float, k0: int, m: int,
-                rec_rows: list[tuple[int, int]], buf: np.ndarray | None) -> None:
-        """Steps [k0, k0 + m); writes recorded rows into buf[:, lo:hi]."""
+    def advance(self, z: np.ndarray, rec: dict[int, int],
+                buf: np.ndarray | None) -> None:
+        """Steps driven by z, the (steps, 5, n_paths) noise of every path;
+        after step s (from 1), writes row rec[s] into buf[:, lo:hi]."""
         add, multiply = np.add, np.multiply
         x, f, drift, dt, zero = self.x, self.f, self.drift, self.dt, self.zero
         x4, xb, t4, tb = x[:4], x[5], self.t4, self.tb
         sig4, sig_b, lo, hi = self.sig4, self.sig_b, self.lo, self.hi
-        z = _fill_normals(np.empty((m, _N_NOISE, hi - lo)), self.gens, sqrt_dt)
-        rec = dict(rec_rows)
+        z = z[:, :, lo:hi]
         for s_off, (dw4, dwb) in enumerate(zip(z[:, :4], z[:, 4]), 1):
             # x <- x + f(x)*dt + (sig*x)*dW, the float path's operations
             # in its order, element by element; the noise terms are
@@ -284,6 +283,139 @@ class _PathChunk:
             row = rec.get(s_off)
             if row is not None:
                 buf[row, lo:hi] = x.T
+
+
+def _halves(m: int) -> list[tuple[int, int]]:
+    """Step offsets [a, b) of the noise segments of an m-step engine
+    block: its two halves, the first one step longer when m is odd."""
+    a = (m + 1) // 2
+    return [(0, a), (a, m)] if m > a else [(0, m)]
+
+
+def _helper_share(n_paths: int) -> int:
+    """Paths [0, w) whose noise the helper process draws.
+
+    Per step, the helper draws w paths of noise while the main process
+    draws the other P - w and runs the step loop. Both take the same
+    time when w*n = (P - w)*n + s, with n ~0.23 us of noise per
+    path-step and s ~30 us for the step loop (2-vCPU Xeon, numpy 2.4,
+    100 to 500 paths): w = P/2 + s/(2n) = P/2 + ~64. So at 100 paths
+    the helper draws all the noise, and at 500 paths 314 of them.
+    """
+    return min(n_paths, n_paths // 2 + 64)
+
+
+def _noise_ring(slot_steps: int, n_paths: int, shared: bool) -> list[np.ndarray]:
+    """The engine's two noise slots, (slot_steps, 5, n_paths) each; in an
+    anonymous shared mapping if `shared`, so that a forked helper's
+    writes reach this process."""
+    shape = (slot_steps, _N_NOISE, n_paths)
+    if not shared:
+        return [np.empty(shape), np.empty(shape)]
+    import mmap
+
+    n = slot_steps * _N_NOISE * n_paths
+    ring = mmap.mmap(-1, 2 * 8 * n)
+    return [np.frombuffer(ring, count=n, offset=8 * n * s).reshape(shape)
+            for s in (0, 1)]
+
+
+class _NoiseHelper:
+    """A forked process that draws the noise of paths [0, w).
+
+    Segment j of the run (see `_halves`) goes to slot j % 2 of the ring.
+    The helper fills columns [0, w) of each segment and sends one byte
+    on `ready`; the main process fills columns [w, P) of the same
+    slot, waits for that byte, steps the slot and sends one byte on
+    `free` when the helper may fill it again with segment j + 2. So the
+    helper draws one segment while the main process steps the other.
+    Each path's stream is consumed in order by one process alone, so no
+    value depends on w.
+
+    The helper leaves through os._exit whatever happens, also on an
+    exception or SIGINT: it never runs a caller's `finally` or atexit
+    handler. It exits when the main process closes the pipes (EOF on
+    `free`, EPIPE on `ready`).
+    """
+
+    def __init__(self, pid: int, ready: int, free: int, n_segments: int):
+        self.pid, self.ready, self.free = pid, ready, free
+        self.n_segments = n_segments
+
+    @classmethod
+    def fork(cls, slots: list[np.ndarray], gens: Sequence[Generator],
+             lengths: list[int], sqrt_dt: float) -> _NoiseHelper | None:
+        """Start the helper on `gens`, paths [0, len(gens)); None if this
+        process cannot fork."""
+        import threading
+        import warnings
+
+        # A thread of this process could hold a lock that the child then
+        # never sees released.
+        if not hasattr(os, "fork") or threading.active_count() > 1:
+            return None
+        ready_r, ready_w = os.pipe()
+        free_r, free_w = os.pipe()
+        try:
+            with warnings.catch_warnings():
+                # Python >= 3.12 warns on fork() in a process with more
+                # than one OS thread, and numpy's OpenBLAS pool is such
+                # threads. The helper makes no BLAS call, so it never
+                # waits on them.
+                warnings.filterwarnings(
+                    "ignore", category=DeprecationWarning,
+                    message=r"This process \(pid=\d+\) is multi-threaded, "
+                            r"use of fork\(\) may lead to deadlocks in the child\.")
+                pid = os.fork()
+        except OSError:
+            for fd in (ready_r, ready_w, free_r, free_w):
+                os.close(fd)
+            return None
+        if pid == 0:
+            code = 1
+            try:
+                os.close(ready_r)
+                os.close(free_w)
+                w = len(gens)
+                for j, h in enumerate(lengths):
+                    if j >= 2 and not os.read(free_r, 1):
+                        break
+                    _fill_normals(slots[j % 2][:h, :, :w], gens, sqrt_dt)
+                    os.write(ready_w, b"\1")
+                code = 0
+            except BrokenPipeError:
+                code = 0
+            except Exception:
+                # The main process sees only the closed pipe.
+                import traceback
+
+                traceback.print_exc()
+            finally:
+                os._exit(code)
+        os.close(ready_w)
+        os.close(free_r)
+        return cls(pid, ready_r, free_w, len(lengths))
+
+    def wait(self) -> None:
+        """Block until the helper has filled its part of the next segment."""
+        if not os.read(self.ready, 1):
+            raise RuntimeError("the noise helper process ended before the run")
+
+    def release(self, j: int) -> None:
+        """Hand the slot of segment j, just stepped, back to the helper if
+        it still needs it for segment j + 2."""
+        if j + 2 < self.n_segments:
+            try:
+                os.write(self.free, b"\1")
+            except BrokenPipeError:
+                raise RuntimeError(
+                    "the noise helper process ended before the run") from None
+
+    def close(self) -> None:
+        """Close both pipes, which ends the helper, and reap it."""
+        os.close(self.ready)
+        os.close(self.free)
+        os.waitpid(self.pid, 0)
 
 
 def integrate_sde(
@@ -371,6 +503,14 @@ def iter_path_blocks(
     and recorded rows over all paths. Block length never changes a
     value, because each path's stream is consumed in order.
 
+    A run of more than one block forks one helper process that draws
+    the noise of the first `_helper_share(n_paths)` paths while this
+    process draws the rest and steps the paths (see `_NoiseHelper`);
+    the helper is reaped when the generator finishes, fails or is
+    closed. Without `os.fork`, when fork fails, or when this process
+    runs other Python threads, all the noise is drawn here. Neither
+    changes a value.
+
     If a recorded state is non-finite, the rows before it are yielded
     as a shorter block and IntegrationError is raised.
 
@@ -380,51 +520,75 @@ def iter_path_blocks(
     if not streams:
         raise ValueError("stochastic runs need at least one NoiseStream")
     n_paths = len(streams)
-    all_gens = [st._generator() for st in streams]
+    gens = [st._generator() for st in streams]
     c = rate_coefficients(p)
 
     dt = cfg.dt
     sqrt_dt = math.sqrt(dt)
     n_steps = cfg.n_steps()
     recorded = cfg.recorded_steps()
-
     x0 = init.as_array()
-    yield np.zeros(1), np.tile(x0, (1, n_paths, 1))
 
     threads = max(1, min(int(threads), n_paths))
     bounds = np.linspace(0, n_paths, threads + 1).astype(int).tolist()
     chunks = [
-        _PathChunk(x0, all_gens[a:b], noise.as_tuple(), c, a, b, dt)
+        _PathChunk(x0, noise.as_tuple(), c, a, b, dt)
         for a, b in zip(bounds[:-1], bounds[1:])
     ]
 
+    w = _helper_share(n_paths) if n_steps > _BLOCK_STEPS else 0
+    slots = _noise_ring((_BLOCK_STEPS + 1) // 2, n_paths, shared=w > 0)
+    helper = None
+    if w:
+        lengths = [
+            b - a
+            for k0 in range(0, n_steps, _BLOCK_STEPS)
+            for a, b in _halves(min(_BLOCK_STEPS, n_steps - k0))
+        ]
+        helper = _NoiseHelper.fork(slots, gens[:w], lengths, sqrt_dt)
+        if helper is None:
+            w = 0
     pool = None
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(max_workers=threads)
     try:
+        yield np.zeros(1), np.tile(x0, (1, n_paths, 1))
+        if threads > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
+            pool = ThreadPoolExecutor(max_workers=threads)
+        j = 0
         k0 = 0
         while k0 < n_steps:
             m = min(_BLOCK_STEPS, n_steps - k0)
             ks = _block_steps(recorded, k0, m)
-            rec_rows = [(int(k) - k0, row) for row, k in enumerate(ks)]
-            buf = np.empty((len(ks), n_paths, 6)) if rec_rows else None
+            offs = (ks - k0).tolist()
+            buf = np.empty((len(ks), n_paths, 6)) if offs else None
+            for a, b in _halves(m):
+                z = slots[j % 2][:b - a]
+                if w < n_paths:
+                    _fill_normals(z[:, :, w:], gens[w:], sqrt_dt)
+                if helper is not None:
+                    helper.wait()
+                rec = {o - a: row for row, o in enumerate(offs) if a < o <= b}
 
-            def job(chunk: _PathChunk) -> None:
-                chunk.advance(sqrt_dt, k0, m, rec_rows, buf)
+                def job(chunk: _PathChunk) -> None:
+                    chunk.advance(z, rec, buf)
 
-            if pool is None:
-                job(chunks[0])
-            else:
-                list(pool.map(job, chunks))
+                if pool is None:
+                    job(chunks[0])
+                else:
+                    list(pool.map(job, chunks))
+                if helper is not None:
+                    helper.release(j)
+                j += 1
 
-            if rec_rows:
+            if offs:
                 yield from _finite_rows(ks * dt, buf)
             k0 += m
     finally:
         if pool is not None:
-            pool.shutdown(wait=False)
+            pool.shutdown()
+        if helper is not None:
+            helper.close()
 
 
 def iter_path_states(
@@ -525,28 +689,31 @@ def rk4_peaks(
     k1, k2, k3, k4, xi = (np.empty((6, n)) for _ in range(5))
     bind = rates_rows(rc, n)
     f1, f2, f3, f4 = bind(x, k1), bind(xi, k2), bind(xi, k3), bind(xi, k4)
+    # Every operand is an array: a Python float costs each call more.
+    half_a, dt_a, two, sixth_a = (np.full((6, n), v) for v in (half, dt, 2.0, sixth))
+    add, multiply = np.add, np.multiply
     # Runs that already failed keep stepping; their values are unused.
     with np.errstate(all="ignore"):
         for k in range(1, cfg.n_steps() + 1):
             # `_rk4_step` on the stacked state: each element sees the
             # same operations in the same order.
             f1()
-            np.multiply(k1, half, out=xi)
-            xi += x
+            multiply(k1, half_a, xi)
+            add(xi, x, xi)
             f2()
-            np.multiply(k2, half, out=xi)
-            xi += x
+            multiply(k2, half_a, xi)
+            add(xi, x, xi)
             f3()
-            np.multiply(k3, dt, out=xi)
-            xi += x
+            multiply(k3, dt_a, xi)
+            add(xi, x, xi)
             f4()
-            k2 *= 2.0
-            k1 += k2
-            k3 *= 2.0
-            k1 += k3
-            k1 += k4
-            k1 *= sixth
-            np.add(k1, x, out=x)
+            multiply(k2, two, k2)
+            add(k1, k2, k1)
+            multiply(k3, two, k3)
+            add(k1, k3, k1)
+            add(k1, k4, k1)
+            multiply(k1, sixth_a, k1)
+            add(k1, x, x)
             neg = x < 0.0
             if neg.any():
                 x[neg] = 0.0

@@ -22,8 +22,8 @@ with infection pressure
     lam = beta_s*I_s/N + beta_a*I_a/N + beta_b*B/(K + B).
 
 The stochastic variant perturbs every compartment except R with
-multiplicative noise sig_X * X * dW_X (see `diffusion` and the
-integrators in `herdflu.integrate`).
+multiplicative noise sig_X * X * dW_X (see the integrators in
+`herdflu.integrate`).
 """
 
 from __future__ import annotations
@@ -399,23 +399,6 @@ def drift(
     """
     return rates(state.s, state.e, state.i_s, state.i_a, state.r, state.b,
                  rate_coefficients(p))
-
-
-def diffusion(
-    state: HerdState, n: NoiseIntensities
-) -> tuple[float, float, float, float, float, float]:
-    """Noise amplitudes (sig_X * X) in compartment order; R gets 0.
-
-    Homogeneous of degree one: scaling the state scales the amplitudes.
-    """
-    return (
-        n.sig_S * state.s,
-        n.sig_E * state.e,
-        n.sig_Is * state.i_s,
-        n.sig_Ia * state.i_a,
-        0.0,
-        n.sig_B * state.b,
-    )
 
 
 def disease_free_equilibrium(p: ModelParams) -> HerdState:

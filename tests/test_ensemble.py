@@ -1,5 +1,9 @@
 import math
+import os
+import signal
+import threading
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +14,7 @@ from herdflu import (
     DEFAULT_NOISE,
     EnsembleSummary,
     HerdState,
+    IntegrationError,
     NoiseIntensities,
     NoiseStream,
     SimConfig,
@@ -272,6 +277,73 @@ class TestExtinction:
             )
 
 
+# Loud noise on S and B clamps them to 0, and some paths die out before
+# t = 12.5, others after; 2500 steps at stride 7 put recorded rows and
+# partial strides on either side of every block boundary at each block
+# length the tests use (37, the default and 1024).
+LOUD_P = replace(BASELINE_PARAMS, beta_a=0.46665)
+LOUD = NoiseIntensities(3.0, 1.0, 1.0, 1.0, 3.0)
+LOUD_INIT = HerdState(2000.0, 40.0, 25.0, 12.0, 8.0, 90.0)
+LOUD_CFG = SimConfig(t_end=25.0, dt=0.01, record_stride=7)
+LOUD_PATHS, LOUD_SEED = 6, 4
+LOUD_CONFIG = (
+    "beta_a = 0.46665\nt_end = 25\nseed = 4\nn_paths = 6\n"
+    "s0 = 2000\ne0 = 40\nis0 = 25\nia0 = 12\nr0 = 8\nb0 = 90\n"
+    "sig_s = 3\nsig_e = 1\nsig_is = 1\nsig_ia = 1\nsig_b = 3\n"
+)
+
+
+def loud_outputs(out, threads):
+    """Every engine consumer's bytes for the loud ensemble: the
+    `iter_path_blocks` concatenation, the `run_ensemble` summary,
+    `extinction_fraction(by_time=12.5)` and the CLI summary and
+    `--paths-out` files, written under `out`."""
+    streams = [NoiseStream(LOUD_SEED, i) for i in range(LOUD_PATHS)]
+    blocks = [
+        (times.copy(), blk.copy())
+        for times, blk in iter_path_blocks(
+            LOUD_P, LOUD_INIT, LOUD_CFG, noise=LOUD, streams=streams,
+            threads=threads,
+        )
+    ]
+    summ = run_ensemble(LOUD_P, LOUD, LOUD_INIT, LOUD_CFG, LOUD_PATHS,
+                        LOUD_SEED, threads=threads)
+    tail = extinction_fraction(LOUD_P, LOUD, LOUD_INIT, LOUD_CFG, LOUD_PATHS,
+                               LOUD_SEED, by_time=12.5, threads=threads)
+    out.mkdir()
+    config = out / "loud.cfg"
+    config.write_text(LOUD_CONFIG)
+    assert run_cli(["ensemble", "--config", str(config), "--out",
+                    str(out / "summary.csv"), "--threads", str(threads),
+                    "--paths-out", str(out)]) == 0
+    return (
+        len(blocks),
+        np.concatenate([t for t, _ in blocks]).tobytes(),
+        np.concatenate([b for _, b in blocks]).tobytes(),
+        [getattr(summ, name).tobytes()
+         for name in ("times", "mean", "std", "q025", "q50", "q975")],
+        summ.extinct_fraction,
+        tail,
+        {f.name: f.read_bytes() for f in sorted(out.iterdir())},
+    )
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of every fork the test makes, in this process."""
+    pids = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
 class TestBlockLength:
     """How many steps an engine block spans never changes a value."""
 
@@ -279,63 +351,37 @@ class TestBlockLength:
     def test_values_do_not_depend_on_block_length(
         self, threads, tmp_path, monkeypatch
     ):
-        # Loud noise on S and B clamps them to 0, and some paths die out
-        # before t = 12.5, others after; 2500 steps at stride 7 put
-        # recorded rows and partial strides on either side of every
-        # block boundary at all three lengths (37, the default and 1024).
-        p = replace(BASELINE_PARAMS, beta_a=0.46665)
-        loud = NoiseIntensities(3.0, 1.0, 1.0, 1.0, 3.0)
-        init = HerdState(2000.0, 40.0, 25.0, 12.0, 8.0, 90.0)
-        cfg = SimConfig(t_end=25.0, dt=0.01, record_stride=7)
-        n_paths, seed = 6, 4
-        streams = [NoiseStream(seed, i) for i in range(n_paths)]
-        config = tmp_path / "loud.cfg"
-        config.write_text(
-            "beta_a = 0.46665\nt_end = 25\nseed = 4\nn_paths = 6\n"
-            "s0 = 2000\ne0 = 40\nis0 = 25\nia0 = 12\nr0 = 8\nb0 = 90\n"
-            "sig_s = 3\nsig_e = 1\nsig_is = 1\nsig_ia = 1\nsig_b = 3\n"
-        )
         seen = {}
         for m in (37, _BLOCK_STEPS, 1024):
             monkeypatch.setattr(integrate, "_BLOCK_STEPS", m)
-            blocks = [
-                (times.copy(), blk.copy())
-                for times, blk in iter_path_blocks(
-                    p, init, cfg, noise=loud, streams=streams, threads=threads
-                )
-            ]
-            assert len(blocks) == 1 + math.ceil(cfg.n_steps() / m)
-            summ = run_ensemble(p, loud, init, cfg, n_paths, seed, threads=threads)
-            tail = extinction_fraction(p, loud, init, cfg, n_paths, seed,
-                                       by_time=12.5, threads=threads)
-            out = tmp_path / f"m{m}"
-            assert run_cli(["ensemble", "--config", str(config), "--out",
-                            str(out / "summary.csv"), "--threads", str(threads),
-                            "--paths-out", str(out)]) == 0
-            seen[m] = (
-                np.concatenate([t for t, _ in blocks]).tobytes(),
-                np.concatenate([b for _, b in blocks]).tobytes(),
-                [getattr(summ, name).tobytes()
-                 for name in ("times", "mean", "std", "q025", "q50", "q975")],
-                summ.extinct_fraction,
-                tail,
-                {f.name: f.read_bytes() for f in sorted(out.iterdir())},
-            )
+            seen[m] = loud_outputs(tmp_path / f"m{m}", threads)
+            assert seen[m][0] == 1 + math.ceil(LOUD_CFG.n_steps() / m)
         ref = seen.pop(1024)
-        assert np.sum(np.frombuffer(ref[1]) == 0.0) > 0
-        assert 0.0 < ref[4] < ref[3] < 1.0
-        assert len(ref[5]) == n_paths + 1
+        assert np.sum(np.frombuffer(ref[2]) == 0.0) > 0
+        assert 0.0 < ref[5] < ref[4] < 1.0
+        assert len(ref[6]) == LOUD_PATHS + 2
         for m, got in seen.items():
-            assert got == ref, m
+            assert got[1:] == ref[1:], m
 
-    def test_working_set_stays_within_one_block(self):
+    def test_working_set_stays_within_one_block(self, monkeypatch):
         # 2000 paths at stride 1: a block holds five noise doubles per
         # path-step and six state doubles per recorded path-row.
         n_paths = 2000
         cfg = SimConfig(t_end=3.0, dt=0.01)
         block = _BLOCK_STEPS * n_paths * 8 * (5 + 6)
+        # tracemalloc cannot see the shared noise ring, so its size is
+        # checked apart: no more noise than one engine block holds.
+        rings = []
+        noise_ring = integrate._noise_ring
+
+        def spy(*args, **kw):
+            slots = noise_ring(*args, **kw)
+            rings.append(sum(z.nbytes for z in slots))
+            return slots
+
+        monkeypatch.setattr(integrate, "_noise_ring", spy)
         # Load scipy.special outside the traced run.
-        run_ensemble(BASELINE_PARAMS, DEFAULT_NOISE, INIT, CFG, 1, 5)
+        import scipy.special  # noqa: F401
         tracemalloc.start()
         try:
             run_ensemble(BASELINE_PARAMS, DEFAULT_NOISE, INIT, cfg, n_paths, 5)
@@ -347,3 +393,153 @@ class TestBlockLength:
         # a second copy of the rows, or the previous block kept alive
         # while the engine fills the next, goes past this.
         assert peak < 1.5 * block
+        assert rings == [_BLOCK_STEPS * n_paths * 40]
+
+
+class TestNoiseHelper:
+    """The forked noise helper changes no value and leaves no process."""
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_values_do_not_depend_on_helper_share(
+        self, threads, tmp_path, monkeypatch, forks
+    ):
+        # Slots split every engine block in two, also the 37-step blocks
+        # and the 21-step last block of the 2500 steps.
+        for m in (37, 128):
+            monkeypatch.setattr(integrate, "_BLOCK_STEPS", m)
+            seen = {}
+            for w in (0, 1, LOUD_PATHS // 2, LOUD_PATHS):
+                monkeypatch.setattr(integrate, "_helper_share", lambda n, w=w: w)
+                del forks[:]
+                seen[w] = loud_outputs(tmp_path / f"m{m}w{w}", threads)
+                # One helper per run of each of the four consumers.
+                assert len(forks) == (4 if w else 0), (m, w)
+            ref = seen.pop(0)
+            for w, got in seen.items():
+                assert got == ref, (m, w)
+
+    def test_default_share_and_fallbacks_give_the_same_bytes(
+        self, tmp_path, monkeypatch, forks
+    ):
+        ref = loud_outputs(tmp_path / "default", 1)
+        assert len(forks) == 4
+        del forks[:]
+
+        # Another Python thread is running: no fork.
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            assert loud_outputs(tmp_path / "thread", 1) == ref
+        finally:
+            stop.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert forks == []
+
+        # fork fails: no descriptor is left open.
+        def failing_fork():
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+        assert loud_outputs(tmp_path / "refused", 1) == ref
+        if fds is not None:
+            assert len(os.listdir("/proc/self/fd")) == fds
+
+        # No os.fork at all.
+        monkeypatch.delattr(os, "fork")
+        assert loud_outputs(tmp_path / "nofork", 1) == ref
+
+    def test_fork_warning_of_python_3_12_is_filtered(self, monkeypatch):
+        # Python >= 3.12 warns like this on fork() when numpy's BLAS
+        # threads exist; the helper makes no BLAS call, so the engine
+        # silences exactly this warning.
+        fork = os.fork
+
+        def warning_fork():
+            warnings.warn(
+                f"This process (pid={os.getpid()}) is multi-threaded, use of "
+                "fork() may lead to deadlocks in the child.",
+                DeprecationWarning, stacklevel=2)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_ensemble(BASELINE_PARAMS, DEFAULT_NOISE, INIT, CFG, 4, 1)
+            warnings.warn("other warnings still show", DeprecationWarning)
+        assert [str(w.message) for w in caught] == ["other warnings still show"]
+
+    @pytest.mark.parametrize("failure", ["exception", "sigint"])
+    def test_failing_helper_leaves_without_unwinding(
+        self, failure, tmp_path, monkeypatch, forks
+    ):
+        # The helper draws all the noise, so only the helper calls
+        # _fill_normals. It must leave through os._exit: unwinding would
+        # run this test's `finally` in the helper as well.
+        monkeypatch.setattr(integrate, "_helper_share", lambda n: n)
+
+        def broken(*args):
+            if failure == "sigint":
+                os.kill(os.getpid(), signal.SIGINT)
+            raise KeyError("no noise")
+
+        monkeypatch.setattr(integrate, "_fill_normals", broken)
+        mark = tmp_path / "unwound"
+        with pytest.raises(RuntimeError, match="noise helper process ended"):
+            try:
+                run_ensemble(BASELINE_PARAMS, DEFAULT_NOISE, INIT, CFG, 4, 1)
+            finally:
+                with open(mark, "a") as fh:
+                    fh.write(f"{os.getpid()}\n")
+        assert mark.read_text() == f"{os.getpid()}\n"
+        assert len(forks) == 1
+        self.assert_no_child()
+
+    def test_one_block_run_does_not_fork(self, forks):
+        cfg = SimConfig(t_end=1.0, dt=0.01)
+        assert cfg.n_steps() <= _BLOCK_STEPS
+        run_ensemble(BASELINE_PARAMS, DEFAULT_NOISE, INIT, cfg, 4, 1)
+        assert forks == []
+
+    @staticmethod
+    def assert_no_child():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_helper_is_reaped_after_a_full_run(self, forks):
+        run_ensemble(BASELINE_PARAMS, DEFAULT_NOISE, INIT, CFG, 8, 3)
+        assert len(forks) == 1
+        self.assert_no_child()
+
+    def test_helper_is_reaped_after_an_integration_error(
+        self, monkeypatch, forks
+    ):
+        # Recruitment beyond double range overflows at t = 2, step 4,
+        # in the second 3-step block.
+        monkeypatch.setattr(integrate, "_BLOCK_STEPS", 3)
+        p = replace(BASELINE_PARAMS, lambda_recruit=1e308)
+        cfg = SimConfig(t_end=10.0, dt=0.5)
+        streams = [NoiseStream(0, i) for i in range(4)]
+        times = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(IntegrationError, match="non-finite state at t=2$"):
+                for t, _ in iter_path_blocks(p, INIT, cfg, noise=DEFAULT_NOISE,
+                                             streams=streams):
+                    times.extend(t.tolist())
+        assert times == [0.0, 0.5, 1.0, 1.5]
+        assert len(forks) == 1
+        self.assert_no_child()
+
+    @pytest.mark.parametrize("taken", [1, 2])
+    def test_helper_is_reaped_on_close(self, taken, forks):
+        # taken 1: only the initial row; 2: also the first engine block.
+        streams = [NoiseStream(2, i) for i in range(5)]
+        it = iter_path_blocks(BASELINE_PARAMS, INIT, CFG, noise=DEFAULT_NOISE,
+                              streams=streams)
+        for _ in range(taken):
+            next(it)
+        assert len(forks) == 1
+        it.close()
+        self.assert_no_child()

@@ -21,7 +21,6 @@ from herdflu import (
     integrate_sde,
     iter_path_blocks,
     iter_path_states,
-    wiener_increment,
     wiener_increments,
 )
 from herdflu import integrate
@@ -88,7 +87,9 @@ class TestWiener:
         st = NoiseStream(99, 7)
         full = wiener_increments(st, 64, 0.5)
         for k in (0, 1, 13, 63):
-            assert np.array_equal(wiener_increment(st, k, 0.5), full[k])
+            assert np.array_equal(
+                wiener_increments(st, 1, 0.5, start_step=k)[0], full[k]
+            )
 
     def test_chunked_generation_matches(self):
         st = NoiseStream(5, 0)
@@ -218,7 +219,7 @@ class TestSde:
         x = init.as_array()
         y = x + np.array(drift(init, p)) * cfg.dt
         if noise == DEFAULT_NOISE:
-            dw = wiener_increment(stream, 0, cfg.dt)
+            dw = wiener_increments(stream, 1, cfg.dt, start_step=0)[0]
             sig = np.array([0.05, 0.05, 0.05, 0.05, 0.0, 0.05])
             dw6 = np.array([dw[0], dw[1], dw[2], dw[3], 0.0, dw[4]])
             y += sig * x * dw6

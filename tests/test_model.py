@@ -13,7 +13,6 @@ from herdflu import (
     ModelParams,
     NoiseIntensities,
     default_init,
-    diffusion,
     disease_free_equilibrium,
     drift,
     force_of_infection,
@@ -153,29 +152,6 @@ class TestDrift:
     def test_total_population_excludes_reservoir(self):
         st = HerdState(1.0, 2.0, 3.0, 4.0, 5.0, 1000.0)
         assert total_population(st) == 15.0
-
-
-class TestDiffusion:
-    def test_multiplicative_amplitudes(self):
-        st = HerdState(10.0, 20.0, 30.0, 40.0, 50.0, 60.0)
-        g = diffusion(st, DEFAULT_NOISE)
-        assert g == (0.5, 1.0, 1.5, 2.0, 0.0, 3.0)
-
-    def test_recovered_class_carries_no_noise(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            assert diffusion(random_state(rng), DEFAULT_NOISE)[4] == 0.0
-
-    def test_vanishes_at_origin(self):
-        z = HerdState(0, 0, 0, 0, 0, 0)
-        assert diffusion(z, DEFAULT_NOISE) == (0.0,) * 6
-
-    def test_homogeneous_of_degree_one(self):
-        st = HerdState(10.0, 20.0, 30.0, 40.0, 50.0, 60.0)
-        scaled = HerdState(*(3.0 * v for v in st.as_array()))
-        g1 = np.array(diffusion(st, DEFAULT_NOISE))
-        g3 = np.array(diffusion(scaled, DEFAULT_NOISE))
-        assert np.allclose(g3, 3.0 * g1, rtol=1e-12)
 
 
 class TestReproductionNumber:
