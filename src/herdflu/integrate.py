@@ -334,8 +334,9 @@ class _NoiseHelper:
 
     The helper leaves through os._exit whatever happens, also on an
     exception or SIGINT: it never runs a caller's `finally` or atexit
-    handler. It exits when the main process closes the pipes (EOF on
-    `free`, EPIPE on `ready`).
+    handler. It exits on EOF on `free` or EPIPE on `ready`, so it
+    outlives a main process that dies by at most one segment; `close`
+    kills and reaps it.
     """
 
     def __init__(self, pid: int, ready: int, free: int, n_segments: int):
@@ -412,9 +413,15 @@ class _NoiseHelper:
                     "the noise helper process ended before the run") from None
 
     def close(self) -> None:
-        """Close both pipes, which ends the helper, and reap it."""
+        """Close both pipes, end the helper and reap it."""
+        import signal
+
         os.close(self.ready)
         os.close(self.free)
+        # A process forked from this one during the run holds copies of
+        # the pipe ends, so the helper may never see EOF. Until it is
+        # reaped, its pid cannot name another process.
+        os.kill(self.pid, signal.SIGKILL)
         os.waitpid(self.pid, 0)
 
 

@@ -1,7 +1,9 @@
 import math
 import os
+import select
 import signal
 import threading
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -450,6 +452,33 @@ class TestNoiseHelper:
         # No os.fork at all.
         monkeypatch.delattr(os, "fork")
         assert loud_outputs(tmp_path / "nofork", 1) == ref
+
+    def test_close_does_not_wait_on_inherited_pipe_ends(self, forks):
+        # A process forked by the consumer mid-run keeps copies of the
+        # helper's pipes open; closing the run must still end the helper.
+        # After the first of four blocks the helper waits for segment 4.
+        cfg = SimConfig(t_end=5.0, dt=0.01)
+        streams = [NoiseStream(2, i) for i in range(5)]
+        it = iter_path_blocks(BASELINE_PARAMS, INIT, cfg, noise=DEFAULT_NOISE,
+                              streams=streams)
+        next(it)
+        next(it)
+        go_r, go_w = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            select.select([go_r], [], [], 10.0)
+            os._exit(0)
+        try:
+            t0 = time.monotonic()
+            it.close()
+            elapsed = time.monotonic() - t0
+        finally:
+            os.write(go_w, b"1")
+            os.waitpid(pid, 0)
+            os.close(go_r)
+            os.close(go_w)
+        assert elapsed < 5.0
+        self.assert_no_child()
 
     def test_fork_warning_of_python_3_12_is_filtered(self, monkeypatch):
         # Python >= 3.12 warns like this on fork() when numpy's BLAS
