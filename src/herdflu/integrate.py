@@ -56,9 +56,10 @@ _N_NOISE = 5
 # return exactly 0.0, which ndtri would map to -inf.
 _MIN_U = 2.0 ** -53
 
-# Steps advanced per engine block. A block holds 40 B of noise per
+# Steps advanced per engine block, the unit of stepping, recording and
+# the noise ring. The ring holds two blocks of noise, 40 B per
 # path-step, so its size grows with the path count: 2.6 MB at 500 paths.
-_BLOCK_STEPS = 128
+_BLOCK_STEPS = 64
 
 _U64 = 2 ** 64
 
@@ -285,13 +286,6 @@ class _PathChunk:
                 buf[row, lo:hi] = x.T
 
 
-def _halves(m: int) -> list[tuple[int, int]]:
-    """Step offsets [a, b) of the noise segments of an m-step engine
-    block: its two halves, the first one step longer when m is odd."""
-    a = (m + 1) // 2
-    return [(0, a), (a, m)] if m > a else [(0, m)]
-
-
 def _helper_share(n_paths: int) -> int:
     """Paths [0, w) whose noise the helper process draws.
 
@@ -305,15 +299,13 @@ def _helper_share(n_paths: int) -> int:
     return min(n_paths, n_paths // 2 + 64)
 
 
-def _noise_ring(slot_steps: int, n_paths: int, shared: bool) -> list[np.ndarray]:
-    """The engine's two noise slots, (slot_steps, 5, n_paths) each; in an
-    anonymous shared mapping if `shared`, so that a forked helper's
-    writes reach this process."""
-    shape = (slot_steps, _N_NOISE, n_paths)
-    if not shared:
-        return [np.empty(shape), np.empty(shape)]
+def _noise_ring(slot_steps: int, n_paths: int) -> list[np.ndarray]:
+    """The engine's two noise slots, (slot_steps, 5, n_paths) each, in an
+    anonymous shared mapping, so that a forked helper's writes reach
+    this process."""
     import mmap
 
+    shape = (slot_steps, _N_NOISE, n_paths)
     n = slot_steps * _N_NOISE * n_paths
     ring = mmap.mmap(-1, 2 * 8 * n)
     return [np.frombuffer(ring, count=n, offset=8 * n * s).reshape(shape)
@@ -323,25 +315,25 @@ def _noise_ring(slot_steps: int, n_paths: int, shared: bool) -> list[np.ndarray]
 class _NoiseHelper:
     """A forked process that draws the noise of paths [0, w).
 
-    Segment j of the run (see `_halves`) goes to slot j % 2 of the ring.
-    The helper fills columns [0, w) of each segment and sends one byte
-    on `ready`; the main process fills columns [w, P) of the same
-    slot, waits for that byte, steps the slot and sends one byte on
-    `free` when the helper may fill it again with segment j + 2. So the
-    helper draws one segment while the main process steps the other.
+    Engine block j of the run goes to slot j % 2 of the ring. The
+    helper fills columns [0, w) of each block and sends one byte on
+    `ready`; the main process fills columns [w, P) of the same slot,
+    waits for that byte, steps the slot and sends one byte on `free`
+    when the helper may fill it again with block j + 2. So the helper
+    draws one block while the main process steps the other.
     Each path's stream is consumed in order by one process alone, so no
     value depends on w.
 
     The helper leaves through os._exit whatever happens, also on an
     exception or SIGINT: it never runs a caller's `finally` or atexit
     handler. It exits on EOF on `free` or EPIPE on `ready`, so it
-    outlives a main process that dies by at most one segment; `close`
+    outlives a main process that dies by at most one block; `close`
     kills and reaps it.
     """
 
-    def __init__(self, pid: int, ready: int, free: int, n_segments: int):
+    def __init__(self, pid: int, ready: int, free: int, n_blocks: int):
         self.pid, self.ready, self.free = pid, ready, free
-        self.n_segments = n_segments
+        self.n_blocks = n_blocks
 
     @classmethod
     def fork(cls, slots: list[np.ndarray], gens: Sequence[Generator],
@@ -398,18 +390,18 @@ class _NoiseHelper:
         return cls(pid, ready_r, free_w, len(lengths))
 
     def wait(self) -> None:
-        """Block until the helper has filled its part of the next segment."""
+        """Block until the helper has filled its part of the next block."""
         if not os.read(self.ready, 1):
-            raise RuntimeError("the noise helper process ended before the run")
+            raise ChildProcessError("the noise helper process ended before the run")
 
     def release(self, j: int) -> None:
-        """Hand the slot of segment j, just stepped, back to the helper if
-        it still needs it for segment j + 2."""
-        if j + 2 < self.n_segments:
+        """Hand the slot of block j, just stepped, back to the helper if
+        it still needs it for block j + 2."""
+        if j + 2 < self.n_blocks:
             try:
                 os.write(self.free, b"\1")
             except BrokenPipeError:
-                raise RuntimeError(
+                raise ChildProcessError(
                     "the noise helper process ended before the run") from None
 
     def close(self) -> None:
@@ -506,9 +498,10 @@ def iter_path_blocks(
     is a fresh array that the engine never reads again, so a consumer
     may keep it or reorder it in place (`run_ensemble` sorts it).
 
-    A block spans _BLOCK_STEPS steps, so memory is one block of noise
-    and recorded rows over all paths. Block length never changes a
-    value, because each path's stream is consumed in order.
+    A block spans _BLOCK_STEPS steps, so memory is two blocks of noise
+    (the ring, see `_NoiseHelper`) and one block of recorded rows over
+    all paths. Block length never changes a value, because each path's
+    stream is consumed in order.
 
     A run of more than one block forks one helper process that draws
     the noise of the first `_helper_share(n_paths)` paths while this
@@ -544,14 +537,11 @@ def iter_path_blocks(
     ]
 
     w = _helper_share(n_paths) if n_steps > _BLOCK_STEPS else 0
-    slots = _noise_ring((_BLOCK_STEPS + 1) // 2, n_paths, shared=w > 0)
+    slots = _noise_ring(_BLOCK_STEPS, n_paths)
+    starts = range(0, n_steps, _BLOCK_STEPS)
     helper = None
     if w:
-        lengths = [
-            b - a
-            for k0 in range(0, n_steps, _BLOCK_STEPS)
-            for a, b in _halves(min(_BLOCK_STEPS, n_steps - k0))
-        ]
+        lengths = [min(_BLOCK_STEPS, n_steps - k0) for k0 in starts]
         helper = _NoiseHelper.fork(slots, gens[:w], lengths, sqrt_dt)
         if helper is None:
             w = 0
@@ -562,35 +552,28 @@ def iter_path_blocks(
             from concurrent.futures import ThreadPoolExecutor
 
             pool = ThreadPoolExecutor(max_workers=threads)
-        j = 0
-        k0 = 0
-        while k0 < n_steps:
+        for j, k0 in enumerate(starts):
             m = min(_BLOCK_STEPS, n_steps - k0)
+            z = slots[j % 2][:m]
+            if w < n_paths:
+                _fill_normals(z[:, :, w:], gens[w:], sqrt_dt)
+            if helper is not None:
+                helper.wait()
             ks = _block_steps(recorded, k0, m)
-            offs = (ks - k0).tolist()
-            buf = np.empty((len(ks), n_paths, 6)) if offs else None
-            for a, b in _halves(m):
-                z = slots[j % 2][:b - a]
-                if w < n_paths:
-                    _fill_normals(z[:, :, w:], gens[w:], sqrt_dt)
-                if helper is not None:
-                    helper.wait()
-                rec = {o - a: row for row, o in enumerate(offs) if a < o <= b}
+            rec = {o: row for row, o in enumerate((ks - k0).tolist())}
+            buf = np.empty((len(ks), n_paths, 6)) if rec else None
 
-                def job(chunk: _PathChunk) -> None:
-                    chunk.advance(z, rec, buf)
+            def job(chunk: _PathChunk) -> None:
+                chunk.advance(z, rec, buf)
 
-                if pool is None:
-                    job(chunks[0])
-                else:
-                    list(pool.map(job, chunks))
-                if helper is not None:
-                    helper.release(j)
-                j += 1
-
-            if offs:
+            if pool is None:
+                job(chunks[0])
+            else:
+                list(pool.map(job, chunks))
+            if helper is not None:
+                helper.release(j)
+            if rec:
                 yield from _finite_rows(ks * dt, buf)
-            k0 += m
     finally:
         if pool is not None:
             pool.shutdown()

@@ -50,14 +50,36 @@ def write_trajectory_csv(traj: Trajectory, path: str) -> None:
         write_csv_rows(fh, np.column_stack([traj.times, traj.states]))
 
 
+def _csv_rows(path: str, header: str, n_fields: int) -> list[tuple[int, list[str]]]:
+    """(line number, fields) of each non-blank row after `header`; ValueError
+    for another header or a row of another field count."""
+    with open(path, "r", encoding="utf-8") as fh:
+        got = fh.readline().strip()
+        if got != header:
+            raise ValueError(f"unexpected header {got!r}, expected {header!r}")
+        rows = [(n, line.split(",")) for n, line in enumerate(map(str.strip, fh), 2) if line]
+    for n, fields in rows:
+        if len(fields) != n_fields:
+            raise ValueError(f"line {n}: expected {n_fields} fields, got {len(fields)}")
+    return rows
+
+
+def _float_array(rows: list[tuple[int, list[str]]], width: int) -> np.ndarray:
+    """The fields of `rows` as a (len(rows), width) float array."""
+
+    def values():
+        for n, fields in rows:
+            try:
+                yield from map(float, fields)
+            except ValueError as exc:
+                raise ValueError(f"line {n}: {exc}") from None
+
+    return np.fromiter(values(), float).reshape(-1, width)
+
+
 def read_trajectory_csv(path: str) -> Trajectory:
     """Inverse of write_trajectory_csv (noise identity is not stored)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != TRAJECTORY_HEADER:
-            raise ValueError(f"unexpected trajectory header: {header!r}")
-        rows = [[float(v) for v in line.split(",")] for line in fh if line.strip()]
-    data = np.array(rows)
+    data = _float_array(_csv_rows(path, TRAJECTORY_HEADER, 7), 7)
     return Trajectory(times=data[:, 0], states=data[:, 1:])
 
 
@@ -82,28 +104,18 @@ def write_ensemble_csv(summary: EnsembleSummary, path: str) -> None:
 
 def read_ensemble_csv(path: str) -> dict[str, np.ndarray]:
     """Arrays keyed by 'times', 'mean', 'std', 'q025', 'q50', 'q975'."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != ENSEMBLE_HEADER:
-            raise ValueError(f"unexpected ensemble header: {header!r}")
-        raw = [line.strip().split(",") for line in fh if line.strip()]
-    n_rec, rem = divmod(len(raw), len(COMPARTMENTS))
+    rows = _csv_rows(path, ENSEMBLE_HEADER, 7)
+    n_rec, rem = divmod(len(rows), len(COMPARTMENTS))
     if rem:
         raise ValueError("row count is not a multiple of the compartment count")
-    out = {name: np.empty((n_rec, 6)) for name in ("mean", "std", "q025", "q50", "q975")}
-    times = np.empty(n_rec)
-    for r, fields in enumerate(raw):
-        i, j = divmod(r, len(COMPARTMENTS))
-        if fields[1] != COMPARTMENTS[j]:
-            raise ValueError(
-                f"row {r + 2}: expected compartment {COMPARTMENTS[j]}, "
-                f"got {fields[1]!r}"
-            )
-        times[i] = float(fields[0])
-        for name, tok in zip(("mean", "std", "q025", "q50", "q975"), fields[2:]):
-            out[name][i, j] = float(tok)
-    out["times"] = times
-    return out
+    for r, (n, fields) in enumerate(rows):
+        comp, want = fields.pop(1), COMPARTMENTS[r % len(COMPARTMENTS)]
+        if comp != want:
+            raise ValueError(f"line {n}: expected compartment {want}, got {comp!r}")
+    # (column, time, compartment), the columns t, mean, std, q025, q50, q975.
+    data = _float_array(rows, 6).T.reshape(6, n_rec, len(COMPARTMENTS)).copy()
+    stats = dict(zip(("mean", "std", "q025", "q50", "q975"), data[1:]))
+    return {"times": data[0, :, 0].copy(), **stats}
 
 
 def write_sensitivity_csv(report: SensitivityReport, path: str) -> None:
@@ -117,17 +129,12 @@ def write_sensitivity_csv(report: SensitivityReport, path: str) -> None:
 
 
 def read_sensitivity_csv(path: str) -> list[tuple[str, float, float, bool]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != SENSITIVITY_HEADER:
-            raise ValueError(f"unexpected sensitivity header: {header!r}")
-        rows = []
-        for line in fh:
-            if not line.strip():
-                continue
-            name, r, p, sig = line.strip().split(",")
-            rows.append((name, float(r), float(p), bool(int(sig))))
-    return rows
+    rows = _csv_rows(path, SENSITIVITY_HEADER, 4)
+    for n, (_, _, _, sig) in rows:
+        if sig not in ("0", "1"):
+            raise ValueError(f"line {n}: significant must be 0 or 1, got {sig!r}")
+    vals = _float_array([(n, f[1:3]) for n, f in rows], 2).tolist()
+    return [(f[0], r, p, f[3] == "1") for (_, f), (r, p) in zip(rows, vals)]
 
 
 # ---------------------------------------------------------------------------

@@ -372,7 +372,7 @@ class TestBlockLength:
         cfg = SimConfig(t_end=3.0, dt=0.01)
         block = _BLOCK_STEPS * n_paths * 8 * (5 + 6)
         # tracemalloc cannot see the shared noise ring, so its size is
-        # checked apart: no more noise than one engine block holds.
+        # checked apart: two engine blocks of noise.
         rings = []
         noise_ring = integrate._noise_ring
 
@@ -395,7 +395,7 @@ class TestBlockLength:
         # a second copy of the rows, or the previous block kept alive
         # while the engine fills the next, goes past this.
         assert peak < 1.5 * block
-        assert rings == [_BLOCK_STEPS * n_paths * 40]
+        assert rings == [2 * _BLOCK_STEPS * n_paths * 40]
 
 
 class TestNoiseHelper:
@@ -405,9 +405,9 @@ class TestNoiseHelper:
     def test_values_do_not_depend_on_helper_share(
         self, threads, tmp_path, monkeypatch, forks
     ):
-        # Slots split every engine block in two, also the 37-step blocks
-        # and the 21-step last block of the 2500 steps.
-        for m in (37, 128):
+        # Each engine block fills one slot, also at odd lengths: the
+        # 2500 steps end in a 21-step block at 37 and a 4-step one at 64.
+        for m in (37, _BLOCK_STEPS):
             monkeypatch.setattr(integrate, "_BLOCK_STEPS", m)
             seen = {}
             for w in (0, 1, LOUD_PATHS // 2, LOUD_PATHS):
@@ -419,6 +419,31 @@ class TestNoiseHelper:
             ref = seen.pop(0)
             for w, got in seen.items():
                 assert got == ref, (m, w)
+
+    @pytest.mark.parametrize("blocks, extra", [(1, 1), (2, 0), (2, 1), (3, 0)])
+    def test_ring_edges_give_the_bytes_of_no_helper(
+        self, blocks, extra, monkeypatch, forks
+    ):
+        # B + 1 and 2B + 1 steps end in a one-step block; at 2B steps the
+        # helper gets no slot back, at 3B steps exactly one. Shares 1 and
+        # P put the split at either end of the path axis.
+        n_steps = blocks * _BLOCK_STEPS + extra
+        cfg = SimConfig(t_end=n_steps * 0.01, dt=0.01, record_stride=7)
+        assert cfg.n_steps() == n_steps
+        streams = [NoiseStream(6, i) for i in range(5)]
+        seen = {}
+        for w in (0, 1, len(streams)):
+            monkeypatch.setattr(integrate, "_helper_share", lambda n, w=w: w)
+            del forks[:]
+            got = [(t.copy(), b.copy()) for t, b in iter_path_blocks(
+                BASELINE_PARAMS, INIT, cfg, noise=DEFAULT_NOISE, streams=streams)]
+            assert len(forks) == (1 if w else 0), w
+            self.assert_no_child()
+            seen[w] = (np.concatenate([t for t, _ in got]).tobytes(),
+                       np.concatenate([b for _, b in got]).tobytes())
+        assert len(seen[0][0]) == 8 * len(cfg.recorded_steps())
+        assert seen[1] == seen[0]
+        assert seen[len(streams)] == seen[0]
 
     def test_default_share_and_fallbacks_give_the_same_bytes(
         self, tmp_path, monkeypatch, forks
@@ -456,7 +481,8 @@ class TestNoiseHelper:
     def test_close_does_not_wait_on_inherited_pipe_ends(self, forks):
         # A process forked by the consumer mid-run keeps copies of the
         # helper's pipes open; closing the run must still end the helper.
-        # After the first of four blocks the helper waits for segment 4.
+        # After the first of eight blocks the helper has filled blocks 0
+        # to 2 and waits for the slot of block 3.
         cfg = SimConfig(t_end=5.0, dt=0.01)
         streams = [NoiseStream(2, i) for i in range(5)]
         it = iter_path_blocks(BASELINE_PARAMS, INIT, cfg, noise=DEFAULT_NOISE,
@@ -516,7 +542,7 @@ class TestNoiseHelper:
 
         monkeypatch.setattr(integrate, "_fill_normals", broken)
         mark = tmp_path / "unwound"
-        with pytest.raises(RuntimeError, match="noise helper process ended"):
+        with pytest.raises(ChildProcessError, match="noise helper process ended"):
             try:
                 run_ensemble(BASELINE_PARAMS, DEFAULT_NOISE, INIT, CFG, 4, 1)
             finally:
@@ -526,8 +552,27 @@ class TestNoiseHelper:
         assert len(forks) == 1
         self.assert_no_child()
 
+    def test_dead_helper_makes_the_cli_exit_2(
+        self, tmp_path, monkeypatch, capsys, forks
+    ):
+        monkeypatch.setattr(integrate, "_helper_share", lambda n: n)
+
+        def broken(*args):
+            raise KeyError("no noise")
+
+        monkeypatch.setattr(integrate, "_fill_normals", broken)
+        config = tmp_path / "run.cfg"
+        config.write_text("t_end = 2\ndt = 0.01\nn_paths = 4\nseed = 3\n")
+        code = run_cli(["ensemble", "--config", str(config),
+                        "--out", str(tmp_path / "summary.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: the noise helper process ended before the run\n")
+        assert len(forks) == 1
+        self.assert_no_child()
+
     def test_one_block_run_does_not_fork(self, forks):
-        cfg = SimConfig(t_end=1.0, dt=0.01)
+        cfg = SimConfig(t_end=0.5, dt=0.01)
         assert cfg.n_steps() <= _BLOCK_STEPS
         run_ensemble(BASELINE_PARAMS, DEFAULT_NOISE, INIT, cfg, 4, 1)
         assert forks == []
