@@ -41,6 +41,7 @@ from .model import (
     drift,
     force_of_infection,
     r0_closed_form,
+    r0_herd,
     r0_spectral,
     total_population,
 )
@@ -111,6 +112,7 @@ __all__ = [
     "prcc",
     "pressure_from_e",
     "r0_closed_form",
+    "r0_herd",
     "r0_spectral",
     "read_ensemble_csv",
     "read_sensitivity_csv",

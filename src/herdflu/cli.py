@@ -32,6 +32,7 @@ from .model import (
     COMPARTMENTS,
     disease_free_equilibrium,
     r0_closed_form,
+    r0_herd,
     r0_spectral,
 )
 from .output import (
@@ -92,6 +93,7 @@ def _cmd_r0(args, rc: RunConfig) -> int:
     print(f"closed_form={closed:.6f}")
     print(f"spectral={spectral:.6f}")
     print(f"difference={abs(closed - spectral):.3e}")
+    print(f"herd_threshold={r0_herd(rc.params):.6f}")
     return 0
 
 
@@ -187,7 +189,9 @@ def _build_parser() -> _Parser:
     def common(ps):
         ps.add_argument("--config", help="key = value config file (default: built-in)")
 
-    ps = sub.add_parser("r0", help="closed-form and spectral reproduction numbers")
+    ps = sub.add_parser(
+        "r0", help="closed-form and spectral reproduction numbers, herd threshold"
+    )
     common(ps)
     ps.set_defaults(func=_cmd_r0)
 

@@ -20,7 +20,7 @@ vanishes at the same points and serves as an independent check.
 
 The root count follows by construction: c0 = P(0) =
 S0*K*(sigma + mu)*(R_herd - 1), where S0 = Lambda/mu and R_herd is
-`r0_closed_form` with beta_b scaled by S0, while P < 0 at
+`model.r0_herd` (`r0_closed_form` with beta_b scaled by S0), while P < 0 at
 E = Lambda/(sigma + mu). Moreover P = N*D*(a1*S/N + a2*S/D - sigma - mu)
 on the interval, and S/N and S/D fall as E grows, so P changes sign at
 most once. R_herd > 1 thus gives exactly one root and R_herd < 1 none:

@@ -42,6 +42,7 @@ from .model import (
     rates_rows,
     row_coefficients,
 )
+from .process import fork_child
 
 if TYPE_CHECKING:
     from numpy.random import Generator
@@ -324,11 +325,10 @@ class _NoiseHelper:
     Each path's stream is consumed in order by one process alone, so no
     value depends on w.
 
-    The helper leaves through os._exit whatever happens, also on an
-    exception or SIGINT: it never runs a caller's `finally` or atexit
-    handler. It exits on EOF on `free` or EPIPE on `ready`, so it
-    outlives a main process that dies by at most one block; `close`
-    kills and reaps it.
+    The helper leaves through os._exit whatever happens (see
+    `process.fork_child`). It exits on EOF on `free` or EPIPE on
+    `ready`, so it outlives a main process that dies by at most one
+    block; `close` kills and reaps it.
     """
 
     def __init__(self, pid: int, ready: int, free: int, n_blocks: int):
@@ -339,52 +339,29 @@ class _NoiseHelper:
     def fork(cls, slots: list[np.ndarray], gens: Sequence[Generator],
              lengths: list[int], sqrt_dt: float) -> _NoiseHelper | None:
         """Start the helper on `gens`, paths [0, len(gens)); None if this
-        process cannot fork."""
-        import threading
-        import warnings
-
-        # A thread of this process could hold a lock that the child then
-        # never sees released.
-        if not hasattr(os, "fork") or threading.active_count() > 1:
-            return None
+        process does not fork (see `process.fork_child`)."""
         ready_r, ready_w = os.pipe()
         free_r, free_w = os.pipe()
-        try:
-            with warnings.catch_warnings():
-                # Python >= 3.12 warns on fork() in a process with more
-                # than one OS thread, and numpy's OpenBLAS pool is such
-                # threads. The helper makes no BLAS call, so it never
-                # waits on them.
-                warnings.filterwarnings(
-                    "ignore", category=DeprecationWarning,
-                    message=r"This process \(pid=\d+\) is multi-threaded, "
-                            r"use of fork\(\) may lead to deadlocks in the child\.")
-                pid = os.fork()
-        except OSError:
-            for fd in (ready_r, ready_w, free_r, free_w):
-                os.close(fd)
-            return None
-        if pid == 0:
-            code = 1
+
+        def body() -> int:
+            # On a failure the main process sees only the closed pipe.
+            os.close(ready_r)
+            os.close(free_w)
             try:
-                os.close(ready_r)
-                os.close(free_w)
-                w = len(gens)
                 for j, h in enumerate(lengths):
                     if j >= 2 and not os.read(free_r, 1):
                         break
-                    _fill_normals(slots[j % 2][:h, :, :w], gens, sqrt_dt)
+                    _fill_normals(slots[j % 2][:h, :, :len(gens)], gens, sqrt_dt)
                     os.write(ready_w, b"\1")
-                code = 0
             except BrokenPipeError:
-                code = 0
-            except Exception:
-                # The main process sees only the closed pipe.
-                import traceback
+                pass
+            return 0
 
-                traceback.print_exc()
-            finally:
-                os._exit(code)
+        pid = fork_child(body)
+        if pid is None:
+            for fd in (ready_r, ready_w, free_r, free_w):
+                os.close(fd)
+            return None
         os.close(ready_w)
         os.close(free_r)
         return cls(pid, ready_r, free_w, len(lengths))

@@ -428,12 +428,30 @@ def r0_closed_form(p: ModelParams) -> float:
     Returns:
         R0 >= 0.
     """
+    return _r0(p, p.beta_b)
+
+
+def r0_herd(p: ModelParams) -> float:
+    """Herd threshold: `r0_closed_form` with beta_b scaled by S0 = Lambda/mu.
+
+    Linearising beta_b*S*B/(K + B) about the disease-free state, where
+    S = S0, puts beta_b*S0/K on the reservoir entry of the next-generation
+    matrix; the paper's R0 (and `r0_spectral`) use beta_b/K. One endemic
+    equilibrium exists iff this threshold exceeds 1 (see
+    `herdflu.equilibrium`). At the baseline it is 0.612 against the
+    paper's 0.0472, at beta_a = 0.46665 it is 3.76 against 3.19.
+    """
+    return _r0(p, p.beta_b * (p.lambda_recruit / p.mu))
+
+
+def _r0(p: ModelParams, beta_b: float) -> float:
+    # The closed form with `beta_b` on the reservoir route.
     out_s = p.mu + p.d_dis + p.gamma_rem
     out_a = p.mu + p.delta_rem + p.d_dis
     survive = p.sigma_prog / (p.sigma_prog + p.mu)
     direct = p.nu * p.beta_s / out_s + (1.0 - p.nu) * p.beta_a / out_a
     shed = p.nu * p.omega_s / out_s + (1.0 - p.nu) * p.omega_a / out_a
-    env = p.beta_b / (p.k_half * p.eps_decay) * shed
+    env = beta_b / (p.k_half * p.eps_decay) * shed
     return survive * (direct + env)
 
 

@@ -7,15 +7,26 @@ apply `repr` to `.tolist()` values (Python floats, so the text equals
 `fmt_float` of each value; `fmt_row` joins one row) and stream them in
 chunks of _CHUNK_ROWS instead of holding the whole file as lines; the
 trajectory SVG streams its polylines the same way.
+
+Both row writers, `write_csv_rows` (and so `write_trajectory_csv`) and
+`write_ensemble_csv`, go through `_write_rows`: a file of at least
+2 * _CHUNK_ROWS rows is cut into contiguous row ranges, one per usable
+CPU, formatted at once by forked children and appended in row order,
+so the bytes are those of one process writing every row.
 """
 
 from __future__ import annotations
+
+import os
+import tempfile
+from typing import Callable
 
 import numpy as np
 
 from .ensemble import EnsembleSummary
 from .integrate import Trajectory
 from .model import COMPARTMENTS
+from .process import fork_child
 from .sensitivity import SensitivityReport
 
 TRAJECTORY_HEADER = "t,S,E,I_s,I_a,R,B"
@@ -37,11 +48,119 @@ def fmt_row(row: list[float]) -> str:
     return ",".join(map(repr, row))
 
 
+def _usable_cpus() -> int:
+    # Linux only: elsewhere the writers format on one process.
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _split_count(fh, n: int) -> int:
+    """How many processes format the n rows that go to `fh`.
+
+    A formatter child costs this process a fork and a reap, 2.0-3.7 ms
+    with herdflu loaded (2-vCPU Xeon), and the copy of its text; one
+    _CHUNK_ROWS chunk takes at least 8-9 ms to format (a trajectory
+    chunk of 7 floats a row; an ensemble chunk of 31 takes ~4x that).
+    So every range gets at least one whole chunk: k = min(usable CPUs,
+    n // _CHUNK_ROWS), and a file under 2 * _CHUNK_ROWS rows, such as a
+    64-row `--paths-out` block, is written here alone. So is one whose
+    `fh` has no file descriptor to append a child's text to.
+    """
+    if n < 2 * _CHUNK_ROWS:
+        return 1
+    try:
+        fh.fileno()
+    except (AttributeError, OSError):
+        return 1
+    return min(_usable_cpus(), n // _CHUNK_ROWS)
+
+
+def _append_file(fh, src) -> None:
+    """Append the whole of file `src` to fh's descriptor in the kernel,
+    without reading it into Python objects."""
+    fh.flush()
+    out, fd = fh.fileno(), src.fileno()
+    offset, size = 0, os.fstat(fd).st_size
+    while offset < size:
+        sent = os.sendfile(out, fd, offset, size - offset)
+        if not sent:
+            raise OSError(f"short copy of a formatter's text: {offset} of {size} bytes")
+        offset += sent
+
+
+def _write_rows(fh, n: int, fmt: Callable[[int, int], str]) -> None:
+    """Write rows [0, n) to the text file `fh`, `fmt(a, b)` being the
+    text of rows [a, b), on up to `_split_count(fh, n)` processes.
+
+    The rows are cut into k contiguous ranges. For ranges 1 to k - 1
+    this process forks a child (see `process.fork_child`) that formats
+    its range _CHUNK_ROWS rows at a time into its own unnamed temporary
+    file, made before the fork, so nothing is left on disk if the child
+    is killed. Meanwhile this process formats range 0 into `fh`, then
+    reaps each child in order and appends its file with `os.sendfile`,
+    so its own peak memory is that of formatting one chunk. A range
+    whose fork was refused is formatted here, in its turn. Children
+    write UTF-8 with LF line ends, as the writers open `fh`.
+
+    A child that fails or is killed raises ChildProcessError. On any
+    way out of this function every child still running is killed and
+    reaped.
+    """
+
+    def format_range(write, a: int, b: int) -> None:
+        for c in range(a, b, _CHUNK_ROWS):
+            write(fmt(c, min(c + _CHUNK_ROWS, b)))
+
+    k = _split_count(fh, n)
+    bounds = [n * i // k for i in range(k + 1)]
+    # [pid or None, temporary file, a, b] of ranges 1 to k - 1.
+    children = []
+    try:
+        for a, b in zip(bounds[1:-1], bounds[2:]):
+            tmp = tempfile.TemporaryFile()
+            children.append([None, tmp, a, b])
+
+            def body(tmp=tmp, a=a, b=b) -> int:
+                with open(tmp.fileno(), "w", encoding="utf-8", newline="\n",
+                          closefd=False) as out:
+                    format_range(out.write, a, b)
+                return 0
+
+            children[-1][0] = fork_child(body)
+        format_range(fh.write, 0, bounds[1])
+        for child in children:
+            pid, tmp, a, b = child
+            if pid is None:
+                format_range(fh.write, a, b)
+                continue
+            status = os.waitpid(pid, 0)[1]
+            child[0] = None
+            code = os.waitstatus_to_exitcode(status)
+            if code:
+                how = f"signal {-code}" if code < 0 else f"exit status {code}"
+                raise ChildProcessError(
+                    f"the CSV formatter process of rows {a} to {b - 1} ended by {how}")
+            _append_file(fh, tmp)
+    finally:
+        for pid, tmp, _, _ in children:
+            if pid is not None:
+                import signal
+
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            tmp.close()
+
+
 def write_csv_rows(fh, data: np.ndarray) -> None:
-    """Write each row of the 2-D float array `data` as one CSV line."""
-    for a in range(0, len(data), _CHUNK_ROWS):
-        rows = data[a:a + _CHUNK_ROWS].tolist()
-        fh.write("".join([fmt_row(row) + "\n" for row in rows]))
+    """Write each row of the 2-D float array `data` as one CSV line to
+    the text file `fh`, opened as the writers here open theirs (UTF-8,
+    LF line ends) when it has a file descriptor."""
+
+    def fmt(a: int, b: int) -> str:
+        return "".join([fmt_row(row) + "\n" for row in data[a:b].tolist()])
+
+    _write_rows(fh, len(data), fmt)
 
 
 def write_trajectory_csv(traj: Trajectory, path: str) -> None:
@@ -87,19 +206,21 @@ def write_ensemble_csv(summary: EnsembleSummary, path: str) -> None:
     """One row per (time, compartment), compartments in model order."""
     stats = (summary.mean, summary.std, summary.q025, summary.q50, summary.q975)
     line = "{},{},{},{},{},{},{}\n".format
+
+    def fmt(a: int, b: int) -> str:
+        # (rows, 6, 5): the five statistics of each (time, compartment),
+        # formatted in one pass and consumed five at a time.
+        chunk = np.stack([x[a:b] for x in stats], axis=-1)
+        vals = map(repr, chunk.ravel().tolist())
+        return "".join([
+            line(t, comp, *five)
+            for t in map(repr, summary.times[a:b].tolist())
+            for comp, five in zip(COMPARTMENTS, zip(vals, vals, vals, vals, vals))
+        ])
+
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(ENSEMBLE_HEADER + "\n")
-        for a in range(0, len(summary.times), _CHUNK_ROWS):
-            b = a + _CHUNK_ROWS
-            # (rows, 6, 5): the five statistics of each (time, compartment),
-            # formatted in one pass and consumed five at a time.
-            chunk = np.stack([x[a:b] for x in stats], axis=-1)
-            vals = map(repr, chunk.ravel().tolist())
-            fh.write("".join([
-                line(t, comp, *five)
-                for t in map(repr, summary.times[a:b].tolist())
-                for comp, five in zip(COMPARTMENTS, zip(vals, vals, vals, vals, vals))
-            ]))
+        _write_rows(fh, len(summary.times), fmt)
 
 
 def read_ensemble_csv(path: str) -> dict[str, np.ndarray]:

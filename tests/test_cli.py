@@ -41,6 +41,7 @@ class TestReportingCommands:
         assert "spectral=0.047240" in out
         diff = float(out.split("difference=")[1].split()[0])
         assert diff < 1e-9
+        assert out.endswith("herd_threshold=0.611678\n")
 
     def test_equilibrium_baseline_is_disease_free_only(self, capsys):
         assert run_cli(["equilibrium"]) == 0

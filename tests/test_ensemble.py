@@ -332,17 +332,18 @@ def loud_outputs(out, threads):
 
 @pytest.fixture
 def forks(monkeypatch):
-    """The pids of every fork the test makes, in this process."""
+    """The pids of every noise helper the test forks. The CSV writers
+    fork row formatters of their own, which tests/test_output.py counts."""
     pids = []
-    fork = os.fork
+    fork = integrate._NoiseHelper.fork.__func__
 
-    def counting_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
+    def counting_fork(cls, *args):
+        helper = fork(cls, *args)
+        if helper is not None:
+            pids.append(helper.pid)
+        return helper
 
-    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(integrate._NoiseHelper, "fork", classmethod(counting_fork))
     return pids
 
 

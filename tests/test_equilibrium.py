@@ -10,7 +10,7 @@ from herdflu import (
     endemic_gap,
     intermediates,
     pressure_from_e,
-    r0_closed_form,
+    r0_herd,
     solve_endemic,
 )
 
@@ -151,8 +151,7 @@ class TestSolveEndemic:
         regimes = {True: 0, False: 0}
         for _ in range(2000):
             p = random_params(rng)
-            s0 = p.lambda_recruit / p.mu
-            herd = r0_closed_form(replace(p, beta_b=p.beta_b * s0))
+            herd = r0_herd(p)
             eq = solve_endemic(p)
             assert (eq is not None) == (herd > 1.0), (p, herd)
             regimes[herd > 1.0] += 1

@@ -24,11 +24,16 @@ CLAMPED = "t_end = 20\nn_paths = 30\nseed = 12\n" + "".join(
     f"{k} = 3\n" for k in ("sig_s", "sig_e", "sig_is", "sig_ia", "sig_b")
 )
 ENDEMIC = "beta_a = 0.46665\nt_end = 50\n"
+# 5001 recorded times, enough for the CSV writer to split the rows over
+# forked formatters.
+LONG = "t_end = 50\nn_paths = 20\n"
 SWEEP = "t_end = 20\n"
 
 GOLDEN = {
     "ensemble_summary":
         "48dad188c1be4c5c71c4d117da72114c28b96f165c54955081339271b2a58596",
+    "ensemble_long_summary":
+        "2836ac5d1b8a0edad728e59f1082a29c5c913761da0fc7af526448dc662560cd",
     "ensemble_clamped_summary":
         "4c7187e114384cfd412acf97a591b43dbd0e19a90c45eb805e8d7f3571aef3e0",
     "ensemble_clamped_paths":
@@ -68,6 +73,13 @@ def test_ensemble_summary(tmp_path):
     argv = ["ensemble", "--config", _config(tmp_path, SHORT), "--out", str(out)]
     assert run_cli(argv) == 0
     assert _sha(out) == GOLDEN["ensemble_summary"]
+
+
+def test_ensemble_long_summary(tmp_path):
+    out = tmp_path / "summary.csv"
+    argv = ["ensemble", "--config", _config(tmp_path, LONG), "--out", str(out)]
+    assert run_cli(argv) == 0
+    assert _sha(out) == GOLDEN["ensemble_long_summary"]
 
 
 @pytest.mark.parametrize("threads", [1, 3])

@@ -17,6 +17,7 @@ from herdflu import (
     drift,
     force_of_infection,
     r0_closed_form,
+    r0_herd,
     r0_spectral,
     total_population,
 )
@@ -164,6 +165,19 @@ class TestReproductionNumber:
     def test_endemic_configuration_value(self):
         p = replace(BASELINE_PARAMS, beta_a=0.46665)
         assert r0_closed_form(p) == pytest.approx(R0_ENDEMIC_BETA_A, rel=1e-12)
+
+    def test_herd_threshold_scales_the_reservoir_route_by_s0(self):
+        # 0.612 at the baseline, 3.76 at beta_a = 0.46665; the spectral
+        # route with beta_b*S0 on the reservoir entry agrees.
+        assert r0_herd(BASELINE_PARAMS) == pytest.approx(0.6116780045351473, rel=1e-12)
+        p = replace(BASELINE_PARAMS, beta_a=0.46665)
+        assert r0_herd(p) == pytest.approx(3.7589569160997724, rel=1e-12)
+        rng = np.random.default_rng(43)
+        for _ in range(200):
+            p = random_params(rng)
+            s0 = p.lambda_recruit / p.mu
+            spectral = r0_spectral(replace(p, beta_b=p.beta_b * s0))
+            assert abs(r0_herd(p) - spectral) <= 1e-10 * max(1.0, spectral)
 
     def test_affine_in_beta_a(self):
         # d r0 / d beta_a is constant: survive * (1-nu) / (mu+delta+d)

@@ -1,5 +1,8 @@
 import io
+import os
 import re
+import signal
+import threading
 
 import numpy as np
 import pytest
@@ -7,11 +10,13 @@ import pytest
 from herdflu import (
     BASELINE_PARAMS,
     DEFAULT_NOISE,
+    EnsembleSummary,
     SimConfig,
     default_init,
     run_ensemble,
 )
-from herdflu import output
+from herdflu import integrate, output
+from herdflu.cli import run_cli
 from herdflu.output import (
     read_ensemble_csv,
     read_sensitivity_csv,
@@ -90,3 +95,196 @@ def test_readers_reject_another_header(tmp_path):
     path.write_text(output.ENSEMBLE_HEADER + "\n")
     with pytest.raises(ValueError, match="^unexpected header 't,compartment,"):
         read_trajectory_csv(str(path))
+
+
+# ---------------------------------------------------------------------------
+# The row splitter: forked formatters give the bytes of one process.
+
+SMALL_CHUNK = 4
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of every fork the test makes, in this process."""
+    pids = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
+def _summary(n: int) -> EnsembleSummary:
+    # Values spread over many decades, so that reprs differ in length.
+    rng = np.random.default_rng(n)
+    stats = [rng.random((n, 6)) * 10.0 ** rng.integers(-8, 8, (n, 6))
+             for _ in range(5)]
+    return EnsembleSummary(np.arange(n) * 0.01, *stats, n_paths=3,
+                           master_seed=0, extinct_fraction=0.0)
+
+
+def _written(tmp_path, n: int, tag: str) -> tuple[bytes, bytes]:
+    """The bytes of write_csv_rows and write_ensemble_csv over n rows."""
+    summ = _summary(n)
+    rows, ens = tmp_path / f"rows_{tag}.csv", tmp_path / f"ens_{tag}.csv"
+    with open(rows, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("head\n")
+        write_csv_rows(fh, np.column_stack([summ.times, summ.mean]))
+    write_ensemble_csv(summ, str(ens))
+    return rows.read_bytes(), ens.read_bytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2 * SMALL_CHUNK - 1, 2 * SMALL_CHUNK,
+                               2 * SMALL_CHUNK + 1, 29])
+def test_split_gives_the_bytes_of_one_process(n, tmp_path, monkeypatch, forks):
+    monkeypatch.setattr(output, "_CHUNK_ROWS", SMALL_CHUNK)
+    monkeypatch.setattr(output, "_usable_cpus", lambda: 1)
+    ref = _written(tmp_path, n, "serial")
+    assert forks == []
+    data = np.column_stack([_summary(n).times, _summary(n).mean])
+    assert ref[0] == b"head\n" + "".join(
+        output.fmt_row(row) + "\n" for row in data.tolist()).encode()
+    assert ref[1].count(b"\n") == 1 + 6 * n
+    # 64 workers are more than the chunks of any n here.
+    for cpus in (2, 3, 64):
+        monkeypatch.setattr(output, "_usable_cpus", lambda cpus=cpus: cpus)
+        del forks[:]
+        assert _written(tmp_path, n, f"cpus{cpus}") == ref, cpus
+        k = min(cpus, n // SMALL_CHUNK) if n >= 2 * SMALL_CHUNK else 1
+        # Two writers, k - 1 children each.
+        assert len(forks) == 2 * (k - 1), cpus
+
+
+def test_paths_out_blocks_never_fork(tmp_path, monkeypatch, forks):
+    # An engine block is below the threshold whatever the CPU count.
+    monkeypatch.setattr(output, "_usable_cpus", lambda: 64)
+    assert integrate._BLOCK_STEPS < 2 * output._CHUNK_ROWS
+    write_csv_rows(io.StringIO(), np.zeros((integrate._BLOCK_STEPS, 7)))
+    with open(tmp_path / "block.csv", "w") as fh:
+        write_csv_rows(fh, np.zeros((integrate._BLOCK_STEPS, 7)))
+    assert forks == []
+    # 201 recorded times: the noise helper is the run's one fork.
+    config = tmp_path / "run.cfg"
+    config.write_text("t_end = 2\nn_paths = 4\nseed = 3\n")
+    assert run_cli(["ensemble", "--config", str(config), "--out",
+                    str(tmp_path / "summary.csv"), "--paths-out",
+                    str(tmp_path / "paths")]) == 0
+    assert len(forks) == 1
+    assert len(os.listdir(tmp_path / "paths")) == 4
+
+
+def test_fallbacks_give_the_same_bytes(tmp_path, monkeypatch, forks):
+    monkeypatch.setattr(output, "_CHUNK_ROWS", SMALL_CHUNK)
+    monkeypatch.setattr(output, "_usable_cpus", lambda: 3)
+    ref = _written(tmp_path, 29, "split")
+    assert len(forks) == 4
+    del forks[:]
+
+    # Another Python thread is running: no fork.
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        assert _written(tmp_path, 29, "thread") == ref
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert forks == []
+
+    # fork fails: no descriptor is left open.
+    def failing_fork():
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    assert _written(tmp_path, 29, "refused") == ref
+    if fds is not None:
+        assert len(os.listdir("/proc/self/fd")) == fds
+
+    # No os.fork at all.
+    monkeypatch.delattr(os, "fork")
+    assert _written(tmp_path, 29, "nofork") == ref
+
+
+def _break_children(monkeypatch, failure: str) -> None:
+    # fmt_row fails in every process but this one.
+    parent, fmt_row = os.getpid(), output.fmt_row
+
+    def broken(row):
+        if os.getpid() != parent:
+            if failure == "sigkill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise KeyError("no text")
+        return fmt_row(row)
+
+    monkeypatch.setattr(output, "_CHUNK_ROWS", SMALL_CHUNK)
+    monkeypatch.setattr(output, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(output, "fmt_row", broken)
+
+
+@pytest.mark.parametrize("failure, how", [
+    ("exception", "exit status 1"), ("sigkill", f"signal {int(signal.SIGKILL)}"),
+])
+def test_failing_formatter_raises_child_process_error(
+    failure, how, tmp_path, monkeypatch, forks
+):
+    # Children leave through os._exit: unwinding would run this test's
+    # `finally` in them as well.
+    _break_children(monkeypatch, failure)
+    mark = tmp_path / "unwound"
+    with pytest.raises(ChildProcessError,
+                       match=f"^the CSV formatter process of rows 9 to 18 ended by {how}$"):
+        try:
+            with open(tmp_path / "rows.csv", "w") as fh:
+                write_csv_rows(fh, np.zeros((29, 7)))
+        finally:
+            with open(mark, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+    assert mark.read_text() == f"{os.getpid()}\n"
+    assert len(forks) == 2
+
+
+def test_failing_formatter_makes_the_cli_exit_2(tmp_path, monkeypatch, capsys, forks):
+    _break_children(monkeypatch, "exception")
+    config = tmp_path / "run.cfg"
+    config.write_text("t_end = 0.28\n")
+    code = run_cli(["simulate", "--mode", "ode", "--config", str(config),
+                    "--out", str(tmp_path / "traj.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: the CSV formatter process of rows 9 to 18 ended by exit status 1\n")
+    assert len(forks) == 2
+
+
+def test_interrupt_in_the_main_process_ends_every_formatter(
+    tmp_path, monkeypatch, forks
+):
+    # The children block on a pipe that nobody writes; the main process
+    # is interrupted while it formats range 0. The autouse fixture
+    # checks that both children were killed and reaped.
+    monkeypatch.setattr(output, "_CHUNK_ROWS", SMALL_CHUNK)
+    monkeypatch.setattr(output, "_usable_cpus", lambda: 3)
+    hold_r, hold_w = os.pipe()
+    parent, fmt_row = os.getpid(), output.fmt_row
+
+    def stalled(row):
+        if os.getpid() != parent:
+            os.read(hold_r, 1)
+            return fmt_row(row)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(output, "fmt_row", stalled)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            with open(tmp_path / "rows.csv", "w") as fh:
+                write_csv_rows(fh, np.zeros((29, 7)))
+    finally:
+        os.close(hold_r)
+        os.close(hold_w)
+    assert len(forks) == 2
