@@ -5,14 +5,14 @@ the identical double, so re-parsing a file recovers the computed values
 bit for bit and identical runs produce identical bytes. The CSV writers
 apply `repr` to `.tolist()` values (Python floats, so the text equals
 `fmt_float` of each value; `fmt_row` joins one row) and stream them in
-chunks of _CHUNK_ROWS instead of holding the whole file as lines; the
-trajectory SVG streams its polylines the same way.
+chunks of _CHUNK_ROWS instead of holding the whole file as lines.
 
-Both row writers, `write_csv_rows` (and so `write_trajectory_csv`) and
-`write_ensemble_csv`, go through `_write_rows`: a file of at least
-2 * _CHUNK_ROWS rows is cut into contiguous row ranges, one per usable
-CPU, formatted at once by forked children and appended in row order,
-so the bytes are those of one process writing every row.
+The row writers, `write_csv_rows` (and so `write_trajectory_csv`),
+`write_ensemble_csv` and `write_trajectory_svg`, whose six polylines
+are 6 * n rows of one point each, go through `_write_rows`: a file of
+at least 2 * _CHUNK_ROWS rows is cut into contiguous row ranges, one
+per usable CPU, formatted at once by forked children and appended in
+row order, so the bytes are those of one process writing every row.
 """
 
 from __future__ import annotations
@@ -60,12 +60,15 @@ def _split_count(fh, n: int) -> int:
 
     A formatter child costs this process a fork and a reap, 2.0-3.7 ms
     with herdflu loaded (2-vCPU Xeon), and the copy of its text; one
-    _CHUNK_ROWS chunk takes at least 8-9 ms to format (a trajectory
-    chunk of 7 floats a row; an ensemble chunk of 31 takes ~4x that).
-    So every range gets at least one whole chunk: k = min(usable CPUs,
-    n // _CHUNK_ROWS), and a file under 2 * _CHUNK_ROWS rows, such as a
-    64-row `--paths-out` block, is written here alone. So is one whose
-    `fh` has no file descriptor to append a child's text to.
+    _CHUNK_ROWS chunk of CSV takes at least 8-9 ms to format (a
+    trajectory chunk of 7 floats a row; an ensemble chunk of 31 takes
+    ~4x that). So every range gets at least one whole chunk:
+    k = min(usable CPUs, n // _CHUNK_ROWS), and a file under
+    2 * _CHUNK_ROWS rows, such as a 64-row `--paths-out` block, is
+    written here alone. So is one whose `fh` has no file descriptor to
+    append a child's text to. A trajectory SVG chunk (1024 points) takes
+    only ~0.4 ms, so an SVG of under ~7,000 points that splits (from
+    342 points on) pays 4-5 ms more for its fork than it saves.
     """
     if n < 2 * _CHUNK_ROWS:
         return 1
@@ -89,7 +92,7 @@ def _append_file(fh, src) -> None:
         offset += sent
 
 
-def _write_rows(fh, n: int, fmt: Callable[[int, int], str]) -> None:
+def _write_rows(fh, n: int, fmt: Callable[[int, int], str], kind: str = "CSV") -> None:
     """Write rows [0, n) to the text file `fh`, `fmt(a, b)` being the
     text of rows [a, b), on up to `_split_count(fh, n)` processes.
 
@@ -103,7 +106,8 @@ def _write_rows(fh, n: int, fmt: Callable[[int, int], str]) -> None:
     whose fork was refused is formatted here, in its turn. Children
     write UTF-8 with LF line ends, as the writers open `fh`.
 
-    A child that fails or is killed raises ChildProcessError. On any
+    A child that fails or is killed raises ChildProcessError, which
+    names the file `kind` ("CSV", "SVG") and the child's rows. On any
     way out of this function every child still running is killed and
     reaped.
     """
@@ -140,7 +144,7 @@ def _write_rows(fh, n: int, fmt: Callable[[int, int], str]) -> None:
             if code:
                 how = f"signal {-code}" if code < 0 else f"exit status {code}"
                 raise ChildProcessError(
-                    f"the CSV formatter process of rows {a} to {b - 1} ended by {how}")
+                    f"the {kind} formatter process of rows {a} to {b - 1} ended by {how}")
             _append_file(fh, tmp)
     finally:
         for pid, tmp, _, _ in children:
@@ -283,14 +287,19 @@ def _svg_doc(width: int, height: int, body: list[str]) -> str:
 def write_trajectory_svg(traj: Trajectory, path: str) -> None:
     """Polyline time-series plot of every compartment.
 
-    The polylines are streamed to the file in chunks of points, so the
-    document is never held in memory whole.
+    The six polylines are 6 * n "rows", row j * n + i being point i of
+    compartment j, written through `_write_rows` like the CSV rows: on
+    every usable CPU, a chunk of points at a time, so the document is
+    never held in memory whole. The coordinates of a chunk are computed
+    on arrays with the expressions, in the order, of one point at a
+    time, so they are the same doubles.
     """
     w, h, ml, mr, mt, mb = 820, 420, 55, 120, 15, 35
     pw, ph = w - ml - mr, h - mt - mb
-    t = traj.times
+    t, states = traj.times, traj.states
+    n = len(t)
     t0, t1 = float(t[0]), float(t[-1]) or 1.0
-    ymax = max(float(traj.states.max()), 1e-12)
+    ymax = max(float(states.max()), 1e-12)
     axes = [
         f'<line class="axis" x1="{ml}" y1="{mt + ph}" x2="{ml + pw}" y2="{mt + ph}"/>',
         f'<line class="axis" x1="{ml}" y1="{mt}" x2="{ml}" y2="{mt + ph}"/>',
@@ -301,28 +310,34 @@ def write_trajectory_svg(traj: Trajectory, path: str) -> None:
         f'<text x="{ml + pw - 20}" y="{h - 8}">{t1:.4g}</text>',
     ]
     span = (t1 - t0) or 1.0
-    # " x," of every point, formatted once and shared by every series;
-    # the first point has no separating space.
-    xs = [f" {ml + pw * (ti - t0) / span:.2f}," for ti in t.tolist()]
-    xs[0] = xs[0][1:]
+
+    def fmt(a: int, b: int) -> str:
+        parts = []
+        while a < b:
+            # Points [i, e) of compartment j; its first point has no
+            # separating space.
+            j, i = divmod(a, n)
+            e = min(n, i + b - a)
+            if i == 0:
+                parts.append(
+                    f'<polyline fill="none" stroke="{_PALETTE[j]}" '
+                    f'stroke-width="1.5" points="')
+            xy = np.empty((e - i, 2))
+            xy[:, 0] = ml + pw * (t[i:e] - t0) / span
+            xy[:, 1] = mt + ph * (1.0 - states[i:e, j] / ymax)
+            text = " %.2f,%.2f" * (e - i) % tuple(xy.ravel().tolist())
+            parts.append(text[1:] if i == 0 else text)
+            if e == n:
+                parts.append(
+                    f'"/>\n<text x="{ml + pw + 8}" y="{mt + 14 + 16 * j}" '
+                    f'fill="{_PALETTE[j]}">{COMPARTMENTS[j]}</text>\n')
+            a += e - i
+        return "".join(parts)
+
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_svg_head(w, h))
         fh.write("\n".join(axes) + "\n")
-        for j, c in enumerate(COMPARTMENTS):
-            color = _PALETTE[j]
-            fh.write(
-                f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="'
-            )
-            for a in range(0, len(xs), _CHUNK_ROWS):
-                b = a + _CHUNK_ROWS
-                fh.write("".join([
-                    f"{x}{mt + ph * (1.0 - yi / ymax):.2f}"
-                    for x, yi in zip(xs[a:b], traj.states[a:b, j].tolist())
-                ]))
-            fh.write(
-                f'"/>\n<text x="{ml + pw + 8}" y="{mt + 14 + 16 * j}" '
-                f'fill="{color}">{c}</text>\n'
-            )
+        _write_rows(fh, len(COMPARTMENTS) * n, fmt, "SVG")
         fh.write("</svg>\n")
 
 

@@ -1,8 +1,10 @@
 """Forked child processes: one policy for whether to fork and how a child ends.
 
-The ensemble engine forks a noise helper (`integrate._NoiseHelper`) and
-the CSV writers fork row formatters (`output._write_rows`). Both start
-their children through `fork_child`.
+The ensemble engine forks a noise helper (`integrate._NoiseHelper`),
+the CSV and trajectory SVG writers fork row formatters
+(`output._write_rows`) and the PRCC peak sweep runs in a child
+(`sensitivity._peaks_beside_import`). All start their children through
+`fork_child`, the one call of `os.fork` in the package.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ controlled parameters.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, fields, replace
 from types import SimpleNamespace
 
@@ -27,7 +28,7 @@ import numpy as np
 
 # bench/child.py wraps herdflu.sensitivity.integrate_ode by name when it
 # traces a run, so the name stays importable from this module.
-from .integrate import SimConfig, integrate_ode, rk4_peaks  # noqa: F401
+from .integrate import IntegrationError, SimConfig, integrate_ode, rk4_peaks  # noqa: F401
 from .model import (
     BASELINE_PARAMS,
     COMPARTMENTS,
@@ -38,6 +39,7 @@ from .model import (
     r0_closed_form,
     rate_coefficients,
 )
+from .process import fork_child
 
 ALPHA = 0.05  # two-sided significance level
 
@@ -191,6 +193,12 @@ def _residuals(v: np.ndarray, design: np.ndarray) -> np.ndarray:
     return v - design @ coef
 
 
+def _check_sample_count(n: int, k: int) -> None:
+    # The t test of k parameters has n - 2 - (k - 1) degrees of freedom.
+    if n - 2 - (k - 1) < 1:
+        raise ValueError(f"need n > k + 1 samples for PRCC, got n={n}, k={k}")
+
+
 def prcc(
     samples: np.ndarray,
     outputs: np.ndarray,
@@ -210,9 +218,8 @@ def prcc(
     n, k = samples.shape
     if outputs.shape != (n,):
         raise ValueError(f"outputs must have shape ({n},)")
+    _check_sample_count(n, k)
     df = n - 2 - (k - 1)
-    if df < 1:
-        raise ValueError(f"need n > k + 1 samples for PRCC, got n={n}, k={k}")
     if names is None:
         names = tuple(f"x{j}" for j in range(k))
     if len(names) != k:
@@ -264,6 +271,7 @@ def sensitivity_of_r0(
     """PRCC of the reproduction number over an LHS parameter sweep."""
     if ranges is None:
         ranges = default_ranges(base)
+    _check_sample_count(n, len(ranges))
     samples = lhs_sample(ranges, n, seed)
     outputs = np.array(
         [r0_closed_form(_params_for_row(base, ranges.names, row)) for row in samples]
@@ -285,16 +293,80 @@ def sensitivity_of_peak_symptomatic(
     grows far slower than n. Each peak equals that of the sample's own
     `integrate_ode` run bit for bit; if any run would fail, the error
     names the first such sample in row order and carries its message.
+
+    Too few samples for PRCC are refused before any run. The sweep runs
+    in a forked child while this process imports `scipy.special` for
+    `prcc` (see `_peaks_beside_import`), or here when it does not fork.
     """
     if ranges is None:
         ranges = default_ranges(base)
+    _check_sample_count(n, len(ranges))
     if cfg is None:
         cfg = SimConfig(t_end=500.0, dt=0.1)
     init = default_init(base)
     samples = lhs_sample(ranges, n, seed)
     params = [_params_for_row(base, ranges.names, row) for row in samples]
-    outputs = _peak_symptomatic(params, init, cfg)
+    outputs = _peaks_beside_import(params, init, cfg)
     return prcc(samples, outputs, names=ranges.names, seed=seed)
+
+
+# The exit status of a sweep child whose run raised IntegrationError;
+# it sends the message instead of the peaks.
+_INTEGRATION_FAILED = 3
+
+
+def _peaks_beside_import(
+    params: list[ModelParams], init: HerdState, cfg: SimConfig
+) -> np.ndarray:
+    """`_peak_symptomatic(params, init, cfg)`, run in a forked child (see
+    `process.fork_child`) while this process imports `scipy.special`,
+    a quarter to a third of a second that `prcc` pays anyway.
+
+    The child sends the peaks' bytes down a pipe, or the message of an
+    IntegrationError, which is raised here as it is. This process reads
+    to EOF before it reaps the child: the peaks of 10,000 samples are
+    more than a pipe buffer holds. A child that ends otherwise raises
+    ChildProcessError; on any way out the child is killed and reaped.
+    Without a fork the sweep runs in this process.
+    """
+    r, w = os.pipe()
+
+    def body() -> int:
+        os.close(r)
+        with open(w, "wb") as out:
+            try:
+                peaks = _peak_symptomatic(params, init, cfg)
+            except IntegrationError as exc:
+                out.write(str(exc).encode())
+                return _INTEGRATION_FAILED
+            out.write(peaks.tobytes())
+        return 0
+
+    pid = fork_child(body)
+    if pid is None:
+        os.close(r)
+        os.close(w)
+        return _peak_symptomatic(params, init, cfg)
+    os.close(w)
+    try:
+        with open(r, "rb") as src:
+            import scipy.special  # noqa: F401
+
+            data = src.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        pid = None
+    finally:
+        if pid is not None:
+            import signal
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if code == _INTEGRATION_FAILED:
+        raise IntegrationError(data.decode())
+    if code:
+        how = f"signal {-code}" if code < 0 else f"exit status {code}"
+        raise ChildProcessError(f"the peak sweep process ended by {how}")
+    return np.frombuffer(data)
 
 
 def _peak_symptomatic(

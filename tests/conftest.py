@@ -18,8 +18,9 @@ def _child_left() -> str | None:
 @pytest.fixture(autouse=True)
 def no_child_processes_left():
     """Fail a test that leaves a child process behind: every forked
-    child, the ensemble engine's noise helper and the CSV writers' row
-    formatters alike, must be reaped on every way out of a run."""
+    child, the ensemble engine's noise helper, the CSV and SVG writers'
+    row formatters and the PRCC peak sweep alike, must be reaped on
+    every way out of a run."""
     yield
     left = _child_left()
     if left is not None:

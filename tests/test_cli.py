@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import subprocess
 import sys
 
@@ -398,3 +400,23 @@ def test_commands_without_noise_leave_out_numpy_random_and_thread_pool(argv, tmp
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_every_fork_goes_through_fork_child():
+    # process.fork_child holds the fork policy: no fork beside another
+    # thread, os._exit from the child. A call of os.fork elsewhere in the
+    # package would bypass it.
+    import herdflu
+
+    package = pathlib.Path(herdflu.__file__).parent
+    sites = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr.startswith("fork")
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in ("os", "posix")):
+                sites.append(path.name)
+            elif isinstance(node, ast.ImportFrom) and node.module in ("os", "posix"):
+                if any(a.name.startswith("fork") for a in node.names):
+                    sites.append(path.name)
+    assert sites == ["process.py"]

@@ -23,6 +23,8 @@ SHORT = "t_end = 5\n"
 CLAMPED = "t_end = 20\nn_paths = 30\nseed = 12\n" + "".join(
     f"{k} = 3\n" for k in ("sig_s", "sig_e", "sig_is", "sig_ia", "sig_b")
 )
+# 5001 recorded times: with more than one usable CPU, both trajectory
+# writers split their rows over forked formatters.
 ENDEMIC = "beta_a = 0.46665\nt_end = 50\n"
 # 5001 recorded times, enough for the CSV writer to split the rows over
 # forked formatters.
@@ -42,8 +44,14 @@ GOLDEN = {
         "6527553f9c52ef691dcefd2f57cbcf4c3f80bd161460659762d47d042ae03dd7",
     "simulate_sde_svg":
         "c217ce4ce24deb8ad61ad313071d22c6f6ab7b2610a6beb237103aa179fad1cd",
+    "simulate_ode_csv":
+        "874118dd786dbecebbdaf0617ad36ea6752de5d5f4a2697ad80313d6f665fd61",
+    "simulate_ode_svg":
+        "3dd9e912bbe199f55f2ee2e75f429fd2e4b96dd0d2bc53fe24edd3db4a1e6141",
     "sensitivity_peak_csv":
         "ee85d50c51a312f06deeb72a8967084ff605c4b362c714871e15ef274406b32a",
+    "sensitivity_peak_svg":
+        "1c6193080635d1d9b87926ab1fac45d0a35dc6ce32aa5929a384cbd8021ff016",
 }
 
 
@@ -108,9 +116,19 @@ def test_simulate_sde(tmp_path):
     assert _sha(svg) == GOLDEN["simulate_sde_svg"]
 
 
+def test_simulate_ode(tmp_path):
+    csv, svg = tmp_path / "traj.csv", tmp_path / "traj.svg"
+    argv = ["simulate", "--mode", "ode", "--config", _config(tmp_path, ENDEMIC),
+            "--out", str(csv), "--svg", str(svg)]
+    assert run_cli(argv) == 0
+    assert _sha(csv) == GOLDEN["simulate_ode_csv"]
+    assert _sha(svg) == GOLDEN["simulate_ode_svg"]
+
+
 def test_sensitivity_peak(tmp_path):
-    out = tmp_path / "prcc.csv"
+    out, svg = tmp_path / "prcc.csv", tmp_path / "prcc.svg"
     argv = ["sensitivity", "--config", _config(tmp_path, SWEEP), "--metric", "peak",
-            "--samples", "60", "--seed", "7", "--out", str(out)]
+            "--samples", "60", "--seed", "7", "--out", str(out), "--svg", str(svg)]
     assert run_cli(argv) == 0
     assert _sha(out) == GOLDEN["sensitivity_peak_csv"]
+    assert _sha(svg) == GOLDEN["sensitivity_peak_svg"]

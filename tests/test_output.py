@@ -288,3 +288,116 @@ def test_interrupt_in_the_main_process_ends_every_formatter(
         os.close(hold_r)
         os.close(hold_w)
     assert len(forks) == 2
+
+
+# ---------------------------------------------------------------------------
+# The trajectory SVG: six polylines of n points are 6 * n rows of the
+# same splitter.
+
+
+def _reference_svg_polylines(traj) -> str:
+    """The polylines and labels of write_trajectory_svg, one point at a
+    time on Python floats."""
+    ml, mt, pw, ph = 55, 15, 645, 370
+    t = traj.times.tolist()
+    t0, t1 = t[0], t[-1] or 1.0
+    span = (t1 - t0) or 1.0
+    ymax = max(float(traj.states.max()), 1e-12)
+    out = []
+    for j, c in enumerate(output.COMPARTMENTS):
+        color = output._PALETTE[j]
+        points = " ".join(
+            f"{ml + pw * (ti - t0) / span:.2f},{mt + ph * (1.0 - yi / ymax):.2f}"
+            for ti, yi in zip(t, traj.states[:, j].tolist())
+        )
+        out.append(
+            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
+            f'points="{points}"/>\n<text x="{ml + pw + 8}" y="{mt + 14 + 16 * j}" '
+            f'fill="{color}">{c}</text>\n'
+        )
+    return "".join(out)
+
+
+def _trajectory(n: int) -> integrate.Trajectory:
+    # Values spread over decades and a negative zero, so that the
+    # coordinates differ in length and round both ways.
+    rng = np.random.default_rng(n)
+    states = rng.random((n, 6)) * 10.0 ** rng.integers(-6, 4, (n, 6))
+    states[0, 2] = -0.0
+    return integrate.Trajectory(times=np.arange(n) * 0.37 + 2.0, states=states)
+
+
+def _svg(tmp_path, traj, tag: str) -> bytes:
+    path = tmp_path / f"traj_{tag}.svg"
+    output.write_trajectory_svg(traj, str(path))
+    return path.read_bytes()
+
+
+def test_svg_split_gives_the_bytes_of_one_process(tmp_path, monkeypatch, forks):
+    monkeypatch.setattr(output, "_CHUNK_ROWS", SMALL_CHUNK)
+    starts = set()
+    for n in (1, 7, 11):
+        traj = _trajectory(n)
+        monkeypatch.setattr(output, "_usable_cpus", lambda: 1)
+        ref = _svg(tmp_path, traj, f"{n}_serial")
+        text = ref.decode()
+        assert text.startswith("<svg ") and text.endswith("</svg>\n")
+        assert _reference_svg_polylines(traj) in text
+        # 64 workers are more than the chunks of any n here.
+        for cpus in (1, 2, 3, 64):
+            monkeypatch.setattr(output, "_usable_cpus", lambda cpus=cpus: cpus)
+            del forks[:]
+            assert _svg(tmp_path, traj, f"{n}_{cpus}") == ref, (n, cpus)
+            with open(tmp_path / "probe", "w") as fh:
+                k = output._split_count(fh, 6 * n)
+            assert len(forks) == k - 1, (n, cpus)
+            starts |= {(6 * n * i // k) % n == 0 for i in range(1, k)}
+    # Some ranges start on the first point of a polyline, some inside one.
+    assert starts == {True, False}
+
+
+def test_svg_fallbacks_give_the_same_bytes(tmp_path, monkeypatch, forks):
+    monkeypatch.setattr(output, "_CHUNK_ROWS", SMALL_CHUNK)
+    monkeypatch.setattr(output, "_usable_cpus", lambda: 3)
+    traj = _trajectory(7)
+    ref = _svg(tmp_path, traj, "split")
+    assert len(forks) == 2
+    del forks[:]
+
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        assert _svg(tmp_path, traj, "thread") == ref
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert forks == []
+
+    def failing_fork():
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    assert _svg(tmp_path, traj, "refused") == ref
+
+    monkeypatch.delattr(os, "fork")
+    assert _svg(tmp_path, traj, "nofork") == ref
+
+
+def test_failing_svg_formatter_names_the_svg(tmp_path, monkeypatch, forks):
+    monkeypatch.setattr(output, "_CHUNK_ROWS", SMALL_CHUNK)
+    monkeypatch.setattr(output, "_usable_cpus", lambda: 3)
+    parent = os.getpid()
+
+    def fmt(a: int, b: int) -> str:
+        if os.getpid() != parent:
+            raise KeyError("no text")
+        return ""
+
+    with pytest.raises(ChildProcessError,
+                       match="^the SVG formatter process of rows 9 to 18 "
+                             "ended by exit status 1$"):
+        with open(tmp_path / "plot.svg", "w") as fh:
+            output._write_rows(fh, 29, fmt, "SVG")
+    assert len(forks) == 2

@@ -1,4 +1,7 @@
 import math
+import os
+import signal
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -17,12 +20,15 @@ from herdflu import (
     sensitivity_of_peak_symptomatic,
     sensitivity_of_r0,
 )
+from herdflu import sensitivity
+from herdflu.cli import run_cli
 from herdflu.sensitivity import (
     R0_PARAM_KEYS,
     _params_for_row,
     _peak_symptomatic,
     rank_average,
 )
+from test_output import forks  # noqa: F401  (fixture)
 
 
 class TestParamRanges:
@@ -277,3 +283,139 @@ class TestBatchedPeakSweep:
         late, early = (float(m.rsplit("=", 1)[1]) for m in messages)
         assert early < late
         assert str(exc.value) == f"sample 1: {messages[0]}"
+
+
+# ---------------------------------------------------------------------------
+# The forked sweep: the peaks come from a child while this process
+# imports scipy.special.
+
+
+SWEEP_CFG = SimConfig(t_end=20.0, dt=0.1)
+
+
+class TestForkedPeakSweep:
+    def test_fallbacks_give_the_same_report(self, monkeypatch, forks):
+        ref = sensitivity_of_peak_symptomatic(n=30, seed=5, base=OUTBREAK, cfg=SWEEP_CFG)
+        assert len(forks) == 1
+        del forks[:]
+
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            got = sensitivity_of_peak_symptomatic(
+                n=30, seed=5, base=OUTBREAK, cfg=SWEEP_CFG)
+        finally:
+            stop.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert forks == []
+        assert got == ref
+
+        def failing_fork():
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+        assert sensitivity_of_peak_symptomatic(
+            n=30, seed=5, base=OUTBREAK, cfg=SWEEP_CFG) == ref
+        if fds is not None:
+            assert len(os.listdir("/proc/self/fd")) == fds
+
+        monkeypatch.delattr(os, "fork")
+        assert sensitivity_of_peak_symptomatic(
+            n=30, seed=5, base=OUTBREAK, cfg=SWEEP_CFG) == ref
+
+    def test_integration_error_crosses_with_its_message(self, capfd, forks):
+        # The overflow case of
+        # test_nonfinite_names_first_failing_sample_in_row_order through
+        # the public function: with seed 1, sample 0 stays finite and
+        # sample 2 overflows before sample 1.
+        ranges = ParamRanges({"lambda": (0.0, 3e307)})
+        cfg = SimConfig(t_end=50.0, dt=0.5)
+        init = default_init(OUTBREAK)
+        samples = lhs_sample(ranges, 3, 1)
+        outcomes = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for row in samples:
+                try:
+                    integrate_ode(_params_for_row(OUTBREAK, ranges.names, row), init, cfg)
+                    outcomes.append(None)
+                except IntegrationError as exc:
+                    outcomes.append(str(exc))
+        assert outcomes[0] is None
+        late, early = (float(m.rsplit("=", 1)[1]) for m in outcomes[1:])
+        assert early < late
+        capfd.readouterr()
+        with pytest.raises(IntegrationError) as exc:
+            sensitivity_of_peak_symptomatic(ranges, 3, 1, OUTBREAK, cfg)
+        assert str(exc.value) == f"sample 1: {outcomes[1]}"
+        assert len(forks) == 1
+        assert capfd.readouterr().err == ""
+
+    def test_killed_sweep_raises_and_the_cli_exits_2(
+        self, tmp_path, monkeypatch, capsys, forks
+    ):
+        parent, peaks = os.getpid(), sensitivity._peak_symptomatic
+
+        def killed(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return peaks(*args)
+
+        monkeypatch.setattr(sensitivity, "_peak_symptomatic", killed)
+        with pytest.raises(ChildProcessError,
+                           match=f"^the peak sweep process ended by "
+                                 f"signal {int(signal.SIGKILL)}$"):
+            sensitivity_of_peak_symptomatic(n=20, seed=5, base=OUTBREAK, cfg=SWEEP_CFG)
+        config = tmp_path / "run.cfg"
+        config.write_text("t_end = 2\n")
+        code = run_cli(["sensitivity", "--config", str(config), "--metric", "peak",
+                        "--samples", "20", "--out", str(tmp_path / "prcc.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: the peak sweep process ended by signal {int(signal.SIGKILL)}\n")
+        assert len(forks) == 2
+        assert not (tmp_path / "prcc.csv").exists()
+
+    def test_peaks_beyond_a_pipe_buffer(self, monkeypatch, forks):
+        # 9000 peaks are 72,000 bytes, more than a 64 KiB pipe holds:
+        # the child blocks on its write until this process reads.
+        cfg = SimConfig(t_end=1.0, dt=0.1)
+        assert cfg.n_steps() == 10
+
+        def deadlocked(signum, frame):
+            raise TimeoutError("the sweep process and this one wait on each other")
+
+        # A deadlock fails the test instead of hanging it; the alarm is
+        # not inherited by the child.
+        handler = signal.signal(signal.SIGALRM, deadlocked)
+        signal.alarm(60)
+        try:
+            ref = sensitivity_of_peak_symptomatic(n=9000, seed=2, base=OUTBREAK, cfg=cfg)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, handler)
+        assert len(forks) == 1
+        monkeypatch.delattr(os, "fork")
+        assert sensitivity_of_peak_symptomatic(
+            n=9000, seed=2, base=OUTBREAK, cfg=cfg) == ref
+
+
+@pytest.mark.parametrize("metric, model", [
+    ("peak", "rk4_peaks"), ("r0", "r0_closed_form"),
+])
+def test_too_few_samples_are_refused_before_any_run(
+    metric, model, tmp_path, monkeypatch, capsys, forks
+):
+    def never(*args):
+        raise AssertionError(f"{model} was called")
+
+    monkeypatch.setattr(sensitivity, model, never)
+    monkeypatch.setattr(sensitivity, "lhs_sample", never)
+    code = run_cli(["sensitivity", "--metric", metric, "--samples", "5",
+                    "--out", str(tmp_path / "prcc.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: need n > k + 1 samples for PRCC, got n=5, k=12\n")
+    assert forks == []
