@@ -40,9 +40,8 @@ from .model import (
     rate_coefficients,
     rates,
     rates_rows,
-    row_coefficients,
 )
-from .process import fork_child
+from .process import Child
 
 if TYPE_CHECKING:
     from numpy.random import Generator
@@ -251,7 +250,7 @@ class _PathChunk:
         self.lo, self.hi = lo, hi
         self.x = np.repeat(x0[:, None], n, axis=1)
         self.f = np.empty((6, n))
-        self.drift = rates_rows(row_coefficients(c, n), n)(self.x, self.f)
+        self.drift = rates_rows(c, n)(self.x, self.f)
         self.sig4 = np.repeat(np.array(sig[:4])[:, None], n, axis=1)
         self.sig_b = np.full(n, sig[4])
         self.dt = np.full((6, n), dt)
@@ -331,8 +330,8 @@ class _NoiseHelper:
     block; `close` kills and reaps it.
     """
 
-    def __init__(self, pid: int, ready: int, free: int, n_blocks: int):
-        self.pid, self.ready, self.free = pid, ready, free
+    def __init__(self, child: Child, ready: int, free: int, n_blocks: int):
+        self.child, self.ready, self.free = child, ready, free
         self.n_blocks = n_blocks
 
     @classmethod
@@ -343,7 +342,7 @@ class _NoiseHelper:
         ready_r, ready_w = os.pipe()
         free_r, free_w = os.pipe()
 
-        def body() -> int:
+        def body() -> None:
             # On a failure the main process sees only the closed pipe.
             os.close(ready_r)
             os.close(free_w)
@@ -355,16 +354,15 @@ class _NoiseHelper:
                     os.write(ready_w, b"\1")
             except BrokenPipeError:
                 pass
-            return 0
 
-        pid = fork_child(body)
-        if pid is None:
+        child = Child(body, "noise helper process")
+        if child.pid is None:
             for fd in (ready_r, ready_w, free_r, free_w):
                 os.close(fd)
             return None
         os.close(ready_w)
         os.close(free_r)
-        return cls(pid, ready_r, free_w, len(lengths))
+        return cls(child, ready_r, free_w, len(lengths))
 
     def wait(self) -> None:
         """Block until the helper has filled its part of the next block."""
@@ -383,15 +381,11 @@ class _NoiseHelper:
 
     def close(self) -> None:
         """Close both pipes, end the helper and reap it."""
-        import signal
-
         os.close(self.ready)
         os.close(self.free)
         # A process forked from this one during the run holds copies of
-        # the pipe ends, so the helper may never see EOF. Until it is
-        # reaped, its pid cannot name another process.
-        os.kill(self.pid, signal.SIGKILL)
-        os.waitpid(self.pid, 0)
+        # the pipe ends, so the helper may never see EOF.
+        self.child.kill()
 
 
 def integrate_sde(
@@ -644,7 +638,6 @@ def rk4_peaks(
     first such entry with that run's message, prefixed by "sample i: ".
     """
     (n,) = np.broadcast(*c).shape
-    rc = row_coefficients(c, n)
     dt = cfg.dt
     half = 0.5 * dt
     sixth = dt / 6.0
@@ -654,7 +647,7 @@ def rk4_peaks(
     x = np.repeat(init.as_array()[:, None], n, axis=1)
     peak = x[column].copy()
     k1, k2, k3, k4, xi = (np.empty((6, n)) for _ in range(5))
-    bind = rates_rows(rc, n)
+    bind = rates_rows(c, n)
     f1, f2, f3, f4 = bind(x, k1), bind(xi, k2), bind(xi, k3), bind(xi, k4)
     # Every operand is an array: a Python float costs each call more.
     half_a, dt_a, two, sixth_a = (np.full((6, n), v) for v in (half, dt, 2.0, sixth))

@@ -194,7 +194,7 @@ class RateCoefficients(NamedTuple):
 
     The composite rates are precomputed once per parameter set. Every
     field is a float for one parameter set, or an (n,) array holding n
-    parameter sets side by side (`row_coefficients` takes either).
+    parameter sets side by side (`rates_rows` takes either).
     """
 
     lambda_recruit: Any
@@ -273,56 +273,20 @@ def rates(s, e, i_s, i_a, r, b, c: RateCoefficients) -> tuple:
     )
 
 
-class RowCoefficients(NamedTuple):
-    """`RateCoefficients` grouped and broadcast for `rates_rows`.
-
-    Every field ends in an axis of length n, one entry per state column,
-    so that `rates_rows` multiplies arrays of one shape (numpy charges
-    more for broadcasting a (rows, 1) operand than for the product).
-    """
-
-    loss: np.ndarray    # (6, n): mu, sigma+mu, mu+d+gamma, mu+d+delta, mu, eps
-    direct: np.ndarray  # (2, n): beta_s, beta_a
-    prog: np.ndarray    # (2, n): nu*sigma, (1-nu)*sigma
-    gain: np.ndarray    # (2, 2, n): [[gamma, delta], [omega_s, omega_a]]
-    lambda_recruit: np.ndarray  # (n,)
-    beta_b: np.ndarray  # (n,)
-    k_half: np.ndarray  # (n,)
-
-
-def row_coefficients(c: RateCoefficients, n: int) -> RowCoefficients:
-    """`c` laid out for n state columns.
-
-    The fields of `c` are floats (one parameter set, shared by every
-    column) or (n,) arrays (parameter set i drives column i).
-    """
-    a = np.array(np.broadcast_arrays(*c, np.empty(n))[:-1], dtype=float)
-    i = RateCoefficients._fields.index
-    return RowCoefficients(
-        loss=a[[i("mu"), i("out_e"), i("out_s"), i("out_a"), i("mu"), i("eps_decay")]],
-        direct=a[[i("beta_s"), i("beta_a")]],
-        prog=a[[i("prog_s"), i("prog_a")]],
-        gain=a[[[i("gamma_rem"), i("delta_rem")], [i("omega_s"), i("omega_a")]]],
-        lambda_recruit=a[i("lambda_recruit")],
-        beta_b=a[i("beta_b")],
-        k_half=a[i("k_half")],
-    )
-
-
 def rates_rows(
-    k: RowCoefficients, n: int
+    c: RateCoefficients, n: int
 ) -> Callable[[np.ndarray, np.ndarray], Callable[[], np.ndarray]]:
     """`rates` on stacked (6, n) states, rows in COMPARTMENTS order.
 
-    The array definition of the drift: column i is a state driven by
-    parameter set i of `k` (see `row_coefficients`). Returns `bind`, and
-    `bind(x, out)` returns `drift()`, which writes the (6, n) drift at
-    the current contents of the buffer x into the buffer out (the two
-    must not overlap) and returns out. The temporaries are allocated
-    here and the row views in `bind`, so a call of `drift` is a fixed
-    sequence of whole-array ufunc calls. Every function bound by one
-    `rates_rows` call shares its temporaries, so they must not run at
-    the same time.
+    The array definition of the drift. The fields of `c` are floats (one
+    parameter set, shared by every column) or (n,) arrays (parameter set
+    i drives column i). Returns `bind`, and `bind(x, out)` returns
+    `drift()`, which writes the (6, n) drift at the current contents of
+    the buffer x into the buffer out (the two must not overlap) and
+    returns out. The temporaries are allocated here and the row views in
+    `bind`, so a call of `drift` is a fixed sequence of whole-array
+    ufunc calls. Every function bound by one `rates_rows` call shares
+    its temporaries, so they must not run at the same time.
 
     Products of one shape are grouped into one call across compartments
     (the six loss terms, the two direct routes, the two progressions,
@@ -332,7 +296,17 @@ def rates_rows(
     so each column equals `rates` of that column bit for bit.
     """
     add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
-    k_loss, k_direct, k_prog, k_gain, k_lam, k_bb, k_half = k
+    # Every coefficient is broadcast to an axis of length n, so each
+    # product is of arrays of one shape (numpy charges more for
+    # broadcasting a (rows, 1) operand than for the product).
+    a = np.array(np.broadcast_arrays(*c, np.empty(n))[:-1], dtype=float)
+    i = RateCoefficients._fields.index
+    # (6, n): mu, sigma+mu, mu+d+gamma, mu+d+delta, mu, eps
+    k_loss = a[[i("mu"), i("out_e"), i("out_s"), i("out_a"), i("mu"), i("eps_decay")]]
+    k_direct = a[[i("beta_s"), i("beta_a")]]
+    k_prog = a[[i("prog_s"), i("prog_a")]]
+    k_gain = a[[[i("gamma_rem"), i("delta_rem")], [i("omega_s"), i("omega_a")]]]
+    k_lam, k_bb, k_half = a[i("lambda_recruit")], a[i("beta_b")], a[i("k_half")]
     loss = np.empty((6, n))
     n_live = np.empty(n)
     zero = np.zeros(n)

@@ -10,15 +10,17 @@ chunks of _CHUNK_ROWS instead of holding the whole file as lines.
 The row writers, `write_csv_rows` (and so `write_trajectory_csv`),
 `write_ensemble_csv` and `write_trajectory_svg`, whose six polylines
 are 6 * n rows of one point each, go through `_write_rows`: a file of
-at least 2 * _CHUNK_ROWS rows is cut into contiguous row ranges, one
-per usable CPU, formatted at once by forked children and appended in
-row order, so the bytes are those of one process writing every row.
+at least the writer's `_SPLIT_*_ROWS` rows is cut into contiguous row
+ranges, up to one per usable CPU, formatted at once by forked children
+and appended in row order, so the bytes are those of one process
+writing every row.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
+from contextlib import ExitStack
 from typing import Callable
 
 import numpy as np
@@ -26,7 +28,7 @@ import numpy as np
 from .ensemble import EnsembleSummary
 from .integrate import Trajectory
 from .model import COMPARTMENTS
-from .process import fork_child
+from .process import Child
 from .sensitivity import SensitivityReport
 
 TRAJECTORY_HEADER = "t,S,E,I_s,I_a,R,B"
@@ -37,6 +39,12 @@ SENSITIVITY_HEADER = "parameter,prcc,p_value,significant"
 # (6144 lines) format to a few MB of strings; at 4096 they set the peak
 # RSS of the default `ensemble` run.
 _CHUNK_ROWS = 1024
+
+# Rows from which each writer formats on more than one process, its
+# measured break-even (see `_split_count`).
+_SPLIT_TRAJECTORY_ROWS = 10_000
+_SPLIT_ENSEMBLE_ROWS = 768
+_SPLIT_SVG_ROWS = 6 * 10_000  # six polylines of 10,000 points
 
 
 def fmt_float(x: float) -> str:
@@ -55,28 +63,29 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _split_count(fh, n: int) -> int:
-    """How many processes format the n rows that go to `fh`.
+def _split_count(fh, n: int, split_rows: int) -> int:
+    """How many processes format the n rows that go to `fh`: one under
+    `split_rows`, else min(usable CPUs, 2 * n // split_rows), so every
+    range has at least split_rows / 2 rows. A file whose `fh` has no
+    file descriptor to append a child's text to is written here alone.
 
-    A formatter child costs this process a fork and a reap, 2.0-3.7 ms
-    with herdflu loaded (2-vCPU Xeon), and the copy of its text; one
-    _CHUNK_ROWS chunk of CSV takes at least 8-9 ms to format (a
-    trajectory chunk of 7 floats a row; an ensemble chunk of 31 takes
-    ~4x that). So every range gets at least one whole chunk:
-    k = min(usable CPUs, n // _CHUNK_ROWS), and a file under
-    2 * _CHUNK_ROWS rows, such as a 64-row `--paths-out` block, is
-    written here alone. So is one whose `fh` has no file descriptor to
-    append a child's text to. A trajectory SVG chunk (1024 points) takes
-    only ~0.4 ms, so an SVG of under ~7,000 points that splits (from
-    342 points on) pays 4-5 ms more for its fork than it saves.
+    A formatter child costs its writer 7-9 ms: the fork and reap (2-3
+    ms with herdflu loaded), copy-on-write faults and the copy of its
+    text, measured with both processes pinned to one CPU (2-vCPU Xeon
+    VM). It saves half the formatting only when the host runs it on the
+    second vCPU, which the host did not always do. Splitting in two won
+    about 9 in 10 of 52-98 alternating pairs per size from 10,000
+    trajectory CSV rows (7 floats a row; 77% at 5,001), 10,000 SVG
+    points (68% at 5,001) and 768 ensemble rows (31 floats a row; 71%
+    at 512), the three `_SPLIT_*_ROWS`.
     """
-    if n < 2 * _CHUNK_ROWS:
+    if n < split_rows:
         return 1
     try:
         fh.fileno()
     except (AttributeError, OSError):
         return 1
-    return min(_usable_cpus(), n // _CHUNK_ROWS)
+    return min(_usable_cpus(), 2 * n // split_rows)
 
 
 def _append_file(fh, src) -> None:
@@ -92,68 +101,48 @@ def _append_file(fh, src) -> None:
         offset += sent
 
 
-def _write_rows(fh, n: int, fmt: Callable[[int, int], str], kind: str = "CSV") -> None:
+def _write_rows(fh, n: int, fmt: Callable[[int, int], str], kind: str,
+                split_rows: int) -> None:
     """Write rows [0, n) to the text file `fh`, `fmt(a, b)` being the
-    text of rows [a, b), on up to `_split_count(fh, n)` processes.
+    text of rows [a, b), on `_split_count(fh, n, split_rows)` processes.
 
     The rows are cut into k contiguous ranges. For ranges 1 to k - 1
-    this process forks a child (see `process.fork_child`) that formats
-    its range _CHUNK_ROWS rows at a time into its own unnamed temporary
-    file, made before the fork, so nothing is left on disk if the child
-    is killed. Meanwhile this process formats range 0 into `fh`, then
-    reaps each child in order and appends its file with `os.sendfile`,
-    so its own peak memory is that of formatting one chunk. A range
-    whose fork was refused is formatted here, in its turn. Children
-    write UTF-8 with LF line ends, as the writers open `fh`.
+    this process starts a `process.Child` that formats its range
+    _CHUNK_ROWS rows at a time into its own unnamed temporary file, made
+    before the fork, so nothing is left on disk if the child is killed.
+    Meanwhile this process formats range 0 into `fh`, then joins each
+    child in order and appends its file with `os.sendfile`, so its own
+    peak memory is that of formatting one chunk. Children write UTF-8
+    with LF line ends, as the writers open `fh`.
 
     A child that fails or is killed raises ChildProcessError, which
     names the file `kind` ("CSV", "SVG") and the child's rows. On any
-    way out of this function every child still running is killed and
-    reaped.
+    way out of this function every child still running is killed.
     """
 
     def format_range(write, a: int, b: int) -> None:
         for c in range(a, b, _CHUNK_ROWS):
             write(fmt(c, min(c + _CHUNK_ROWS, b)))
 
-    k = _split_count(fh, n)
+    k = _split_count(fh, n, split_rows)
     bounds = [n * i // k for i in range(k + 1)]
-    # [pid or None, temporary file, a, b] of ranges 1 to k - 1.
-    children = []
-    try:
+    with ExitStack() as stack:
+        children = []
         for a, b in zip(bounds[1:-1], bounds[2:]):
-            tmp = tempfile.TemporaryFile()
-            children.append([None, tmp, a, b])
+            tmp = stack.enter_context(tempfile.TemporaryFile())
 
-            def body(tmp=tmp, a=a, b=b) -> int:
+            def body(tmp=tmp, a=a, b=b) -> None:
                 with open(tmp.fileno(), "w", encoding="utf-8", newline="\n",
                           closefd=False) as out:
                     format_range(out.write, a, b)
-                return 0
 
-            children[-1][0] = fork_child(body)
+            child = Child(body, f"{kind} formatter process of rows {a} to {b - 1}")
+            stack.callback(child.kill)
+            children.append((child, tmp))
         format_range(fh.write, 0, bounds[1])
-        for child in children:
-            pid, tmp, a, b = child
-            if pid is None:
-                format_range(fh.write, a, b)
-                continue
-            status = os.waitpid(pid, 0)[1]
-            child[0] = None
-            code = os.waitstatus_to_exitcode(status)
-            if code:
-                how = f"signal {-code}" if code < 0 else f"exit status {code}"
-                raise ChildProcessError(
-                    f"the {kind} formatter process of rows {a} to {b - 1} ended by {how}")
+        for child, tmp in children:
+            child.join()
             _append_file(fh, tmp)
-    finally:
-        for pid, tmp, _, _ in children:
-            if pid is not None:
-                import signal
-
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            tmp.close()
 
 
 def write_csv_rows(fh, data: np.ndarray) -> None:
@@ -164,7 +153,7 @@ def write_csv_rows(fh, data: np.ndarray) -> None:
     def fmt(a: int, b: int) -> str:
         return "".join([fmt_row(row) + "\n" for row in data[a:b].tolist()])
 
-    _write_rows(fh, len(data), fmt)
+    _write_rows(fh, len(data), fmt, "CSV", _SPLIT_TRAJECTORY_ROWS)
 
 
 def write_trajectory_csv(traj: Trajectory, path: str) -> None:
@@ -224,7 +213,7 @@ def write_ensemble_csv(summary: EnsembleSummary, path: str) -> None:
 
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(ENSEMBLE_HEADER + "\n")
-        _write_rows(fh, len(summary.times), fmt)
+        _write_rows(fh, len(summary.times), fmt, "CSV", _SPLIT_ENSEMBLE_ROWS)
 
 
 def read_ensemble_csv(path: str) -> dict[str, np.ndarray]:
@@ -337,7 +326,7 @@ def write_trajectory_svg(traj: Trajectory, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_svg_head(w, h))
         fh.write("\n".join(axes) + "\n")
-        _write_rows(fh, len(COMPARTMENTS) * n, fmt, "SVG")
+        _write_rows(fh, len(COMPARTMENTS) * n, fmt, "SVG", _SPLIT_SVG_ROWS)
         fh.write("</svg>\n")
 
 

@@ -3,8 +3,11 @@
 The ensemble engine forks a noise helper (`integrate._NoiseHelper`),
 the CSV and trajectory SVG writers fork row formatters
 (`output._write_rows`) and the PRCC peak sweep runs in a child
-(`sensitivity._peaks_beside_import`). All start their children through
-`fork_child`, the one call of `os.fork` in the package.
+(`sensitivity._peaks_beside_import`). Each is a `Child`: it is started
+through `fork_child`, the one call of `os.fork` in the package, and
+reaped, killed and reported only here. The formatters and the sweep
+send their results through an unnamed temporary file made before the
+fork; the noise helper through pipes and a shared mapping.
 """
 
 from __future__ import annotations
@@ -16,14 +19,13 @@ import warnings
 from typing import Callable
 
 
-def fork_child(body: Callable[[], int]) -> int | None:
-    """Fork a child that runs `body` and exits with its return value;
-    return the child's pid, or None if this process does not fork.
+def fork_child(body: Callable[[], None]) -> int | None:
+    """Fork a child that runs `body` and exits 0; return the child's
+    pid, or None if this process does not fork.
 
     There is no fork without `os.fork`, while another Python thread runs
     (it could hold a lock that the child then never sees released), or
-    when fork raises OSError. The caller then does the child's work
-    itself and releases what it made for the child.
+    when fork raises OSError.
 
     The child leaves through os._exit whatever happens: an exception
     prints its traceback and exits 1, and so does SIGINT, without the
@@ -48,7 +50,8 @@ def fork_child(body: Callable[[], int]) -> int | None:
         return pid
     code = 1
     try:
-        code = body()
+        body()
+        code = 0
     except Exception:
         # The parent sees only the exit status.
         import traceback
@@ -57,3 +60,41 @@ def fork_child(body: Callable[[], int]) -> int | None:
         sys.stderr.flush()
     finally:
         os._exit(code)
+
+
+class Child:
+    """`body` run in a forked child (see `fork_child`), named `name` in
+    the error that reports its failure.
+
+    `pid` is the child's pid until it is reaped, and None if this
+    process did not fork; `body` then runs here, at `join`. A caller
+    that cannot run `body` here checks `pid` right after the start.
+    """
+
+    def __init__(self, body: Callable[[], None], name: str):
+        self.body, self.name = body, name
+        self.pid = fork_child(body)
+
+    def join(self) -> None:
+        """Reap the child; ChildProcessError ("the <name> ended by exit
+        status N" or "... by signal N") unless it exited 0. Without a
+        fork, run `body` in this process. Call it once."""
+        if self.pid is None:
+            self.body()
+            return
+        status = os.waitpid(self.pid, 0)[1]
+        self.pid = None
+        code = os.waitstatus_to_exitcode(status)
+        if code:
+            how = f"signal {-code}" if code < 0 else f"exit status {code}"
+            raise ChildProcessError(f"the {self.name} ended by {how}")
+
+    def kill(self) -> None:
+        """SIGKILL and reap a child not yet joined; nothing otherwise.
+        Until it is reaped, its pid cannot name another process."""
+        if self.pid is not None:
+            import signal
+
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None

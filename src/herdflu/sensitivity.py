@@ -20,7 +20,7 @@ controlled parameters.
 from __future__ import annotations
 
 import math
-import os
+import tempfile
 from dataclasses import dataclass, fields, replace
 from types import SimpleNamespace
 
@@ -39,7 +39,7 @@ from .model import (
     r0_closed_form,
     rate_coefficients,
 )
-from .process import fork_child
+from .process import Child
 
 ALPHA = 0.05  # two-sided significance level
 
@@ -310,62 +310,41 @@ def sensitivity_of_peak_symptomatic(
     return prcc(samples, outputs, names=ranges.names, seed=seed)
 
 
-# The exit status of a sweep child whose run raised IntegrationError;
-# it sends the message instead of the peaks.
-_INTEGRATION_FAILED = 3
-
-
 def _peaks_beside_import(
     params: list[ModelParams], init: HerdState, cfg: SimConfig
 ) -> np.ndarray:
-    """`_peak_symptomatic(params, init, cfg)`, run in a forked child (see
-    `process.fork_child`) while this process imports `scipy.special`,
-    a quarter to a third of a second that `prcc` pays anyway.
+    """`_peak_symptomatic(params, init, cfg)`, run in a forked child (a
+    `process.Child`) while this process imports `scipy.special`, a
+    quarter to a third of a second that `prcc` pays anyway.
 
-    The child sends the peaks' bytes down a pipe, or the message of an
-    IntegrationError, which is raised here as it is. This process reads
-    to EOF before it reaps the child: the peaks of 10,000 samples are
-    more than a pipe buffer holds. A child that ends otherwise raises
-    ChildProcessError; on any way out the child is killed and reaped.
-    Without a fork the sweep runs in this process.
+    The child writes to an unnamed temporary file, made before the fork,
+    a tag byte and then the peaks' bytes, or the message of an
+    IntegrationError, which is raised here as it is. A child that ends
+    otherwise raises ChildProcessError; on any way out the child is
+    killed and reaped. Without a fork the sweep runs in this process.
     """
-    r, w = os.pipe()
+    with tempfile.TemporaryFile() as tmp:
 
-    def body() -> int:
-        os.close(r)
-        with open(w, "wb") as out:
-            try:
-                peaks = _peak_symptomatic(params, init, cfg)
-            except IntegrationError as exc:
-                out.write(str(exc).encode())
-                return _INTEGRATION_FAILED
-            out.write(peaks.tobytes())
-        return 0
+        def body() -> None:
+            with open(tmp.fileno(), "wb", closefd=False) as out:
+                try:
+                    peaks = _peak_symptomatic(params, init, cfg)
+                except IntegrationError as exc:
+                    out.write(b"E" + str(exc).encode())
+                else:
+                    out.write(b"P" + peaks.tobytes())
 
-    pid = fork_child(body)
-    if pid is None:
-        os.close(r)
-        os.close(w)
-        return _peak_symptomatic(params, init, cfg)
-    os.close(w)
-    try:
-        with open(r, "rb") as src:
+        child = Child(body, "peak sweep process")
+        try:
             import scipy.special  # noqa: F401
 
-            data = src.read()
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        pid = None
-    finally:
-        if pid is not None:
-            import signal
-
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    if code == _INTEGRATION_FAILED:
+            child.join()
+        finally:
+            child.kill()
+        tmp.seek(0)
+        tag, data = tmp.read(1), tmp.read()
+    if tag == b"E":
         raise IntegrationError(data.decode())
-    if code:
-        how = f"signal {-code}" if code < 0 else f"exit status {code}"
-        raise ChildProcessError(f"the peak sweep process ended by {how}")
     return np.frombuffer(data)
 
 

@@ -404,19 +404,26 @@ def test_commands_without_noise_leave_out_numpy_random_and_thread_pool(argv, tmp
 
 def test_every_fork_goes_through_fork_child():
     # process.fork_child holds the fork policy: no fork beside another
-    # thread, os._exit from the child. A call of os.fork elsewhere in the
-    # package would bypass it.
+    # thread, os._exit from the child. process.Child alone reaps, kills
+    # and reports a child. A call of os.fork, os.wait*, os.kill or
+    # os.killpg elsewhere in the package would bypass them.
     import herdflu
+
+    def lifecycle(name: str) -> bool:
+        return name.startswith(("fork", "wait", "kill"))
 
     package = pathlib.Path(herdflu.__file__).parent
     sites = []
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if (isinstance(node, ast.Attribute) and node.attr.startswith("fork")
+            if (isinstance(node, ast.Attribute) and lifecycle(node.attr)
                     and isinstance(node.value, ast.Name)
                     and node.value.id in ("os", "posix")):
-                sites.append(path.name)
+                sites.append((path.name, node.attr))
             elif isinstance(node, ast.ImportFrom) and node.module in ("os", "posix"):
-                if any(a.name.startswith("fork") for a in node.names):
-                    sites.append(path.name)
-    assert sites == ["process.py"]
+                sites += [(path.name, a.name) for a in node.names if lifecycle(a.name)]
+    assert sorted(set(sites)) == [
+        ("process.py", "fork"), ("process.py", "kill"), ("process.py", "waitpid"),
+        ("process.py", "waitstatus_to_exitcode"),
+    ]
+    assert sites.count(("process.py", "fork")) == 1

@@ -340,7 +340,7 @@ def forks(monkeypatch):
     def counting_fork(cls, *args):
         helper = fork(cls, *args)
         if helper is not None:
-            pids.append(helper.pid)
+            pids.append(helper.child.pid)
         return helper
 
     monkeypatch.setattr(integrate._NoiseHelper, "fork", classmethod(counting_fork))

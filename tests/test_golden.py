@@ -23,8 +23,8 @@ SHORT = "t_end = 5\n"
 CLAMPED = "t_end = 20\nn_paths = 30\nseed = 12\n" + "".join(
     f"{k} = 3\n" for k in ("sig_s", "sig_e", "sig_is", "sig_ia", "sig_b")
 )
-# 5001 recorded times: with more than one usable CPU, both trajectory
-# writers split their rows over forked formatters.
+# 5001 recorded times, under the trajectory writers' split size: one
+# process writes them (tests/test_output.py checks the split bytes).
 ENDEMIC = "beta_a = 0.46665\nt_end = 50\n"
 # 5001 recorded times, enough for the CSV writer to split the rows over
 # forked formatters.

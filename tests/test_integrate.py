@@ -25,7 +25,7 @@ from herdflu import (
 )
 from herdflu import integrate
 from herdflu.integrate import _PathChunk
-from herdflu.model import rate_coefficients, rates_rows, row_coefficients
+from herdflu.model import rate_coefficients, rates_rows
 from herdflu.output import write_trajectory_csv
 
 ZERO_NOISE = NoiseIntensities(0.0, 0.0, 0.0, 0.0, 0.0)
@@ -314,7 +314,7 @@ class TestBatchEngine:
         x = rng.uniform(0.0, 4000.0, size=(6, 64))
         x[:5, :3] = 0.0  # empty herds take the N = 0 branch
         c = rate_coefficients(BASELINE_PARAMS)
-        out = rates_rows(row_coefficients(c, 64), 64)(x, np.empty_like(x))()
+        out = rates_rows(c, 64)(x, np.empty_like(x))()
         for i in range(64):
             row = drift(HerdState.from_array(x[:, i]), BASELINE_PARAMS)
             assert np.array_equal(out[:, i], row)

@@ -21,7 +21,7 @@ from herdflu import (
     r0_spectral,
     total_population,
 )
-from herdflu.model import rate_coefficients, rates, rates_rows, row_coefficients
+from herdflu.model import rate_coefficients, rates, rates_rows
 
 # Rational-arithmetic evaluations of the closed form, frozen.
 R0_BASELINE = 0.047240362811791385
@@ -245,8 +245,8 @@ class TestRatesRows:
         x[:, 10] = rng.uniform(-50.0, 50.0, size=6)  # RK4 stages go negative
         return x
 
-    def check(self, x, k, coeffs):
-        out = rates_rows(k, x.shape[1])(x, np.full_like(x, np.nan))()
+    def check(self, x, c, coeffs):
+        out = rates_rows(c, x.shape[1])(x, np.full_like(x, np.nan))()
         for i in range(x.shape[1]):
             ref = np.array(rates(*x[:, i].tolist(), coeffs(i)))
             assert out[:, i].tobytes() == ref.tobytes(), i
@@ -255,7 +255,7 @@ class TestRatesRows:
         rng = np.random.default_rng(31)
         x = self.states(rng, 40)
         c = rate_coefficients(BASELINE_PARAMS)
-        self.check(x, row_coefficients(c, 40), lambda i: c)
+        self.check(x, c, lambda i: c)
 
     def test_one_parameter_set_per_column(self):
         rng = np.random.default_rng(32)
@@ -266,7 +266,7 @@ class TestRatesRows:
             for f in fields(ModelParams)
         }))
         x = self.states(rng, 40)
-        self.check(x, row_coefficients(cols, 40), lambda i: cs[i])
+        self.check(x, cols, lambda i: cs[i])
 
     def test_bound_calls_on_alternating_buffers(self):
         # Two state buffers bound to one set of temporaries, called in
@@ -277,7 +277,7 @@ class TestRatesRows:
         rng = np.random.default_rng(33)
         n = 40
         c = rate_coefficients(BASELINE_PARAMS)
-        bind = rates_rows(row_coefficients(c, n), n)
+        bind = rates_rows(c, n)
         bufs = [(np.empty((6, n)), np.full((6, n), np.nan)) for _ in range(2)]
         drifts = [bind(x, out) for x, out in bufs]
         for call in range(8):

@@ -101,6 +101,15 @@ def test_readers_reject_another_header(tmp_path):
 # The row splitter: forked formatters give the bytes of one process.
 
 SMALL_CHUNK = 4
+# Rows from which every writer splits in these tests; ranges then hold
+# at least SMALL_SPLIT / 2 rows, one whole chunk.
+SMALL_SPLIT = 2 * SMALL_CHUNK
+
+
+def _split_small(monkeypatch) -> None:
+    monkeypatch.setattr(output, "_CHUNK_ROWS", SMALL_CHUNK)
+    for name in ("_SPLIT_TRAJECTORY_ROWS", "_SPLIT_ENSEMBLE_ROWS", "_SPLIT_SVG_ROWS"):
+        monkeypatch.setattr(output, name, SMALL_SPLIT)
 
 
 @pytest.fixture
@@ -139,10 +148,9 @@ def _written(tmp_path, n: int, tag: str) -> tuple[bytes, bytes]:
     return rows.read_bytes(), ens.read_bytes()
 
 
-@pytest.mark.parametrize("n", [0, 1, 2 * SMALL_CHUNK - 1, 2 * SMALL_CHUNK,
-                               2 * SMALL_CHUNK + 1, 29])
+@pytest.mark.parametrize("n", [0, 1, SMALL_SPLIT - 1, SMALL_SPLIT, SMALL_SPLIT + 1, 29])
 def test_split_gives_the_bytes_of_one_process(n, tmp_path, monkeypatch, forks):
-    monkeypatch.setattr(output, "_CHUNK_ROWS", SMALL_CHUNK)
+    _split_small(monkeypatch)
     monkeypatch.setattr(output, "_usable_cpus", lambda: 1)
     ref = _written(tmp_path, n, "serial")
     assert forks == []
@@ -155,7 +163,7 @@ def test_split_gives_the_bytes_of_one_process(n, tmp_path, monkeypatch, forks):
         monkeypatch.setattr(output, "_usable_cpus", lambda cpus=cpus: cpus)
         del forks[:]
         assert _written(tmp_path, n, f"cpus{cpus}") == ref, cpus
-        k = min(cpus, n // SMALL_CHUNK) if n >= 2 * SMALL_CHUNK else 1
+        k = min(cpus, 2 * n // SMALL_SPLIT) if n >= SMALL_SPLIT else 1
         # Two writers, k - 1 children each.
         assert len(forks) == 2 * (k - 1), cpus
 
@@ -163,7 +171,7 @@ def test_split_gives_the_bytes_of_one_process(n, tmp_path, monkeypatch, forks):
 def test_paths_out_blocks_never_fork(tmp_path, monkeypatch, forks):
     # An engine block is below the threshold whatever the CPU count.
     monkeypatch.setattr(output, "_usable_cpus", lambda: 64)
-    assert integrate._BLOCK_STEPS < 2 * output._CHUNK_ROWS
+    assert integrate._BLOCK_STEPS < output._SPLIT_TRAJECTORY_ROWS
     write_csv_rows(io.StringIO(), np.zeros((integrate._BLOCK_STEPS, 7)))
     with open(tmp_path / "block.csv", "w") as fh:
         write_csv_rows(fh, np.zeros((integrate._BLOCK_STEPS, 7)))
@@ -179,7 +187,7 @@ def test_paths_out_blocks_never_fork(tmp_path, monkeypatch, forks):
 
 
 def test_fallbacks_give_the_same_bytes(tmp_path, monkeypatch, forks):
-    monkeypatch.setattr(output, "_CHUNK_ROWS", SMALL_CHUNK)
+    _split_small(monkeypatch)
     monkeypatch.setattr(output, "_usable_cpus", lambda: 3)
     ref = _written(tmp_path, 29, "split")
     assert len(forks) == 4
@@ -223,7 +231,7 @@ def _break_children(monkeypatch, failure: str) -> None:
             raise KeyError("no text")
         return fmt_row(row)
 
-    monkeypatch.setattr(output, "_CHUNK_ROWS", SMALL_CHUNK)
+    _split_small(monkeypatch)
     monkeypatch.setattr(output, "_usable_cpus", lambda: 3)
     monkeypatch.setattr(output, "fmt_row", broken)
 
@@ -268,7 +276,7 @@ def test_interrupt_in_the_main_process_ends_every_formatter(
     # The children block on a pipe that nobody writes; the main process
     # is interrupted while it formats range 0. The autouse fixture
     # checks that both children were killed and reaped.
-    monkeypatch.setattr(output, "_CHUNK_ROWS", SMALL_CHUNK)
+    _split_small(monkeypatch)
     monkeypatch.setattr(output, "_usable_cpus", lambda: 3)
     hold_r, hold_w = os.pipe()
     parent, fmt_row = os.getpid(), output.fmt_row
@@ -334,7 +342,7 @@ def _svg(tmp_path, traj, tag: str) -> bytes:
 
 
 def test_svg_split_gives_the_bytes_of_one_process(tmp_path, monkeypatch, forks):
-    monkeypatch.setattr(output, "_CHUNK_ROWS", SMALL_CHUNK)
+    _split_small(monkeypatch)
     starts = set()
     for n in (1, 7, 11):
         traj = _trajectory(n)
@@ -349,7 +357,7 @@ def test_svg_split_gives_the_bytes_of_one_process(tmp_path, monkeypatch, forks):
             del forks[:]
             assert _svg(tmp_path, traj, f"{n}_{cpus}") == ref, (n, cpus)
             with open(tmp_path / "probe", "w") as fh:
-                k = output._split_count(fh, 6 * n)
+                k = output._split_count(fh, 6 * n, SMALL_SPLIT)
             assert len(forks) == k - 1, (n, cpus)
             starts |= {(6 * n * i // k) % n == 0 for i in range(1, k)}
     # Some ranges start on the first point of a polyline, some inside one.
@@ -357,7 +365,7 @@ def test_svg_split_gives_the_bytes_of_one_process(tmp_path, monkeypatch, forks):
 
 
 def test_svg_fallbacks_give_the_same_bytes(tmp_path, monkeypatch, forks):
-    monkeypatch.setattr(output, "_CHUNK_ROWS", SMALL_CHUNK)
+    _split_small(monkeypatch)
     monkeypatch.setattr(output, "_usable_cpus", lambda: 3)
     traj = _trajectory(7)
     ref = _svg(tmp_path, traj, "split")
@@ -386,7 +394,7 @@ def test_svg_fallbacks_give_the_same_bytes(tmp_path, monkeypatch, forks):
 
 
 def test_failing_svg_formatter_names_the_svg(tmp_path, monkeypatch, forks):
-    monkeypatch.setattr(output, "_CHUNK_ROWS", SMALL_CHUNK)
+    _split_small(monkeypatch)
     monkeypatch.setattr(output, "_usable_cpus", lambda: 3)
     parent = os.getpid()
 
@@ -399,5 +407,22 @@ def test_failing_svg_formatter_names_the_svg(tmp_path, monkeypatch, forks):
                        match="^the SVG formatter process of rows 9 to 18 "
                              "ended by exit status 1$"):
         with open(tmp_path / "plot.svg", "w") as fh:
-            output._write_rows(fh, 29, fmt, "SVG")
+            output._write_rows(fh, 29, fmt, "SVG", SMALL_SPLIT)
     assert len(forks) == 2
+
+
+def test_each_writer_splits_from_its_own_break_even(tmp_path, monkeypatch, forks):
+    # On 2 CPUs a 5,001-point trajectory (the ENDEMIC grid) is written
+    # by one process, CSV and SVG; a 5,001-row ensemble summary and the
+    # default-grid files (50,001 recorded times) split in two.
+    monkeypatch.setattr(output, "_usable_cpus", lambda: 2)
+    traj = _trajectory(5001)
+    output.write_trajectory_csv(traj, str(tmp_path / "traj.csv"))
+    output.write_trajectory_svg(traj, str(tmp_path / "traj.svg"))
+    assert forks == []
+    write_ensemble_csv(_summary(5001), str(tmp_path / "summary.csv"))
+    assert len(forks) == 1
+    with open(tmp_path / "probe", "w") as fh:
+        assert output._split_count(fh, 50_001, output._SPLIT_TRAJECTORY_ROWS) == 2
+        assert output._split_count(fh, 50_001, output._SPLIT_ENSEMBLE_ROWS) == 2
+        assert output._split_count(fh, 6 * 50_001, output._SPLIT_SVG_ROWS) == 2

@@ -379,15 +379,15 @@ class TestForkedPeakSweep:
         assert not (tmp_path / "prcc.csv").exists()
 
     def test_peaks_beyond_a_pipe_buffer(self, monkeypatch, forks):
-        # 9000 peaks are 72,000 bytes, more than a 64 KiB pipe holds:
-        # the child blocks on its write until this process reads.
+        # 9000 peaks are 72,000 bytes, more than a 64 KiB pipe or a
+        # buffered write holds; they cross from the child whole.
         cfg = SimConfig(t_end=1.0, dt=0.1)
         assert cfg.n_steps() == 10
 
         def deadlocked(signum, frame):
             raise TimeoutError("the sweep process and this one wait on each other")
 
-        # A deadlock fails the test instead of hanging it; the alarm is
+        # A hang fails the test instead of stalling it; the alarm is
         # not inherited by the child.
         handler = signal.signal(signal.SIGALRM, deadlocked)
         signal.alarm(60)
