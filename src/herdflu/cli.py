@@ -10,6 +10,9 @@ Five subcommands tie the library into reproducible experiments:
     herdflu sensitivity --out P [--config F] [--ranges G] [--samples N]
                         [--seed N] [--metric r0|peak] [--svg P]
 
+`--threads N` is validated (N >= 1) and has no effect: one process
+steps every path.
+
 Exit status is 0 on success, 1 on a usage error, 2 on a numeric or
 validation failure; diagnostics go to stderr. All file outputs are
 deterministic functions of the config and seed, so identical
@@ -157,8 +160,7 @@ def _cmd_ensemble(args, rc: RunConfig) -> int:
     if args.paths_out:
         on_block = _path_csv_writer(args.paths_out, n_paths)
     summary = run_ensemble(
-        rc.params, rc.noise, rc.init, rc.sim, n_paths, seed,
-        threads=args.threads, on_block=on_block,
+        rc.params, rc.noise, rc.init, rc.sim, n_paths, seed, on_block=on_block,
     )
     write_ensemble_csv(summary, args.out)
     return 0
@@ -216,8 +218,8 @@ def _build_parser() -> _Parser:
     ps.add_argument("--seed", type=_seed, help="override config master seed")
     ps.add_argument(
         "--threads", type=_positive_int, default=1,
-        help="worker threads over the path axis (default 1); any value "
-        "gives identical bytes",
+        help="accepted and ignored (default 1): one process steps every "
+        "path",
     )
     ps.add_argument("--paths-out", help="directory for individual path CSVs")
     ps.set_defaults(func=_cmd_ensemble)

@@ -8,8 +8,7 @@ and quantile bands at once, along the path axis. The reducer adds one
 copy of a block's rows and lets the block go before the engine fills
 the next, so memory is one block in flight plus O(grid) for the output,
 instead of every trajectory. Because the reductions always see the
-same assembled block, serial and threaded execution and every block
-length produce identical bytes.
+same assembled block, every block length produces identical bytes.
 """
 
 from __future__ import annotations
@@ -123,6 +122,8 @@ def run_ensemble(
     `on_block`, if given, is called with every engine block
     `(times, states)` (see `iter_path_blocks`) before the reduction
     reorders it, so a caller can consume the paths of the same run.
+    `threads` is accepted and ignored: one process steps every path
+    (see README, `--threads`).
     """
     if not isinstance(n_paths, int) or n_paths < 1:
         raise ValueError(f"n_paths must be an integer >= 1, got {n_paths!r}")
@@ -137,7 +138,7 @@ def run_ensemble(
     q975 = np.empty((n_rec, 6))
 
     i = 0
-    it = iter_path_blocks(p, init, cfg, noise=n, streams=streams, threads=threads)
+    it = iter_path_blocks(p, init, cfg, noise=n, streams=streams)
     for t_blk, blk in it:
         j = i + len(blk)
         # Moments of the deviations from path 0, not of the raw values:
@@ -188,7 +189,6 @@ def extinction_fraction(
     master_seed: int,
     threshold: float = EXTINCTION_THRESHOLD,
     by_time: float | None = None,
-    threads: int = 1,
 ) -> float:
     """Fraction of paths extinct from `by_time` onwards.
 
@@ -215,7 +215,7 @@ def extinction_fraction(
         )
     streams = [NoiseStream(master_seed, i) for i in range(n_paths)]
     extinct = np.ones(n_paths, dtype=bool)
-    it = iter_path_blocks(p, init, cfg, noise=n, streams=streams, threads=threads)
+    it = iter_path_blocks(p, init, cfg, noise=n, streams=streams)
     for times, blk in it:
         # A block before the cut selects no rows, and all() of none is True.
         extinct &= (_infected_load(blk[times >= cut]) < threshold).all(axis=0)

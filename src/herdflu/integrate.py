@@ -236,7 +236,7 @@ def _finite_rows(
 
 
 class _PathChunk:
-    """Paths [lo, hi) of the engine with their state and buffers.
+    """All paths of the engine with their state and buffers.
 
     The state is stacked compartment-major, (6, paths), and updated in
     place. Coefficients, temporaries, the bound drift and the row views
@@ -245,9 +245,7 @@ class _PathChunk:
     """
 
     def __init__(self, x0: np.ndarray, sig: tuple, c: RateCoefficients,
-                 lo: int, hi: int, dt: float):
-        n = hi - lo
-        self.lo, self.hi = lo, hi
+                 n: int, dt: float):
         self.x = np.repeat(x0[:, None], n, axis=1)
         self.f = np.empty((6, n))
         self.drift = rates_rows(c, n)(self.x, self.f)
@@ -261,12 +259,11 @@ class _PathChunk:
     def advance(self, z: np.ndarray, rec: dict[int, int],
                 buf: np.ndarray | None) -> None:
         """Steps driven by z, the (steps, 5, n_paths) noise of every path;
-        after step s (from 1), writes row rec[s] into buf[:, lo:hi]."""
+        after step s (from 1), writes row rec[s] into buf."""
         add, multiply = np.add, np.multiply
         x, f, drift, dt, zero = self.x, self.f, self.drift, self.dt, self.zero
         x4, xb, t4, tb = x[:4], x[5], self.t4, self.tb
-        sig4, sig_b, lo, hi = self.sig4, self.sig_b, self.lo, self.hi
-        z = z[:, :, lo:hi]
+        sig4, sig_b = self.sig4, self.sig_b
         for s_off, (dw4, dwb) in enumerate(zip(z[:, :4], z[:, 4]), 1):
             # x <- x + f(x)*dt + (sig*x)*dW, the float path's operations
             # in its order, element by element; the noise terms are
@@ -283,7 +280,7 @@ class _PathChunk:
             np.maximum(x, zero, out=x)
             row = rec.get(s_off)
             if row is not None:
-                buf[row, lo:hi] = x.T
+                buf[row] = x.T
 
 
 def _helper_share(n_paths: int) -> int:
@@ -455,7 +452,6 @@ def iter_path_blocks(
     cfg: SimConfig,
     noise: NoiseIntensities,
     streams: Sequence[NoiseStream],
-    threads: int = 1,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Step-synchronous Euler-Maruyama engine behind the ensembles.
 
@@ -484,9 +480,6 @@ def iter_path_blocks(
 
     If a recorded state is non-finite, the rows before it are yielded
     as a shorter block and IntegrationError is raised.
-
-    Thread count only partitions the path axis, never the arithmetic,
-    so results are identical for every `threads` value.
     """
     if not streams:
         raise ValueError("stochastic runs need at least one NoiseStream")
@@ -500,12 +493,7 @@ def iter_path_blocks(
     recorded = cfg.recorded_steps()
     x0 = init.as_array()
 
-    threads = max(1, min(int(threads), n_paths))
-    bounds = np.linspace(0, n_paths, threads + 1).astype(int).tolist()
-    chunks = [
-        _PathChunk(x0, noise.as_tuple(), c, a, b, dt)
-        for a, b in zip(bounds[:-1], bounds[1:])
-    ]
+    chunk = _PathChunk(x0, noise.as_tuple(), c, n_paths, dt)
 
     w = _helper_share(n_paths) if n_steps > _BLOCK_STEPS else 0
     slots = _noise_ring(_BLOCK_STEPS, n_paths)
@@ -516,13 +504,8 @@ def iter_path_blocks(
         helper = _NoiseHelper.fork(slots, gens[:w], lengths, sqrt_dt)
         if helper is None:
             w = 0
-    pool = None
     try:
         yield np.zeros(1), np.tile(x0, (1, n_paths, 1))
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            pool = ThreadPoolExecutor(max_workers=threads)
         for j, k0 in enumerate(starts):
             m = min(_BLOCK_STEPS, n_steps - k0)
             z = slots[j % 2][:m]
@@ -533,21 +516,12 @@ def iter_path_blocks(
             ks = _block_steps(recorded, k0, m)
             rec = {o: row for row, o in enumerate((ks - k0).tolist())}
             buf = np.empty((len(ks), n_paths, 6)) if rec else None
-
-            def job(chunk: _PathChunk) -> None:
-                chunk.advance(z, rec, buf)
-
-            if pool is None:
-                job(chunks[0])
-            else:
-                list(pool.map(job, chunks))
+            chunk.advance(z, rec, buf)
             if helper is not None:
                 helper.release(j)
             if rec:
                 yield from _finite_rows(ks * dt, buf)
     finally:
-        if pool is not None:
-            pool.shutdown()
         if helper is not None:
             helper.close()
 
@@ -564,9 +538,10 @@ def iter_path_states(
 
     Yields (t, states) at every recorded time, `states` of shape
     (n_paths, 6). Yielded arrays are views into the engine's block
-    buffers; copy them to retain.
+    buffers; copy them to retain. `threads` is accepted and ignored:
+    one process steps every path (see README, `--threads`).
     """
-    for times, blk in iter_path_blocks(p, init, cfg, noise, streams, threads):
+    for times, blk in iter_path_blocks(p, init, cfg, noise, streams):
         yield from zip(times.tolist(), blk)
 
 

@@ -22,6 +22,7 @@ from herdflu import (
     SimConfig,
     default_init,
     integrate_ode,
+    iter_path_blocks,
     iter_path_states,
     r0_closed_form,
     r0_spectral,
@@ -30,6 +31,7 @@ from herdflu import (
     solve_endemic,
     wiener_increments,
 )
+from herdflu import integrate
 from herdflu.cli import run_cli
 from test_model import random_params
 
@@ -147,12 +149,13 @@ def test_c06_positivity_and_bounded_mean_population():
     cap = max(n0, p.lambda_recruit / p.mu)
     min_state = math.inf
     worst_excess = -math.inf
-    it = iter_path_states(p, init, cfg, noise=DEFAULT_NOISE, streams=streams, threads=4)
-    for _, slab in it:
-        min_state = min(min_state, float(slab.min()))
-        n = slab[:, :5].sum(axis=1)
-        se = float(n.std()) / math.sqrt(len(streams))
-        worst_excess = max(worst_excess, float(n.mean()) - (cap + 3.0 * se))
+    it = iter_path_blocks(p, init, cfg, noise=DEFAULT_NOISE, streams=streams)
+    for _, blk in it:
+        for slab in blk:
+            min_state = min(min_state, float(slab.min()))
+            n = slab[:, :5].sum(axis=1)
+            se = float(n.std()) / math.sqrt(len(streams))
+            worst_excess = max(worst_excess, float(n.mean()) - (cap + 3.0 * se))
     elapsed = time.perf_counter() - t0
     print(
         f"c06: min state {min_state:.3g}, worst mean-N excess "
@@ -226,7 +229,7 @@ def test_c09_noise_intensity_widens_the_ensemble():
         noise = NoiseIntensities(s, s, s, s, s)
         summ = run_ensemble(
             ENDEMIC_PARAMS, noise, eq.state, cfg,
-            n_paths=500, master_seed=0, threads=4,
+            n_paths=500, master_seed=0,
         )
         spread.append(float(summ.std[:, I_S].mean()))
     elapsed = time.perf_counter() - t0
@@ -238,10 +241,11 @@ def test_c09_noise_intensity_widens_the_ensemble():
     assert elapsed < 120.0
 
 
-def test_c10_reproducibility_bytes_and_parallel_agreement(tmp_path):
+def test_c10_reproducibility_bytes_and_parallel_agreement(tmp_path, monkeypatch):
     """Identical config + seed produce byte-identical CSVs through the
-    CLI, and a serial ensemble agrees with a threaded one to 1e-12
-    relative (they are in fact bit-identical)."""
+    CLI, whatever the inert `--threads` value, and an ensemble whose
+    noise the forked helper process draws agrees with one drawn in this
+    process alone to 1e-12 relative (they are in fact bit-identical)."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text("t_end = 2\ndt = 0.01\nn_paths = 8\nseed = 5\n")
     outs = [tmp_path / name for name in
@@ -257,21 +261,32 @@ def test_c10_reproducibility_bytes_and_parallel_agreement(tmp_path):
     assert outs[0].read_bytes() == outs[1].read_bytes()
     assert outs[2].read_bytes() == outs[3].read_bytes()
 
-    serial = run_ensemble(
-        BASELINE_PARAMS, DEFAULT_NOISE, default_init(BASELINE_PARAMS),
-        SimConfig(2.0, 0.01), n_paths=8, master_seed=5, threads=1,
-    )
-    threaded = run_ensemble(
-        BASELINE_PARAMS, DEFAULT_NOISE, default_init(BASELINE_PARAMS),
-        SimConfig(2.0, 0.01), n_paths=8, master_seed=5, threads=4,
-    )
+    def ensemble():
+        return run_ensemble(
+            BASELINE_PARAMS, DEFAULT_NOISE, default_init(BASELINE_PARAMS),
+            SimConfig(2.0, 0.01), n_paths=8, master_seed=5,
+        )
+
+    helpers = []
+    fork = integrate._NoiseHelper.fork.__func__
+
+    def counting_fork(cls, *args):
+        helpers.append(fork(cls, *args))
+        return helpers[-1]
+
+    monkeypatch.setattr(integrate._NoiseHelper, "fork", classmethod(counting_fork))
+    helper_on = ensemble()
+    assert len(helpers) == 1 and helpers[0] is not None
+    monkeypatch.setattr(integrate, "_helper_share", lambda n: 0)
+    helper_off = ensemble()
+    assert len(helpers) == 1
     fields = ("mean", "std", "q025", "q50", "q975")
     worst = 0.0
     for name in fields:
-        a = getattr(serial, name)
-        b = getattr(threaded, name)
+        a = getattr(helper_off, name)
+        b = getattr(helper_on, name)
         assert np.array_equal(a, b), name
         scale = np.maximum(np.abs(a), 1.0)
         worst = max(worst, float(np.max(np.abs(a - b) / scale)))
-    print(f"c10: identical CLI bytes; serial vs threaded relative gap {worst:.1e}")
+    print(f"c10: identical CLI bytes; helper on vs off relative gap {worst:.1e}")
     assert worst < 1e-12

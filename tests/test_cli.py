@@ -383,8 +383,9 @@ def test_commands_without_noise_or_prcc_leave_out_scipy_special(command, tmp_pat
 ])
 def test_commands_without_noise_leave_out_numpy_random_and_thread_pool(argv, tmp_path):
     # numpy.random is imported only where a noise stream or an LHS sample
-    # is built, and concurrent.futures only for more than one thread;
-    # `import herdflu.cli` and the commands without noise need neither.
+    # is built, and concurrent.futures never (see the ensemble case
+    # below); `import herdflu.cli` and the commands without noise need
+    # neither.
     cfg = tmp_path / "fast.cfg"
     cfg.write_text(FAST)
     run = ""
@@ -401,6 +402,26 @@ def test_commands_without_noise_leave_out_numpy_random_and_thread_pool(argv, tmp
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
 
+
+def test_ensemble_leaves_out_thread_pool(tmp_path):
+    # One process steps every path: `--threads` and the `threads`
+    # parameter are accepted and ignored, and no thread pool is loaded.
+    cfg = tmp_path / "fast.cfg"
+    cfg.write_text(FAST)
+    argv = ["ensemble", "--config", str(cfg), "--out", str(tmp_path / "s.csv"),
+            "--threads", "4"]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, herdflu, herdflu.cli; "
+         f"assert herdflu.cli.run_cli({argv!r}) == 0; "
+         "herdflu.run_ensemble(herdflu.BASELINE_PARAMS, herdflu.DEFAULT_NOISE, "
+         "herdflu.default_init(herdflu.BASELINE_PARAMS), "
+         "herdflu.SimConfig(2.0, 0.01), 8, 5, threads=4); "
+         "print(sorted(m for m in sys.modules if m.startswith('concurrent')))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 def test_every_fork_goes_through_fork_child():
     # process.fork_child holds the fork policy: no fork beside another

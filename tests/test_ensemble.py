@@ -63,19 +63,6 @@ class TestRunEnsemble:
         b = run_ensemble(BASELINE_PARAMS, DEFAULT_NOISE, INIT, CFG, 16, 6)
         assert not np.array_equal(a.mean, b.mean)
 
-    def test_threads_do_not_change_bytes(self):
-        a = run_ensemble(BASELINE_PARAMS, DEFAULT_NOISE, INIT, CFG, 12, 9, threads=1)
-        b = run_ensemble(BASELINE_PARAMS, DEFAULT_NOISE, INIT, CFG, 12, 9, threads=4)
-        for x, y in (
-            (a.mean, b.mean),
-            (a.std, b.std),
-            (a.q025, b.q025),
-            (a.q50, b.q50),
-            (a.q975, b.q975),
-        ):
-            assert np.array_equal(x, y)
-        assert a.extinct_fraction == b.extinct_fraction
-
     def test_quantiles_ordered_and_bracket_median(self):
         summ = run_ensemble(BASELINE_PARAMS, DEFAULT_NOISE, INIT, CFG, 64, 3)
         assert np.all(summ.q025 <= summ.q50)
@@ -232,9 +219,7 @@ class TestExtinction:
         # r0 well below 1 and one exposed seed: by day 200 essentially
         # every path has burnt out.
         cfg = SimConfig(t_end=200.0, dt=0.05)
-        frac = extinction_fraction(
-            BASELINE_PARAMS, DEFAULT_NOISE, INIT, cfg, 50, 7, threads=4
-        )
+        frac = extinction_fraction(BASELINE_PARAMS, DEFAULT_NOISE, INIT, cfg, 50, 7)
         assert frac >= 0.9
 
     def test_monotone_in_threshold(self):
@@ -295,7 +280,7 @@ LOUD_CONFIG = (
 )
 
 
-def loud_outputs(out, threads):
+def loud_outputs(out):
     """Every engine consumer's bytes for the loud ensemble: the
     `iter_path_blocks` concatenation, the `run_ensemble` summary,
     `extinction_fraction(by_time=12.5)` and the CLI summary and
@@ -305,19 +290,16 @@ def loud_outputs(out, threads):
         (times.copy(), blk.copy())
         for times, blk in iter_path_blocks(
             LOUD_P, LOUD_INIT, LOUD_CFG, noise=LOUD, streams=streams,
-            threads=threads,
         )
     ]
-    summ = run_ensemble(LOUD_P, LOUD, LOUD_INIT, LOUD_CFG, LOUD_PATHS,
-                        LOUD_SEED, threads=threads)
+    summ = run_ensemble(LOUD_P, LOUD, LOUD_INIT, LOUD_CFG, LOUD_PATHS, LOUD_SEED)
     tail = extinction_fraction(LOUD_P, LOUD, LOUD_INIT, LOUD_CFG, LOUD_PATHS,
-                               LOUD_SEED, by_time=12.5, threads=threads)
+                               LOUD_SEED, by_time=12.5)
     out.mkdir()
     config = out / "loud.cfg"
     config.write_text(LOUD_CONFIG)
     assert run_cli(["ensemble", "--config", str(config), "--out",
-                    str(out / "summary.csv"), "--threads", str(threads),
-                    "--paths-out", str(out)]) == 0
+                    str(out / "summary.csv"), "--paths-out", str(out)]) == 0
     return (
         len(blocks),
         np.concatenate([t for t, _ in blocks]).tobytes(),
@@ -350,14 +332,11 @@ def forks(monkeypatch):
 class TestBlockLength:
     """How many steps an engine block spans never changes a value."""
 
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_values_do_not_depend_on_block_length(
-        self, threads, tmp_path, monkeypatch
-    ):
+    def test_values_do_not_depend_on_block_length(self, tmp_path, monkeypatch):
         seen = {}
         for m in (37, _BLOCK_STEPS, 1024):
             monkeypatch.setattr(integrate, "_BLOCK_STEPS", m)
-            seen[m] = loud_outputs(tmp_path / f"m{m}", threads)
+            seen[m] = loud_outputs(tmp_path / f"m{m}")
             assert seen[m][0] == 1 + math.ceil(LOUD_CFG.n_steps() / m)
         ref = seen.pop(1024)
         assert np.sum(np.frombuffer(ref[2]) == 0.0) > 0
@@ -402,10 +381,7 @@ class TestBlockLength:
 class TestNoiseHelper:
     """The forked noise helper changes no value and leaves no process."""
 
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_values_do_not_depend_on_helper_share(
-        self, threads, tmp_path, monkeypatch, forks
-    ):
+    def test_values_do_not_depend_on_helper_share(self, tmp_path, monkeypatch, forks):
         # Each engine block fills one slot, also at odd lengths: the
         # 2500 steps end in a 21-step block at 37 and a 4-step one at 64.
         for m in (37, _BLOCK_STEPS):
@@ -414,7 +390,7 @@ class TestNoiseHelper:
             for w in (0, 1, LOUD_PATHS // 2, LOUD_PATHS):
                 monkeypatch.setattr(integrate, "_helper_share", lambda n, w=w: w)
                 del forks[:]
-                seen[w] = loud_outputs(tmp_path / f"m{m}w{w}", threads)
+                seen[w] = loud_outputs(tmp_path / f"m{m}w{w}")
                 # One helper per run of each of the four consumers.
                 assert len(forks) == (4 if w else 0), (m, w)
             ref = seen.pop(0)
@@ -449,7 +425,7 @@ class TestNoiseHelper:
     def test_default_share_and_fallbacks_give_the_same_bytes(
         self, tmp_path, monkeypatch, forks
     ):
-        ref = loud_outputs(tmp_path / "default", 1)
+        ref = loud_outputs(tmp_path / "default")
         assert len(forks) == 4
         del forks[:]
 
@@ -458,7 +434,7 @@ class TestNoiseHelper:
         other = threading.Thread(target=stop.wait)
         other.start()
         try:
-            assert loud_outputs(tmp_path / "thread", 1) == ref
+            assert loud_outputs(tmp_path / "thread") == ref
         finally:
             stop.set()
             other.join(timeout=10)
@@ -471,13 +447,13 @@ class TestNoiseHelper:
 
         monkeypatch.setattr(os, "fork", failing_fork)
         fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
-        assert loud_outputs(tmp_path / "refused", 1) == ref
+        assert loud_outputs(tmp_path / "refused") == ref
         if fds is not None:
             assert len(os.listdir("/proc/self/fd")) == fds
 
         # No os.fork at all.
         monkeypatch.delattr(os, "fork")
-        assert loud_outputs(tmp_path / "nofork", 1) == ref
+        assert loud_outputs(tmp_path / "nofork") == ref
 
     def test_close_does_not_wait_on_inherited_pipe_ends(self, forks):
         # A process forked by the consumer mid-run keeps copies of the

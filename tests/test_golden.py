@@ -13,8 +13,6 @@ may round differently; compare against that build's own parent commit.
 import hashlib
 import os
 
-import pytest
-
 from herdflu.cli import run_cli
 
 SHORT = "t_end = 5\n"
@@ -90,11 +88,10 @@ def test_ensemble_long_summary(tmp_path):
     assert _sha(out) == GOLDEN["ensemble_long_summary"]
 
 
-@pytest.mark.parametrize("threads", [1, 3])
-def test_ensemble_paths_out_under_clamping(tmp_path, threads):
+def test_ensemble_paths_out_under_clamping(tmp_path):
     out, paths = tmp_path / "summary.csv", tmp_path / "paths"
     argv = ["ensemble", "--config", _config(tmp_path, CLAMPED), "--out", str(out),
-            "--threads", str(threads), "--paths-out", str(paths)]
+            "--paths-out", str(paths)]
     assert run_cli(argv) == 0
     # S starts at 2999, so a recorded S of exactly 0 is a clamped value.
     clamped = sum(

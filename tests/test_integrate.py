@@ -24,7 +24,6 @@ from herdflu import (
     wiener_increments,
 )
 from herdflu import integrate
-from herdflu.integrate import _PathChunk
 from herdflu.model import rate_coefficients, rates_rows
 from herdflu.output import write_trajectory_csv
 
@@ -332,20 +331,6 @@ class TestBatchEngine:
         rows = np.array([slab[0].copy() for _, slab in it])
         assert np.array_equal(rows, tr.states)
 
-    def test_threads_do_not_change_bytes(self):
-        cfg = SimConfig(t_end=1.0, dt=0.01)
-        init = default_init(BASELINE_PARAMS)
-        streams = [NoiseStream(77, i) for i in range(10)]
-
-        def collect(threads):
-            it = iter_path_states(
-                BASELINE_PARAMS, init, cfg,
-                noise=DEFAULT_NOISE, streams=streams, threads=threads,
-            )
-            return np.array([slab.copy() for _, slab in it])
-
-        assert np.array_equal(collect(1), collect(4))
-
     def test_stream_args_validated(self):
         cfg = SimConfig(t_end=1.0, dt=0.5)
         init = default_init(BASELINE_PARAMS)
@@ -358,26 +343,6 @@ class TestBatchEngine:
             list(iter_path_states(
                 BASELINE_PARAMS, init, cfg, streams=[NoiseStream(0, 0)]
             ))
-
-    def test_error_in_a_thread_chunk_surfaces(self, monkeypatch):
-        # Only the chunks past the first fail, so the error must cross
-        # from a worker thread to the consumer.
-        cfg = SimConfig(t_end=1.0, dt=0.01)
-        init = default_init(BASELINE_PARAMS)
-        streams = [NoiseStream(5, i) for i in range(6)]
-        advance = _PathChunk.advance
-
-        def failing(chunk, *args):
-            if chunk.lo > 0:
-                raise RuntimeError(f"chunk at {chunk.lo} failed")
-            advance(chunk, *args)
-
-        monkeypatch.setattr(_PathChunk, "advance", failing)
-        it = iter_path_blocks(BASELINE_PARAMS, init, cfg, noise=DEFAULT_NOISE,
-                              streams=streams, threads=3)
-        assert next(it)[0].tolist() == [0.0]
-        with pytest.raises(RuntimeError, match=r"^chunk at 2 failed$"):
-            next(it)
 
     def test_blocks_concatenate_to_the_recorded_rows(self, monkeypatch):
         # At 1024-step blocks, rows straddle the first block boundary;
@@ -463,21 +428,3 @@ class TestFloatPath:
         )
         rows = np.array([slab.copy() for _, slab in it])
         assert det.states.tobytes() == rows[:, 1].tobytes()
-
-    def test_engine_blocks_do_not_depend_on_threads_when_clamping(self):
-        # Loud noise drives compartments below zero, so the clamp acts in
-        # every chunk; each thread count splits the paths differently.
-        p = replace(BASELINE_PARAMS, beta_a=0.46665)
-        init = HerdState(2000.0, 40.0, 25.0, 12.0, 8.0, 90.0)
-        cfg = SimConfig(t_end=15.0, dt=0.01, record_stride=4)
-        streams = [NoiseStream(6, i) for i in range(7)]
-
-        def collect(threads):
-            it = iter_path_blocks(p, init, cfg, noise=LOUD, streams=streams,
-                                  threads=threads)
-            return np.concatenate([blk.copy() for _, blk in it])
-
-        one = collect(1)
-        assert np.sum(one[1:, :, :4] == 0.0) > 0
-        for threads in (2, 3):
-            assert collect(threads).tobytes() == one.tobytes()
