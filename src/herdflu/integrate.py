@@ -41,7 +41,7 @@ from .model import (
     rates,
     rates_rows,
 )
-from .process import Child
+from .process import Child, shared_array
 
 if TYPE_CHECKING:
     from numpy.random import Generator
@@ -296,19 +296,6 @@ def _helper_share(n_paths: int) -> int:
     return min(n_paths, n_paths // 2 + 64)
 
 
-def _noise_ring(slot_steps: int, n_paths: int) -> list[np.ndarray]:
-    """The engine's two noise slots, (slot_steps, 5, n_paths) each, in an
-    anonymous shared mapping, so that a forked helper's writes reach
-    this process."""
-    import mmap
-
-    shape = (slot_steps, _N_NOISE, n_paths)
-    n = slot_steps * _N_NOISE * n_paths
-    ring = mmap.mmap(-1, 2 * 8 * n)
-    return [np.frombuffer(ring, count=n, offset=8 * n * s).reshape(shape)
-            for s in (0, 1)]
-
-
 class _NoiseHelper:
     """A forked process that draws the noise of paths [0, w).
 
@@ -332,7 +319,7 @@ class _NoiseHelper:
         self.n_blocks = n_blocks
 
     @classmethod
-    def fork(cls, slots: list[np.ndarray], gens: Sequence[Generator],
+    def fork(cls, slots: np.ndarray, gens: Sequence[Generator],
              lengths: list[int], sqrt_dt: float) -> _NoiseHelper | None:
         """Start the helper on `gens`, paths [0, len(gens)); None if this
         process does not fork (see `process.fork_child`)."""
@@ -474,9 +461,9 @@ def iter_path_blocks(
     the noise of the first `_helper_share(n_paths)` paths while this
     process draws the rest and steps the paths (see `_NoiseHelper`);
     the helper is reaped when the generator finishes, fails or is
-    closed. Without `os.fork`, when fork fails, or when this process
-    runs other Python threads, all the noise is drawn here. Neither
-    changes a value.
+    closed. When `process.fork_child` declines (no `os.fork`, one
+    usable CPU, other Python threads, a failed fork), all the noise is
+    drawn here. Neither changes a value.
 
     If a recorded state is non-finite, the rows before it are yielded
     as a shorter block and IntegrationError is raised.
@@ -496,7 +483,8 @@ def iter_path_blocks(
     chunk = _PathChunk(x0, noise.as_tuple(), c, n_paths, dt)
 
     w = _helper_share(n_paths) if n_steps > _BLOCK_STEPS else 0
-    slots = _noise_ring(_BLOCK_STEPS, n_paths)
+    # The ring: two blocks of noise that a forked helper writes too.
+    slots = shared_array((2, _BLOCK_STEPS, _N_NOISE, n_paths))
     starts = range(0, n_steps, _BLOCK_STEPS)
     helper = None
     if w:
@@ -537,9 +525,10 @@ def iter_path_states(
     """Per-row view of `iter_path_blocks`.
 
     Yields (t, states) at every recorded time, `states` of shape
-    (n_paths, 6). Yielded arrays are views into the engine's block
-    buffers; copy them to retain. `threads` is accepted and ignored:
-    one process steps every path (see README, `--threads`).
+    (n_paths, 6). Each is a view into a block that the engine never
+    reads again (see `iter_path_blocks`), so it may be kept as it is.
+    `threads` is accepted and ignored: one process steps every path
+    (see README, `--threads`).
     """
     for times, blk in iter_path_blocks(p, init, cfg, noise, streams):
         yield from zip(times.tolist(), blk)
@@ -609,15 +598,14 @@ def rk4_peaks(
     one difference, after S turns NaN, never shows: the scalar run then
     leaves the other components unclamped, but S feeds every compartment
     within the next step, so the first non-finite recorded row is the
-    same. If any run would raise, IntegrationError is raised for the
-    first such entry with that run's message, prefixed by "sample i: ".
+    same. An entry whose run would raise IntegrationError is NaN
+    instead; that run's `integrate_ode` gives the message.
     """
     (n,) = np.broadcast(*c).shape
     dt = cfg.dt
     half = 0.5 * dt
     sixth = dt / 6.0
     rec = set(cfg.recorded_steps().tolist())
-    errors: dict[int, str] = {}
 
     x = np.repeat(init.as_array()[:, None], n, axis=1)
     peak = x[column].copy()
@@ -653,11 +641,8 @@ def rk4_peaks(
             if neg.any():
                 x[neg] = 0.0
             if k in rec:
+                # A failed run's NaN peak stays NaN under np.maximum.
                 tot = x[0] + x[1] + x[2] + x[3] + x[4] + x[5]
-                for i in np.flatnonzero(~np.isfinite(tot)).tolist():
-                    errors.setdefault(i, f"non-finite state at t={k * dt:.6g}")
+                peak[~np.isfinite(tot)] = np.nan
                 np.maximum(peak, x[column], out=peak)
-    if errors:
-        i = min(errors)
-        raise IntegrationError(f"sample {i}: {errors[i]}")
     return peak

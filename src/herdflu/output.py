@@ -28,7 +28,7 @@ import numpy as np
 from .ensemble import EnsembleSummary
 from .integrate import Trajectory
 from .model import COMPARTMENTS
-from .process import Child
+from . import process
 from .sensitivity import SensitivityReport
 
 TRAJECTORY_HEADER = "t,S,E,I_s,I_a,R,B"
@@ -56,18 +56,12 @@ def fmt_row(row: list[float]) -> str:
     return ",".join(map(repr, row))
 
 
-def _usable_cpus() -> int:
-    # Linux only: elsewhere the writers format on one process.
-    if not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
 def _split_count(fh, n: int, split_rows: int) -> int:
     """How many processes format the n rows that go to `fh`: one under
-    `split_rows`, else min(usable CPUs, 2 * n // split_rows), so every
-    range has at least split_rows / 2 rows. A file whose `fh` has no
-    file descriptor to append a child's text to is written here alone.
+    `split_rows`, else min(`process.usable_cpus()`, 2 * n // split_rows),
+    so every range has at least split_rows / 2 rows. A file whose `fh`
+    has no file descriptor to append a child's text to is written here
+    alone.
 
     A formatter child costs its writer 7-9 ms: the fork and reap (2-3
     ms with herdflu loaded), copy-on-write faults and the copy of its
@@ -85,7 +79,7 @@ def _split_count(fh, n: int, split_rows: int) -> int:
         fh.fileno()
     except (AttributeError, OSError):
         return 1
-    return min(_usable_cpus(), 2 * n // split_rows)
+    return min(process.usable_cpus(), 2 * n // split_rows)
 
 
 def _append_file(fh, src) -> None:
@@ -136,7 +130,7 @@ def _write_rows(fh, n: int, fmt: Callable[[int, int], str], kind: str,
                           closefd=False) as out:
                     format_range(out.write, a, b)
 
-            child = Child(body, f"{kind} formatter process of rows {a} to {b - 1}")
+            child = process.Child(body, f"{kind} formatter process of rows {a} to {b - 1}")
             stack.callback(child.kill)
             children.append((child, tmp))
         format_range(fh.write, 0, bounds[1])

@@ -1,38 +1,62 @@
-"""Forked child processes: one policy for whether to fork and how a child ends.
+"""Forked child processes: one policy for whether to fork, how a child
+shares memory with this process and how it ends.
 
 The ensemble engine forks a noise helper (`integrate._NoiseHelper`),
 the CSV and trajectory SVG writers fork row formatters
 (`output._write_rows`) and the PRCC peak sweep runs in a child
 (`sensitivity._peaks_beside_import`). Each is a `Child`: it is started
-through `fork_child`, the one call of `os.fork` in the package, and
-reaped, killed and reported only here. The formatters and the sweep
-send their results through an unnamed temporary file made before the
-fork; the noise helper through pipes and a shared mapping.
+through `fork_child`, the one call of `os.fork` in the package, which
+declines below two `usable_cpus`, and reaped, killed and reported only
+here. The noise helper and the sweep write into a `shared_array` made
+before the fork; the formatters write to an unnamed temporary file.
 """
 
 from __future__ import annotations
 
+import math
+import mmap
 import os
 import sys
 import threading
 import warnings
 from typing import Callable
 
+import numpy as np
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform has one, else `os.cpu_count()` (1 if unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def shared_array(shape: tuple[int, ...]) -> np.ndarray:
+    """A zeroed float array of `shape`, at least one element, in an
+    anonymous shared mapping: what a child forked after this call
+    writes into it, this process reads."""
+    n = math.prod(shape)
+    return np.frombuffer(mmap.mmap(-1, 8 * n), count=n).reshape(shape)
+
 
 def fork_child(body: Callable[[], None]) -> int | None:
     """Fork a child that runs `body` and exits 0; return the child's
     pid, or None if this process does not fork.
 
-    There is no fork without `os.fork`, while another Python thread runs
-    (it could hold a lock that the child then never sees released), or
-    when fork raises OSError.
+    There is no fork without `os.fork`, below two `usable_cpus` (the
+    child would only take turns with this process), while another
+    Python thread runs (it could hold a lock that the child then never
+    sees released), or when fork raises OSError. Every caller has a
+    no-fork path that gives the same values.
 
     The child leaves through os._exit whatever happens: an exception
     prints its traceback and exits 1, and so does SIGINT, without the
     traceback. It never runs a caller's `finally`, an atexit handler or
     a flush of a buffer it inherited.
     """
-    if not hasattr(os, "fork") or threading.active_count() > 1:
+    if (not hasattr(os, "fork") or usable_cpus() < 2
+            or threading.active_count() > 1):
         return None
     try:
         with warnings.catch_warnings():

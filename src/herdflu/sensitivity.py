@@ -20,15 +20,12 @@ controlled parameters.
 from __future__ import annotations
 
 import math
-import tempfile
 from dataclasses import dataclass, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
 
-# bench/child.py wraps herdflu.sensitivity.integrate_ode by name when it
-# traces a run, so the name stays importable from this module.
-from .integrate import IntegrationError, SimConfig, integrate_ode, rk4_peaks  # noqa: F401
+from .integrate import IntegrationError, SimConfig, integrate_ode, rk4_peaks
 from .model import (
     BASELINE_PARAMS,
     COMPARTMENTS,
@@ -39,7 +36,7 @@ from .model import (
     r0_closed_form,
     rate_coefficients,
 )
-from .process import Child
+from .process import Child, shared_array
 
 ALPHA = 0.05  # two-sided significance level
 
@@ -317,35 +314,34 @@ def _peaks_beside_import(
     `process.Child`) while this process imports `scipy.special`, a
     quarter to a third of a second that `prcc` pays anyway.
 
-    The child writes to an unnamed temporary file, made before the fork,
-    a tag byte and then the peaks' bytes, or the message of an
-    IntegrationError, which is raised here as it is. A child that ends
-    otherwise raises ChildProcessError; on any way out the child is
-    killed and reaped. Without a fork the sweep runs in this process.
+    The child writes the peaks into a `process.shared_array` made before
+    the fork; a child that fails raises ChildProcessError, and on any
+    way out it is killed and reaped. Without a fork the sweep runs here.
+
+    If a run fails, its peak is NaN (see `rk4_peaks`): the first such
+    sample in row order is run again by `integrate_ode`, whose
+    IntegrationError is raised with "sample i: " before its message.
     """
-    with tempfile.TemporaryFile() as tmp:
+    peaks = shared_array((len(params),))
 
-        def body() -> None:
-            with open(tmp.fileno(), "wb", closefd=False) as out:
-                try:
-                    peaks = _peak_symptomatic(params, init, cfg)
-                except IntegrationError as exc:
-                    out.write(b"E" + str(exc).encode())
-                else:
-                    out.write(b"P" + peaks.tobytes())
+    def body() -> None:
+        peaks[:] = _peak_symptomatic(params, init, cfg)
 
-        child = Child(body, "peak sweep process")
+    child = Child(body, "peak sweep process")
+    try:
+        import scipy.special  # noqa: F401
+
+        child.join()
+    finally:
+        child.kill()
+    failed = np.flatnonzero(np.isnan(peaks))
+    if failed.size:
+        i = int(failed[0])
         try:
-            import scipy.special  # noqa: F401
-
-            child.join()
-        finally:
-            child.kill()
-        tmp.seek(0)
-        tag, data = tmp.read(1), tmp.read()
-    if tag == b"E":
-        raise IntegrationError(data.decode())
-    return np.frombuffer(data)
+            integrate_ode(params[i], init, cfg)
+        except IntegrationError as exc:
+            raise IntegrationError(f"sample {i}: {exc}") from None
+    return peaks
 
 
 def _peak_symptomatic(

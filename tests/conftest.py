@@ -1,6 +1,16 @@
+"""Fixtures shared by every test module.
+
+Every test fails if it leaves a child process behind. A test that
+asserts a fork asks for `forks` (or `two_cpus`), which lets this
+process use two CPUs whatever the runner gives it, since
+`process.fork_child` declines on one.
+"""
+
 import os
 
 import pytest
+
+from herdflu import process
 
 
 def _child_left() -> str | None:
@@ -25,3 +35,26 @@ def no_child_processes_left():
     left = _child_left()
     if left is not None:
         pytest.fail(left, pytrace=False)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """`process.usable_cpus()` is 2 for the test."""
+    monkeypatch.setattr(process, "usable_cpus", lambda: 2)
+
+
+@pytest.fixture
+def forks(two_cpus, monkeypatch):
+    """The pids of every fork the test makes, in this process, with two
+    usable CPUs."""
+    pids = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids

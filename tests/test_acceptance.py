@@ -241,7 +241,7 @@ def test_c09_noise_intensity_widens_the_ensemble():
     assert elapsed < 120.0
 
 
-def test_c10_reproducibility_bytes_and_parallel_agreement(tmp_path, monkeypatch):
+def test_c10_reproducibility_bytes_and_parallel_agreement(tmp_path, monkeypatch, two_cpus):
     """Identical config + seed produce byte-identical CSVs through the
     CLI, whatever the inert `--threads` value, and an ensemble whose
     noise the forked helper process draws agrees with one drawn in this

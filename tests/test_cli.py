@@ -406,6 +406,9 @@ def test_commands_without_noise_leave_out_numpy_random_and_thread_pool(argv, tmp
 def test_ensemble_leaves_out_thread_pool(tmp_path):
     # One process steps every path: `--threads` and the `threads`
     # parameter are accepted and ignored, and no thread pool is loaded.
+    # scipy.special loads concurrent.futures, so the run gets two usable
+    # CPUs: its noise helper then draws every path's noise and makes
+    # that import, not this process.
     cfg = tmp_path / "fast.cfg"
     cfg.write_text(FAST)
     argv = ["ensemble", "--config", str(cfg), "--out", str(tmp_path / "s.csv"),
@@ -413,6 +416,7 @@ def test_ensemble_leaves_out_thread_pool(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, herdflu, herdflu.cli; "
+         "herdflu.process.usable_cpus = lambda: 2; "
          f"assert herdflu.cli.run_cli({argv!r}) == 0; "
          "herdflu.run_ensemble(herdflu.BASELINE_PARAMS, herdflu.DEFAULT_NOISE, "
          "herdflu.default_init(herdflu.BASELINE_PARAMS), "
@@ -423,28 +427,36 @@ def test_ensemble_leaves_out_thread_pool(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
 
+
 def test_every_fork_goes_through_fork_child():
     # process.fork_child holds the fork policy: no fork beside another
-    # thread, os._exit from the child. process.Child alone reaps, kills
-    # and reports a child. A call of os.fork, os.wait*, os.kill or
-    # os.killpg elsewhere in the package would bypass them.
+    # thread or below two usable CPUs, os._exit from the child.
+    # process.Child alone reaps, kills and reports a child. A call of
+    # os.fork, os.wait*, os.kill or os.killpg elsewhere in the package
+    # would bypass them. So would a CPU count of its own
+    # (os.sched_getaffinity, process.usable_cpus holds it) or shared
+    # memory of its own (mmap.mmap, process.shared_array holds it).
     import herdflu
 
-    def lifecycle(name: str) -> bool:
-        return name.startswith(("fork", "wait", "kill"))
+    def policy(module: str, name: str) -> bool:
+        if module == "mmap":
+            return name == "mmap"
+        return name.startswith(("fork", "wait", "kill")) or name == "sched_getaffinity"
 
+    modules = ("os", "posix", "mmap")
     package = pathlib.Path(herdflu.__file__).parent
     sites = []
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if (isinstance(node, ast.Attribute) and lifecycle(node.attr)
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id in ("os", "posix")):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules and policy(node.value.id, node.attr)):
                 sites.append((path.name, node.attr))
-            elif isinstance(node, ast.ImportFrom) and node.module in ("os", "posix"):
-                sites += [(path.name, a.name) for a in node.names if lifecycle(a.name)]
+            elif isinstance(node, ast.ImportFrom) and node.module in modules:
+                sites += [(path.name, a.name) for a in node.names
+                          if policy(node.module, a.name)]
     assert sorted(set(sites)) == [
-        ("process.py", "fork"), ("process.py", "kill"), ("process.py", "waitpid"),
+        ("process.py", "fork"), ("process.py", "kill"), ("process.py", "mmap"),
+        ("process.py", "sched_getaffinity"), ("process.py", "waitpid"),
         ("process.py", "waitstatus_to_exitcode"),
     ]
     assert sites.count(("process.py", "fork")) == 1

@@ -313,9 +313,10 @@ def loud_outputs(out):
 
 
 @pytest.fixture
-def forks(monkeypatch):
-    """The pids of every noise helper the test forks. The CSV writers
-    fork row formatters of their own, which tests/test_output.py counts."""
+def forks(two_cpus, monkeypatch):
+    """The pids of every noise helper the test forks, with two usable
+    CPUs. The CSV writers fork row formatters of their own, which the
+    `forks` fixture of tests/conftest.py counts."""
     pids = []
     fork = integrate._NoiseHelper.fork.__func__
 
@@ -354,14 +355,14 @@ class TestBlockLength:
         # tracemalloc cannot see the shared noise ring, so its size is
         # checked apart: two engine blocks of noise.
         rings = []
-        noise_ring = integrate._noise_ring
+        shared_array = integrate.shared_array
 
-        def spy(*args, **kw):
-            slots = noise_ring(*args, **kw)
-            rings.append(sum(z.nbytes for z in slots))
+        def spy(shape):
+            slots = shared_array(shape)
+            rings.append(slots.nbytes)
             return slots
 
-        monkeypatch.setattr(integrate, "_noise_ring", spy)
+        monkeypatch.setattr(integrate, "shared_array", spy)
         # Load scipy.special outside the traced run.
         import scipy.special  # noqa: F401
         tracemalloc.start()

@@ -15,7 +15,7 @@ from herdflu import (
     default_init,
     run_ensemble,
 )
-from herdflu import integrate, output
+from herdflu import integrate, output, process
 from herdflu.cli import run_cli
 from herdflu.output import (
     read_ensemble_csv,
@@ -112,22 +112,6 @@ def _split_small(monkeypatch) -> None:
         monkeypatch.setattr(output, name, SMALL_SPLIT)
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids of every fork the test makes, in this process."""
-    pids = []
-    fork = os.fork
-
-    def counting_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return pids
-
-
 def _summary(n: int) -> EnsembleSummary:
     # Values spread over many decades, so that reprs differ in length.
     rng = np.random.default_rng(n)
@@ -151,7 +135,7 @@ def _written(tmp_path, n: int, tag: str) -> tuple[bytes, bytes]:
 @pytest.mark.parametrize("n", [0, 1, SMALL_SPLIT - 1, SMALL_SPLIT, SMALL_SPLIT + 1, 29])
 def test_split_gives_the_bytes_of_one_process(n, tmp_path, monkeypatch, forks):
     _split_small(monkeypatch)
-    monkeypatch.setattr(output, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(process, "usable_cpus", lambda: 1)
     ref = _written(tmp_path, n, "serial")
     assert forks == []
     data = np.column_stack([_summary(n).times, _summary(n).mean])
@@ -160,7 +144,7 @@ def test_split_gives_the_bytes_of_one_process(n, tmp_path, monkeypatch, forks):
     assert ref[1].count(b"\n") == 1 + 6 * n
     # 64 workers are more than the chunks of any n here.
     for cpus in (2, 3, 64):
-        monkeypatch.setattr(output, "_usable_cpus", lambda cpus=cpus: cpus)
+        monkeypatch.setattr(process, "usable_cpus", lambda cpus=cpus: cpus)
         del forks[:]
         assert _written(tmp_path, n, f"cpus{cpus}") == ref, cpus
         k = min(cpus, 2 * n // SMALL_SPLIT) if n >= SMALL_SPLIT else 1
@@ -170,7 +154,7 @@ def test_split_gives_the_bytes_of_one_process(n, tmp_path, monkeypatch, forks):
 
 def test_paths_out_blocks_never_fork(tmp_path, monkeypatch, forks):
     # An engine block is below the threshold whatever the CPU count.
-    monkeypatch.setattr(output, "_usable_cpus", lambda: 64)
+    monkeypatch.setattr(process, "usable_cpus", lambda: 64)
     assert integrate._BLOCK_STEPS < output._SPLIT_TRAJECTORY_ROWS
     write_csv_rows(io.StringIO(), np.zeros((integrate._BLOCK_STEPS, 7)))
     with open(tmp_path / "block.csv", "w") as fh:
@@ -188,7 +172,7 @@ def test_paths_out_blocks_never_fork(tmp_path, monkeypatch, forks):
 
 def test_fallbacks_give_the_same_bytes(tmp_path, monkeypatch, forks):
     _split_small(monkeypatch)
-    monkeypatch.setattr(output, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(process, "usable_cpus", lambda: 3)
     ref = _written(tmp_path, 29, "split")
     assert len(forks) == 4
     del forks[:]
@@ -232,7 +216,7 @@ def _break_children(monkeypatch, failure: str) -> None:
         return fmt_row(row)
 
     _split_small(monkeypatch)
-    monkeypatch.setattr(output, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(process, "usable_cpus", lambda: 3)
     monkeypatch.setattr(output, "fmt_row", broken)
 
 
@@ -277,7 +261,7 @@ def test_interrupt_in_the_main_process_ends_every_formatter(
     # is interrupted while it formats range 0. The autouse fixture
     # checks that both children were killed and reaped.
     _split_small(monkeypatch)
-    monkeypatch.setattr(output, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(process, "usable_cpus", lambda: 3)
     hold_r, hold_w = os.pipe()
     parent, fmt_row = os.getpid(), output.fmt_row
 
@@ -346,14 +330,14 @@ def test_svg_split_gives_the_bytes_of_one_process(tmp_path, monkeypatch, forks):
     starts = set()
     for n in (1, 7, 11):
         traj = _trajectory(n)
-        monkeypatch.setattr(output, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(process, "usable_cpus", lambda: 1)
         ref = _svg(tmp_path, traj, f"{n}_serial")
         text = ref.decode()
         assert text.startswith("<svg ") and text.endswith("</svg>\n")
         assert _reference_svg_polylines(traj) in text
         # 64 workers are more than the chunks of any n here.
         for cpus in (1, 2, 3, 64):
-            monkeypatch.setattr(output, "_usable_cpus", lambda cpus=cpus: cpus)
+            monkeypatch.setattr(process, "usable_cpus", lambda cpus=cpus: cpus)
             del forks[:]
             assert _svg(tmp_path, traj, f"{n}_{cpus}") == ref, (n, cpus)
             with open(tmp_path / "probe", "w") as fh:
@@ -366,7 +350,7 @@ def test_svg_split_gives_the_bytes_of_one_process(tmp_path, monkeypatch, forks):
 
 def test_svg_fallbacks_give_the_same_bytes(tmp_path, monkeypatch, forks):
     _split_small(monkeypatch)
-    monkeypatch.setattr(output, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(process, "usable_cpus", lambda: 3)
     traj = _trajectory(7)
     ref = _svg(tmp_path, traj, "split")
     assert len(forks) == 2
@@ -395,7 +379,7 @@ def test_svg_fallbacks_give_the_same_bytes(tmp_path, monkeypatch, forks):
 
 def test_failing_svg_formatter_names_the_svg(tmp_path, monkeypatch, forks):
     _split_small(monkeypatch)
-    monkeypatch.setattr(output, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(process, "usable_cpus", lambda: 3)
     parent = os.getpid()
 
     def fmt(a: int, b: int) -> str:
@@ -415,7 +399,7 @@ def test_each_writer_splits_from_its_own_break_even(tmp_path, monkeypatch, forks
     # On 2 CPUs a 5,001-point trajectory (the ENDEMIC grid) is written
     # by one process, CSV and SVG; a 5,001-row ensemble summary and the
     # default-grid files (50,001 recorded times) split in two.
-    monkeypatch.setattr(output, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(process, "usable_cpus", lambda: 2)
     traj = _trajectory(5001)
     output.write_trajectory_csv(traj, str(tmp_path / "traj.csv"))
     output.write_trajectory_svg(traj, str(tmp_path / "traj.svg"))

@@ -26,9 +26,9 @@ from herdflu.sensitivity import (
     R0_PARAM_KEYS,
     _params_for_row,
     _peak_symptomatic,
+    _peaks_beside_import,
     rank_average,
 )
-from test_output import forks  # noqa: F401  (fixture)
 
 
 class TestParamRanges:
@@ -264,6 +264,20 @@ class TestBatchedPeakSweep:
         rep = sensitivity_of_peak_symptomatic(ranges, n, seed, OUTBREAK, cfg)
         assert rep == prcc(samples, ref, names=ranges.names, seed=seed)
 
+    def test_failed_runs_give_nan_peaks(self):
+        # Samples 1 and 3 overflow, at different times; 0 and 2 do not.
+        cfg = SimConfig(t_end=50.0, dt=0.5)
+        init = default_init(OUTBREAK)
+        params = [replace(OUTBREAK, lambda_recruit=v) for v in (1.0, 3e307, 2.0, 1e307)]
+        peaks = _peak_symptomatic(params, init, cfg)
+        assert np.isnan(peaks).tolist() == [False, True, False, True]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in (1, 3):
+                with pytest.raises(IntegrationError):
+                    integrate_ode(params[i], init, cfg)
+        ref = [integrate_ode(params[i], init, cfg).column("I_s").max() for i in (0, 2)]
+        assert peaks[[0, 2]].tobytes() == np.array(ref).tobytes()
+
     def test_nonfinite_names_first_failing_sample_in_row_order(self):
         # Sample 1 overflows later than sample 2: row order, not time,
         # picks the sample the error names.
@@ -279,7 +293,7 @@ class TestBatchedPeakSweep:
                     integrate_ode(p, init, cfg)
                 messages.append(str(exc.value))
             with pytest.raises(IntegrationError) as exc:
-                _peak_symptomatic(params, init, cfg)
+                _peaks_beside_import(params, init, cfg)
         late, early = (float(m.rsplit("=", 1)[1]) for m in messages)
         assert early < late
         assert str(exc.value) == f"sample 1: {messages[0]}"
@@ -326,7 +340,7 @@ class TestForkedPeakSweep:
         assert sensitivity_of_peak_symptomatic(
             n=30, seed=5, base=OUTBREAK, cfg=SWEEP_CFG) == ref
 
-    def test_integration_error_crosses_with_its_message(self, capfd, forks):
+    def test_integration_error_crosses_with_its_message(self, capfd, monkeypatch, forks):
         # The overflow case of
         # test_nonfinite_names_first_failing_sample_in_row_order through
         # the public function: with seed 1, sample 0 stays finite and
@@ -352,6 +366,10 @@ class TestForkedPeakSweep:
         assert str(exc.value) == f"sample 1: {outcomes[1]}"
         assert len(forks) == 1
         assert capfd.readouterr().err == ""
+        monkeypatch.delattr(os, "fork")
+        with pytest.raises(IntegrationError) as exc:
+            sensitivity_of_peak_symptomatic(ranges, 3, 1, OUTBREAK, cfg)
+        assert str(exc.value) == f"sample 1: {outcomes[1]}"
 
     def test_killed_sweep_raises_and_the_cli_exits_2(
         self, tmp_path, monkeypatch, capsys, forks
@@ -379,8 +397,9 @@ class TestForkedPeakSweep:
         assert not (tmp_path / "prcc.csv").exists()
 
     def test_peaks_beyond_a_pipe_buffer(self, monkeypatch, forks):
-        # 9000 peaks are 72,000 bytes, more than a 64 KiB pipe or a
-        # buffered write holds; they cross from the child whole.
+        # 9000 peaks are 72,000 bytes, more than a 64 KiB pipe holds
+        # and 18 pages of the shared array; they cross from the child
+        # whole.
         cfg = SimConfig(t_end=1.0, dt=0.1)
         assert cfg.n_steps() == 10
 
