@@ -142,16 +142,18 @@ def run_ensemble(
     for t_blk, blk in it:
         j = i + len(blk)
         # Moments of the deviations from path 0, not of the raw values:
-        # numpy's sequential reduction over a non-contiguous axis rounds
-        # even when every path is identical, and bit-identical paths must
-        # report exactly zero spread (and a one-path mean must equal that
-        # path bitwise).
+        # numpy's sequential sum over the path axis rounds even when
+        # every path is identical, and bit-identical paths must report
+        # exactly zero spread (and a one-path mean must equal that path
+        # bitwise). The deviations are one C-contiguous (paths, rows, 6)
+        # copy, so each sum adds whole (rows, 6) planes in path order.
         base = blk[:, 0]
-        dev = blk - base[:, None]
-        dm = dev.mean(axis=1)
+        dev = np.empty((blk.shape[1], len(blk), 6))
+        np.subtract(blk.transpose(1, 0, 2), base, out=dev)
+        dm = np.add.reduce(dev, axis=0) / len(dev)
         mean[i:j] = base + dm
         np.multiply(dev, dev, out=dev)
-        var = dev.mean(axis=1) - dm * dm
+        var = np.add.reduce(dev, axis=0) / len(dev) - dm * dm
         std[i:j] = np.sqrt(np.maximum(var, 0.0))
         # Per path, so before the sort; the last block's value stands.
         extinct = float(np.mean(_infected_load(blk[-1]) < EXTINCTION_THRESHOLD))

@@ -17,7 +17,10 @@ window of the stream (two Philox blocks), which is what makes
 `wiener_increments(stream, 1, dt, start_step=k)` agree exactly with the
 increments an integrator consumes sequentially.
 
-The ensemble engine (`iter_path_blocks`) draws part of its noise in a
+A draw is split in two stages: `_fill_uniforms` takes the Philox
+uniforms, and `_to_increments` maps them through the normal quantile
+(`ndtri`) and scales them by sqrt(dt). The ensemble engine
+(`iter_path_blocks`) runs the second stage, and part of the first, in a
 forked helper process while the main process steps the paths; see
 `_NoiseHelper`.
 """
@@ -191,23 +194,28 @@ def wiener_increments(
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
     gen = stream._generator(start_step)
-    z = np.empty((n_steps, _N_NOISE, 1))
-    return _fill_normals(z, [gen], math.sqrt(dt))[:, :, 0]
+    z = _fill_uniforms(np.empty((n_steps, _N_NOISE, 1)), [gen])
+    return _to_increments(z, math.sqrt(dt))[:, :, 0]
 
 
-def _fill_normals(
-    z: np.ndarray, gens: Sequence[Generator], sqrt_dt: float
-) -> np.ndarray:
-    """Fill z, shaped (m, 5, len(gens)), with the next m steps of every
-    stream's N(0, dt) increments, in place, and return it."""
-    # Imported here so that commands without noise never load
-    # scipy.special, a third of a second of start-up.
-    from scipy.special import ndtri
-
+def _fill_uniforms(z: np.ndarray, gens: Sequence[Generator]) -> np.ndarray:
+    """Fill z, shaped (m, 5, len(gens)), with the uniforms of the next m
+    steps of every stream, in place, and return it."""
     m = len(z)
     for i, g in enumerate(gens):
         u = g.random(_DOUBLES_PER_STEP * m).reshape(m, _DOUBLES_PER_STEP)
         z[:, :, i] = u[:, :_N_NOISE]
+    return z
+
+
+def _to_increments(z: np.ndarray, sqrt_dt: float) -> np.ndarray:
+    """Turn the uniforms in z into N(0, dt) increments, in place, and
+    return it."""
+    # Imported here, and only here, so that commands without noise and
+    # an ensemble whose helper makes the increments never load
+    # scipy.special, a quarter of a second and 25 MB.
+    from scipy.special import ndtri
+
     np.maximum(z, _MIN_U, out=z)
     ndtri(z, out=z)
     z *= sqrt_dt
@@ -284,29 +292,35 @@ class _PathChunk:
 
 
 def _helper_share(n_paths: int) -> int:
-    """Paths [0, w) whose noise the helper process draws.
+    """Paths [0, w) whose uniforms the helper process draws.
 
-    Per step, the helper draws w paths of noise while the main process
-    draws the other P - w and runs the step loop. Both take the same
-    time when w*n = (P - w)*n + s, with n ~0.23 us of noise per
-    path-step and s ~30 us for the step loop (2-vCPU Xeon, numpy 2.4,
-    100 to 500 paths): w = P/2 + s/(2n) = P/2 + ~64. So at 100 paths
-    the helper draws all the noise, and at 500 paths 314 of them.
+    Per step, the helper draws the uniforms of w paths and turns those
+    of all P paths into increments, while the main process draws the
+    other P - w paths and runs the step loop. Both take the same time
+    when w*u + P*t = (P - w)*u + s, so w = (P*(u - t) + s)/(2u). On a
+    2-vCPU Xeon VM (Python 3.11, numpy 2.4, scipy 1.17, 64-step blocks
+    of 100 to 1000 paths, medians of 15) a path-step took u ~0.12 us of
+    Philox draws and t ~0.10 us of clamp, `ndtri` and scaling, and the
+    step loop s ~20 + 0.04*P us: w = P/4 + ~83. So at 100 paths the
+    helper draws every path, and at 500 paths 208 of them.
     """
-    return min(n_paths, n_paths // 2 + 64)
+    return min(n_paths, n_paths // 4 + 83)
 
 
 class _NoiseHelper:
-    """A forked process that draws the noise of paths [0, w).
+    """A forked process that finishes the noise of every engine block.
 
-    Engine block j of the run goes to slot j % 2 of the ring. The
-    helper fills columns [0, w) of each block and sends one byte on
-    `ready`; the main process fills columns [w, P) of the same slot,
-    waits for that byte, steps the slot and sends one byte on `free`
-    when the helper may fill it again with block j + 2. So the helper
-    draws one block while the main process steps the other.
-    Each path's stream is consumed in order by one process alone, so no
-    value depends on w.
+    Engine block j of the run goes to slot j % 2 of the ring. The main
+    process draws the uniforms of paths [w, P) into the slot and hands
+    it over with one byte on `free` (`hand_over`); the helper draws
+    those of paths [0, w) into the same slot, turns the whole slot into
+    increments (`_to_increments`, the noise path's one import of
+    scipy.special) and sends one byte on `ready`. The main process draws
+    its part of block j + 2 right after it steps block j, so the helper
+    finishes one block while the main process steps the other. Each
+    path's stream is consumed in order by one process alone, and every
+    element gets the same clamp, `ndtri` and scaling, so no value
+    depends on w.
 
     The helper leaves through os._exit whatever happens (see
     `process.fork_child`). It exits on EOF on `free` or EPIPE on
@@ -314,15 +328,16 @@ class _NoiseHelper:
     block; `close` kills and reaps it.
     """
 
-    def __init__(self, child: Child, ready: int, free: int, n_blocks: int):
+    def __init__(self, child: Child, ready: int, free: int, slots: np.ndarray,
+                 gens: Sequence[Generator], w: int, lengths: list[int]):
         self.child, self.ready, self.free = child, ready, free
-        self.n_blocks = n_blocks
+        self.slots, self.gens, self.w, self.lengths = slots, gens, w, lengths
 
     @classmethod
-    def fork(cls, slots: np.ndarray, gens: Sequence[Generator],
+    def fork(cls, slots: np.ndarray, gens: Sequence[Generator], w: int,
              lengths: list[int], sqrt_dt: float) -> _NoiseHelper | None:
-        """Start the helper on `gens`, paths [0, len(gens)); None if this
-        process does not fork (see `process.fork_child`)."""
+        """Start the helper on `gens[:w]`, the blocks of `lengths`; None
+        if this process does not fork (see `process.fork_child`)."""
         ready_r, ready_w = os.pipe()
         free_r, free_w = os.pipe()
 
@@ -332,9 +347,11 @@ class _NoiseHelper:
             os.close(free_w)
             try:
                 for j, h in enumerate(lengths):
-                    if j >= 2 and not os.read(free_r, 1):
+                    if not os.read(free_r, 1):
                         break
-                    _fill_normals(slots[j % 2][:h, :, :len(gens)], gens, sqrt_dt)
+                    z = slots[j % 2][:h]
+                    _fill_uniforms(z[:, :, :w], gens[:w])
+                    _to_increments(z, sqrt_dt)
                     os.write(ready_w, b"\1")
             except BrokenPipeError:
                 pass
@@ -346,22 +363,24 @@ class _NoiseHelper:
             return None
         os.close(ready_w)
         os.close(free_r)
-        return cls(child, ready_r, free_w, len(lengths))
+        return cls(child, ready_r, free_w, slots, gens, w, lengths)
 
-    def wait(self) -> None:
-        """Block until the helper has filled its part of the next block."""
-        if not os.read(self.ready, 1):
-            raise ChildProcessError("the noise helper process ended before the run")
-
-    def release(self, j: int) -> None:
-        """Hand the slot of block j, just stepped, back to the helper if
-        it still needs it for block j + 2."""
-        if j + 2 < self.n_blocks:
+    def hand_over(self, j: int) -> None:
+        """Draw paths [w, P) of block j into its slot and hand the slot
+        to the helper; nothing past the last block."""
+        if j < len(self.lengths):
+            z = self.slots[j % 2][:self.lengths[j]]
+            _fill_uniforms(z[:, :, self.w:], self.gens[self.w:])
             try:
                 os.write(self.free, b"\1")
             except BrokenPipeError:
                 raise ChildProcessError(
                     "the noise helper process ended before the run") from None
+
+    def wait(self) -> None:
+        """Block until the helper has finished the next block."""
+        if not os.read(self.ready, 1):
+            raise ChildProcessError("the noise helper process ended before the run")
 
     def close(self) -> None:
         """Close both pipes, end the helper and reap it."""
@@ -405,7 +424,7 @@ def integrate_sde(
     s, e, i_s, i_a, r, b = states[0].tolist()
     for k0 in range(0, n_steps, _BLOCK_STEPS):
         m = min(_BLOCK_STEPS, n_steps - k0)
-        z = _fill_normals(np.empty((m, _N_NOISE, 1)), gens, sqrt_dt)
+        z = _to_increments(_fill_uniforms(np.empty((m, _N_NOISE, 1)), gens), sqrt_dt)
         zs = iter(z[:, :, 0].tolist())
         for k in range(k0 + 1, k0 + m + 1):
             ds, de, dis, dia, dr, db = rates(s, e, i_s, i_a, r, b, c)
@@ -457,13 +476,15 @@ def iter_path_blocks(
     all paths. Block length never changes a value, because each path's
     stream is consumed in order.
 
-    A run of more than one block forks one helper process that draws
-    the noise of the first `_helper_share(n_paths)` paths while this
-    process draws the rest and steps the paths (see `_NoiseHelper`);
-    the helper is reaped when the generator finishes, fails or is
-    closed. When `process.fork_child` declines (no `os.fork`, one
-    usable CPU, other Python threads, a failed fork), all the noise is
-    drawn here. Neither changes a value.
+    A run of more than one block forks one helper process. This process
+    draws the uniforms of the last P - `_helper_share(n_paths)` paths and
+    steps the paths; the helper draws the rest and turns every uniform
+    into an increment, so this process never imports scipy.special (see
+    `_NoiseHelper`). The helper is reaped when the generator finishes,
+    fails or is closed. For a one-block run, and when
+    `process.fork_child` declines (no `os.fork`, one usable CPU, other
+    Python threads, a failed fork), all the noise is made here. Neither
+    changes a value.
 
     If a recorded state is non-finite, the rows before it are yielded
     as a shorter block and IntegrationError is raised.
@@ -482,31 +503,29 @@ def iter_path_blocks(
 
     chunk = _PathChunk(x0, noise.as_tuple(), c, n_paths, dt)
 
-    w = _helper_share(n_paths) if n_steps > _BLOCK_STEPS else 0
     # The ring: two blocks of noise that a forked helper writes too.
     slots = shared_array((2, _BLOCK_STEPS, _N_NOISE, n_paths))
     starts = range(0, n_steps, _BLOCK_STEPS)
-    helper = None
-    if w:
-        lengths = [min(_BLOCK_STEPS, n_steps - k0) for k0 in starts]
-        helper = _NoiseHelper.fork(slots, gens[:w], lengths, sqrt_dt)
-        if helper is None:
-            w = 0
+    lengths = [min(_BLOCK_STEPS, n_steps - k0) for k0 in starts]
+    w = _helper_share(n_paths) if len(lengths) > 1 else 0
+    helper = _NoiseHelper.fork(slots, gens, w, lengths, sqrt_dt) if w else None
     try:
+        if helper is not None:
+            helper.hand_over(0)
+            helper.hand_over(1)
         yield np.zeros(1), np.tile(x0, (1, n_paths, 1))
-        for j, k0 in enumerate(starts):
-            m = min(_BLOCK_STEPS, n_steps - k0)
+        for j, (k0, m) in enumerate(zip(starts, lengths)):
             z = slots[j % 2][:m]
-            if w < n_paths:
-                _fill_normals(z[:, :, w:], gens[w:], sqrt_dt)
-            if helper is not None:
+            if helper is None:
+                _to_increments(_fill_uniforms(z, gens), sqrt_dt)
+            else:
                 helper.wait()
             ks = _block_steps(recorded, k0, m)
             rec = {o: row for row, o in enumerate((ks - k0).tolist())}
             buf = np.empty((len(ks), n_paths, 6)) if rec else None
             chunk.advance(z, rec, buf)
             if helper is not None:
-                helper.release(j)
+                helper.hand_over(j + 2)
             if rec:
                 yield from _finite_rows(ks * dt, buf)
     finally:

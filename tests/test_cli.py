@@ -460,3 +460,30 @@ def test_every_fork_goes_through_fork_child():
         ("process.py", "waitstatus_to_exitcode"),
     ]
     assert sites.count(("process.py", "fork")) == 1
+
+
+def test_only_the_noise_transform_imports_scipy_special():
+    # An ensemble whose helper makes the increments leaves scipy.special,
+    # a quarter of a second and 25 MB, out of the main process. That
+    # holds only while integrate.py imports it in `_to_increments` alone.
+    import herdflu.integrate
+
+    path = pathlib.Path(herdflu.integrate.__file__)
+    sites = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, where + (child.name,))
+                continue
+            if isinstance(child, ast.Import):
+                names = [a.name for a in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""]
+            else:
+                names = []
+            sites.extend((where, n) for n in names if n.split(".")[0] == "scipy")
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(), str(path)), ())
+    assert sites == [(("_to_increments",), "scipy.special")]

@@ -2,6 +2,9 @@ import math
 import os
 import select
 import signal
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 import tracemalloc
@@ -330,6 +333,21 @@ def forks(two_cpus, monkeypatch):
     return pids
 
 
+@pytest.fixture
+def made_here(monkeypatch):
+    """The block lengths of every `_to_increments` call in this process;
+    a forked helper's calls are counted in its own copy of the list."""
+    lengths = []
+    to_increments = integrate._to_increments
+
+    def counting(z, sqrt_dt):
+        lengths.append(len(z))
+        return to_increments(z, sqrt_dt)
+
+    monkeypatch.setattr(integrate, "_to_increments", counting)
+    return lengths
+
+
 class TestBlockLength:
     """How many steps an engine block spans never changes a value."""
 
@@ -424,10 +442,13 @@ class TestNoiseHelper:
         assert seen[len(streams)] == seen[0]
 
     def test_default_share_and_fallbacks_give_the_same_bytes(
-        self, tmp_path, monkeypatch, forks
+        self, tmp_path, monkeypatch, forks, made_here
     ):
+        # With a helper, only the helper makes increments; every fallback
+        # makes them in this process.
         ref = loud_outputs(tmp_path / "default")
         assert len(forks) == 4
+        assert made_here == []
         del forks[:]
 
         # Another Python thread is running: no fork.
@@ -441,6 +462,8 @@ class TestNoiseHelper:
             other.join(timeout=10)
         assert not other.is_alive()
         assert forks == []
+        assert made_here
+        del made_here[:]
 
         # fork fails: no descriptor is left open.
         def failing_fork():
@@ -451,10 +474,13 @@ class TestNoiseHelper:
         assert loud_outputs(tmp_path / "refused") == ref
         if fds is not None:
             assert len(os.listdir("/proc/self/fd")) == fds
+        assert made_here
+        del made_here[:]
 
         # No os.fork at all.
         monkeypatch.delattr(os, "fork")
         assert loud_outputs(tmp_path / "nofork") == ref
+        assert made_here
 
     def test_close_does_not_wait_on_inherited_pipe_ends(self, forks):
         # A process forked by the consumer mid-run keeps copies of the
@@ -508,9 +534,9 @@ class TestNoiseHelper:
     def test_failing_helper_leaves_without_unwinding(
         self, failure, tmp_path, monkeypatch, forks
     ):
-        # The helper draws all the noise, so only the helper calls
-        # _fill_normals. It must leave through os._exit: unwinding would
-        # run this test's `finally` in the helper as well.
+        # Once it has forked, only the helper calls _to_increments. It
+        # must leave through os._exit: unwinding would run this test's
+        # `finally` in the helper as well.
         monkeypatch.setattr(integrate, "_helper_share", lambda n: n)
 
         def broken(*args):
@@ -518,7 +544,7 @@ class TestNoiseHelper:
                 os.kill(os.getpid(), signal.SIGINT)
             raise KeyError("no noise")
 
-        monkeypatch.setattr(integrate, "_fill_normals", broken)
+        monkeypatch.setattr(integrate, "_to_increments", broken)
         mark = tmp_path / "unwound"
         with pytest.raises(ChildProcessError, match="noise helper process ended"):
             try:
@@ -538,7 +564,7 @@ class TestNoiseHelper:
         def broken(*args):
             raise KeyError("no noise")
 
-        monkeypatch.setattr(integrate, "_fill_normals", broken)
+        monkeypatch.setattr(integrate, "_to_increments", broken)
         config = tmp_path / "run.cfg"
         config.write_text("t_end = 2\ndt = 0.01\nn_paths = 4\nseed = 3\n")
         code = run_cli(["ensemble", "--config", str(config),
@@ -549,11 +575,42 @@ class TestNoiseHelper:
         assert len(forks) == 1
         self.assert_no_child()
 
-    def test_one_block_run_does_not_fork(self, forks):
+    def test_one_block_run_does_not_fork(self, forks, made_here):
         cfg = SimConfig(t_end=0.5, dt=0.01)
         assert cfg.n_steps() <= _BLOCK_STEPS
         run_ensemble(BASELINE_PARAMS, DEFAULT_NOISE, INIT, cfg, 4, 1)
         assert forks == []
+        assert made_here == [cfg.n_steps()]
+
+    def test_main_process_leaves_out_scipy_special(self):
+        # At 500 paths the main process draws uniforms of its own, but
+        # only the helper turns them into increments, so only the helper
+        # imports scipy.special. With one usable CPU this process makes
+        # every increment, and imports it, with the same values.
+        script = textwrap.dedent("""
+            import sys
+            import herdflu
+
+            def summary():
+                s = herdflu.run_ensemble(
+                    herdflu.BASELINE_PARAMS, herdflu.DEFAULT_NOISE,
+                    herdflu.default_init(herdflu.BASELINE_PARAMS),
+                    herdflu.SimConfig(2.0, 0.01), 500, 4)
+                return [getattr(s, f).tobytes() for f in
+                        ("times", "mean", "std", "q025", "q50", "q975")]
+
+            herdflu.process.usable_cpus = lambda: 2
+            two = summary()
+            print("scipy.special" in sys.modules)
+            herdflu.process.usable_cpus = lambda: 1
+            one = summary()
+            print("scipy.special" in sys.modules)
+            print(one == two)
+        """)
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True", "True"]
 
     @staticmethod
     def assert_no_child():
