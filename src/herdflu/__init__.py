@@ -9,7 +9,13 @@ analysis, and a CLI over all of it.
 """
 
 from .config import ConfigError, RunConfig, load_config, parse_config, parse_ranges
-from .ensemble import EnsembleSummary, extinction_fraction, run_ensemble
+from .ensemble import (
+    EnsembleSummary,
+    SummaryBlock,
+    extinction_fraction,
+    iter_summary_blocks,
+    run_ensemble,
+)
 from .equilibrium import (
     EndemicEquilibrium,
     admissible_upper,
@@ -90,6 +96,7 @@ __all__ = [
     "SENSITIVITY_HEADER",
     "SensitivityReport",
     "SimConfig",
+    "SummaryBlock",
     "TRAJECTORY_HEADER",
     "Trajectory",
     "admissible_upper",
@@ -105,6 +112,7 @@ __all__ = [
     "intermediates",
     "iter_path_blocks",
     "iter_path_states",
+    "iter_summary_blocks",
     "lhs_sample",
     "load_config",
     "parse_config",

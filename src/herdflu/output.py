@@ -5,15 +5,19 @@ the identical double, so re-parsing a file recovers the computed values
 bit for bit and identical runs produce identical bytes. The CSV writers
 apply `repr` to `.tolist()` values (Python floats, so the text equals
 `fmt_float` of each value; `fmt_row` joins one row) and stream them in
-chunks of _CHUNK_ROWS instead of holding the whole file as lines.
+chunks instead of holding the whole file as lines.
 
-The row writers, `write_csv_rows` (and so `write_trajectory_csv`),
-`write_ensemble_csv` and `write_trajectory_svg`, whose six polylines
-are 6 * n rows of one point each, go through `_write_rows`: a file of
-at least the writer's `_SPLIT_*_ROWS` rows is cut into contiguous row
-ranges, up to one per usable CPU, formatted at once by forked children
-and appended in row order, so the bytes are those of one process
-writing every row.
+`write_csv_rows` (and so `write_trajectory_csv`) and
+`write_trajectory_svg`, whose six polylines are 6 * n rows of one point
+each, go through `_write_rows`: a file of at least the writer's
+`_SPLIT_*_ROWS` rows is cut into contiguous row ranges, up to one per
+usable CPU, formatted at once by forked children and appended in row
+order, so the bytes are those of one process writing every row.
+
+`write_ensemble_csv` streams: one forked child formats each block of
+summary rows while the ensemble engine computes the next
+(`_EnsembleFormatter`), and the file is written only after the last
+block, so a failed run leaves none.
 """
 
 from __future__ import annotations
@@ -21,11 +25,11 @@ from __future__ import annotations
 import os
 import tempfile
 from contextlib import ExitStack
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .ensemble import EnsembleSummary
+from .ensemble import SUMMARY_COLUMNS, SUMMARY_STATS, EnsembleSummary, SummaryBlock
 from .integrate import Trajectory
 from .model import COMPARTMENTS
 from . import process
@@ -35,16 +39,19 @@ TRAJECTORY_HEADER = "t,S,E,I_s,I_a,R,B"
 ENSEMBLE_HEADER = "t,compartment,mean,std,q025,q50,q975"
 SENSITIVITY_HEADER = "parameter,prcc,p_value,significant"
 
-# Rows formatted and written per fh.write call. 1024 ensemble rows
-# (6144 lines) format to a few MB of strings; at 4096 they set the peak
-# RSS of the default `ensemble` run.
+# Rows formatted and written per fh.write call by `_write_rows`.
 _CHUNK_ROWS = 1024
 
 # Rows from which each writer formats on more than one process, its
 # measured break-even (see `_split_count`).
 _SPLIT_TRAJECTORY_ROWS = 10_000
-_SPLIT_ENSEMBLE_ROWS = 768
 _SPLIT_SVG_ROWS = 6 * 10_000  # six polylines of 10,000 points
+
+# The ensemble CSV's ring (see `_EnsembleFormatter`): slots of summary
+# rows, one engine block each, 127 KB in all. On the 2-vCPU VM 2 slots
+# were slightly slower than 8, and 32 no faster.
+_RING_SLOTS = 8
+_SLOT_ROWS = 64
 
 
 def fmt_float(x: float) -> str:
@@ -69,9 +76,8 @@ def _split_count(fh, n: int, split_rows: int) -> int:
     VM). It saves half the formatting only when the host runs it on the
     second vCPU, which the host did not always do. Splitting in two won
     about 9 in 10 of 52-98 alternating pairs per size from 10,000
-    trajectory CSV rows (7 floats a row; 77% at 5,001), 10,000 SVG
-    points (68% at 5,001) and 768 ensemble rows (31 floats a row; 71%
-    at 512), the three `_SPLIT_*_ROWS`.
+    trajectory CSV rows (7 floats a row; 77% at 5,001) and 10,000 SVG
+    points (68% at 5,001), the two `_SPLIT_*_ROWS`.
     """
     if n < split_rows:
         return 1
@@ -80,6 +86,11 @@ def _split_count(fh, n: int, split_rows: int) -> int:
     except (AttributeError, OSError):
         return 1
     return min(process.usable_cpus(), 2 * n // split_rows)
+
+
+def _text(tmp):
+    """A text writer on the binary file `tmp` that leaves it open."""
+    return open(tmp.fileno(), "w", encoding="utf-8", newline="\n", closefd=False)
 
 
 def _append_file(fh, src) -> None:
@@ -105,7 +116,7 @@ def _write_rows(fh, n: int, fmt: Callable[[int, int], str], kind: str,
     _CHUNK_ROWS rows at a time into its own unnamed temporary file, made
     before the fork, so nothing is left on disk if the child is killed.
     Meanwhile this process formats range 0 into `fh`, then joins each
-    child in order and appends its file with `os.sendfile`, so its own
+    child in order and appends its file (`_append_file`), so its own
     peak memory is that of formatting one chunk. Children write UTF-8
     with LF line ends, as the writers open `fh`.
 
@@ -126,8 +137,7 @@ def _write_rows(fh, n: int, fmt: Callable[[int, int], str], kind: str,
             tmp = stack.enter_context(tempfile.TemporaryFile())
 
             def body(tmp=tmp, a=a, b=b) -> None:
-                with open(tmp.fileno(), "w", encoding="utf-8", newline="\n",
-                          closefd=False) as out:
+                with _text(tmp) as out:
                     format_range(out.write, a, b)
 
             child = process.Child(body, f"{kind} formatter process of rows {a} to {b - 1}")
@@ -189,25 +199,133 @@ def read_trajectory_csv(path: str) -> Trajectory:
     return Trajectory(times=data[:, 0], states=data[:, 1:])
 
 
-def write_ensemble_csv(summary: EnsembleSummary, path: str) -> None:
-    """One row per (time, compartment), compartments in model order."""
-    stats = (summary.mean, summary.std, summary.q025, summary.q50, summary.q975)
+def _ensemble_lines(rows: np.ndarray) -> str:
+    """The CSV lines of summary rows (see `ensemble.SummaryBlock`), six
+    per row, compartments in model order."""
     line = "{},{},{},{},{},{},{}\n".format
+    # The five statistics of each (time, compartment) are consecutive
+    # in a row, so they are consumed five at a time.
+    vals = map(repr, rows[:, 1:].ravel().tolist())
+    return "".join([
+        line(t, comp, *five)
+        for t in map(repr, rows[:, 0].tolist())
+        for comp, five in zip(COMPARTMENTS, zip(vals, vals, vals, vals, vals))
+    ])
 
-    def fmt(a: int, b: int) -> str:
-        # (rows, 6, 5): the five statistics of each (time, compartment),
-        # formatted in one pass and consumed five at a time.
-        chunk = np.stack([x[a:b] for x in stats], axis=-1)
-        vals = map(repr, chunk.ravel().tolist())
-        return "".join([
-            line(t, comp, *five)
-            for t in map(repr, summary.times[a:b].tolist())
-            for comp, five in zip(COMPARTMENTS, zip(vals, vals, vals, vals, vals))
-        ])
 
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(ENSEMBLE_HEADER + "\n")
-        _write_rows(fh, len(summary.times), fmt, "CSV", _SPLIT_ENSEMBLE_ROWS)
+class _EnsembleFormatter:
+    """Formats summary rows into the binary file `tmp` as they come: in
+    one `process.Child` where `process.fork_child` forks, else here.
+
+    The rows pass through a ring of _RING_SLOTS slots of _SLOT_ROWS rows
+    in a `process.shared_array`. `put` copies at most a slot of rows
+    into slot j % _RING_SLOTS and sends their count as one byte on
+    `ready`; the child appends their lines to `tmp` and sends one byte
+    on `free`. `put` waits on `free` only when the child is a whole ring
+    behind, so this process holds a few blocks of rows, never the grid.
+    `finish` sends a zero byte and reaps the child: the end of the
+    stream cannot be EOF, because a process forked from this one later
+    (the ensemble engine's noise helper) holds a copy of `ready`'s write
+    end. A child that dies raises ChildProcessError at the next `put`
+    or at `finish`. Leaving the `with` block kills and reaps a child not
+    yet reaped. The child writes UTF-8 with LF line ends, as the
+    writers open their files.
+    """
+
+    name = "CSV formatter process of the ensemble summary"
+
+    def __init__(self, tmp):
+        self.slots = slots = process.shared_array(
+            (_RING_SLOTS, _SLOT_ROWS, SUMMARY_COLUMNS))
+        self.sent = 0
+        ready_r, ready_w = os.pipe()
+        free_r, free_w = os.pipe()
+
+        def body() -> None:
+            os.close(ready_w)
+            os.close(free_r)
+            with _text(tmp) as out:
+                j = 0
+                # EOF means this process is gone: nobody reads the text.
+                while (n := os.read(ready_r, 1)) and n[0]:
+                    out.write(_ensemble_lines(slots[j % _RING_SLOTS, :n[0]]))
+                    os.write(free_w, b"\1")
+                    j += 1
+
+        self.child = process.Child(body, self.name)
+        if self.child.pid is None:
+            for fd in (ready_r, ready_w, free_r, free_w):
+                os.close(fd)
+            self.fds, self.out = (), _text(tmp)
+        else:
+            os.close(ready_r)
+            os.close(free_w)
+            self.fds, self.out = (ready_w, free_r), None
+
+    def __enter__(self) -> _EnsembleFormatter:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        for fd in self.fds:
+            os.close(fd)
+        self.fds = ()
+        if self.out is not None:
+            self.out.close()
+        self.child.kill()
+
+    def put(self, rows: np.ndarray) -> None:
+        """Format summary rows after those put before."""
+        for a in range(0, len(rows), _SLOT_ROWS):
+            part = rows[a:a + _SLOT_ROWS]
+            if self.out is not None:
+                self.out.write(_ensemble_lines(part))
+                continue
+            if self.sent >= _RING_SLOTS and not os.read(self.fds[1], 1):
+                self._lost()
+            self.slots[self.sent % _RING_SLOTS, :len(part)] = part
+            self._send(bytes((len(part),)))
+            self.sent += 1
+
+    def finish(self) -> None:
+        """Wait until every row put is in `tmp`."""
+        if self.out is not None:
+            self.out.flush()
+            return
+        self._send(b"\0")
+        self.child.join()
+
+    def _send(self, msg: bytes) -> None:
+        try:
+            os.write(self.fds[0], msg)
+        except BrokenPipeError:
+            self._lost()
+
+    def _lost(self) -> None:
+        # The child closed its pipe ends by exiting: report how.
+        self.child.join()
+        raise ChildProcessError(f"the {self.name} ended before the last row")
+
+
+def write_ensemble_csv(summary: EnsembleSummary | Iterable[SummaryBlock],
+                       path: str) -> None:
+    """One row per (time, compartment), compartments in model order.
+
+    `summary` is an `EnsembleSummary` or its blocks in grid order, as
+    `ensemble.iter_summary_blocks` yields them; the engine behind that
+    generator then runs while `_EnsembleFormatter` formats the blocks
+    already reduced. Either way the lines go to an unnamed temporary
+    file first, and `path` is opened only after the last block: a run
+    that fails writes nothing there.
+    """
+    blocks = summary.blocks() if isinstance(summary, EnsembleSummary) else summary
+    with tempfile.TemporaryFile() as tmp:
+        with _EnsembleFormatter(tmp) as formatter:
+            for block in blocks:
+                formatter.put(block.rows)
+            formatter.finish()
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(ENSEMBLE_HEADER + "\n")
+            _append_file(fh, tmp)
 
 
 def read_ensemble_csv(path: str) -> dict[str, np.ndarray]:
@@ -222,7 +340,7 @@ def read_ensemble_csv(path: str) -> dict[str, np.ndarray]:
             raise ValueError(f"line {n}: expected compartment {want}, got {comp!r}")
     # (column, time, compartment), the columns t, mean, std, q025, q50, q975.
     data = _float_array(rows, 6).T.reshape(6, n_rec, len(COMPARTMENTS)).copy()
-    stats = dict(zip(("mean", "std", "q025", "q50", "q975"), data[1:]))
+    stats = dict(zip(SUMMARY_STATS, data[1:]))
     return {"times": data[0, :, 0].copy(), **stats}
 
 

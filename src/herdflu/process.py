@@ -2,13 +2,15 @@
 shares memory with this process and how it ends.
 
 The ensemble engine forks a noise helper (`integrate._NoiseHelper`),
-the CSV and trajectory SVG writers fork row formatters
-(`output._write_rows`) and the PRCC peak sweep runs in a child
-(`sensitivity._peaks_beside_import`). Each is a `Child`: it is started
-through `fork_child`, the one call of `os.fork` in the package, which
-declines below two `usable_cpus`, and reaped, killed and reported only
-here. The noise helper and the sweep write into a `shared_array` made
-before the fork; the formatters write to an unnamed temporary file.
+the ensemble CSV one streaming formatter per run
+(`output._EnsembleFormatter`), the trajectory CSV and SVG writers row
+formatters (`output._write_rows`), and the PRCC peak sweep runs in a
+child (`sensitivity._peaks_beside_import`). Each is a `Child`: it is
+started through `fork_child`, the one call of `os.fork` in the package,
+which declines below two `usable_cpus`, and reaped, killed and reported
+only here. The noise helper and the sweep write into a `shared_array`
+made before the fork, and the streaming formatter reads one; the
+formatters write to an unnamed temporary file.
 """
 
 from __future__ import annotations

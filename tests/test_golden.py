@@ -24,8 +24,8 @@ CLAMPED = "t_end = 20\nn_paths = 30\nseed = 12\n" + "".join(
 # 5001 recorded times, under the trajectory writers' split size: one
 # process writes them (tests/test_output.py checks the split bytes).
 ENDEMIC = "beta_a = 0.46665\nt_end = 50\n"
-# 5001 recorded times, enough for the CSV writer to split the rows over
-# forked formatters.
+# 5001 recorded times: the ensemble CSV's ring of summary rows wraps
+# many times.
 LONG = "t_end = 50\nn_paths = 20\n"
 SWEEP = "t_end = 20\n"
 

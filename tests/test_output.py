@@ -3,6 +3,8 @@ import os
 import re
 import signal
 import threading
+import tracemalloc
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from herdflu import (
     run_ensemble,
 )
 from herdflu import integrate, output, process
+from herdflu.ensemble import iter_summary_blocks
 from herdflu.cli import run_cli
 from herdflu.output import (
     read_ensemble_csv,
@@ -98,18 +101,23 @@ def test_readers_reject_another_header(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# The row splitter: forked formatters give the bytes of one process.
+# The row splitter and the ensemble CSV's stream: forked formatters give
+# the bytes of one process.
 
 SMALL_CHUNK = 4
-# Rows from which every writer splits in these tests; ranges then hold
-# at least SMALL_SPLIT / 2 rows, one whole chunk.
+# Rows from which every row splitter splits in these tests; ranges then
+# hold at least SMALL_SPLIT / 2 rows, one whole chunk.
 SMALL_SPLIT = 2 * SMALL_CHUNK
 
 
 def _split_small(monkeypatch) -> None:
     monkeypatch.setattr(output, "_CHUNK_ROWS", SMALL_CHUNK)
-    for name in ("_SPLIT_TRAJECTORY_ROWS", "_SPLIT_ENSEMBLE_ROWS", "_SPLIT_SVG_ROWS"):
+    for name in ("_SPLIT_TRAJECTORY_ROWS", "_SPLIT_SVG_ROWS"):
         monkeypatch.setattr(output, name, SMALL_SPLIT)
+    # The ensemble CSV's ring of two slots of one chunk: from 9 rows the
+    # writer waits for a free slot.
+    monkeypatch.setattr(output, "_SLOT_ROWS", SMALL_CHUNK)
+    monkeypatch.setattr(output, "_RING_SLOTS", 2)
 
 
 def _summary(n: int) -> EnsembleSummary:
@@ -148,8 +156,8 @@ def test_split_gives_the_bytes_of_one_process(n, tmp_path, monkeypatch, forks):
         del forks[:]
         assert _written(tmp_path, n, f"cpus{cpus}") == ref, cpus
         k = min(cpus, 2 * n // SMALL_SPLIT) if n >= SMALL_SPLIT else 1
-        # Two writers, k - 1 children each.
-        assert len(forks) == 2 * (k - 1), cpus
+        # k - 1 children of the row splitter, one of the stream.
+        assert len(forks) == k, cpus
 
 
 def test_paths_out_blocks_never_fork(tmp_path, monkeypatch, forks):
@@ -160,13 +168,14 @@ def test_paths_out_blocks_never_fork(tmp_path, monkeypatch, forks):
     with open(tmp_path / "block.csv", "w") as fh:
         write_csv_rows(fh, np.zeros((integrate._BLOCK_STEPS, 7)))
     assert forks == []
-    # 201 recorded times: the noise helper is the run's one fork.
+    # 201 recorded times: the summary's formatter and the noise helper
+    # are the run's two forks.
     config = tmp_path / "run.cfg"
     config.write_text("t_end = 2\nn_paths = 4\nseed = 3\n")
     assert run_cli(["ensemble", "--config", str(config), "--out",
                     str(tmp_path / "summary.csv"), "--paths-out",
                     str(tmp_path / "paths")]) == 0
-    assert len(forks) == 1
+    assert len(forks) == 2
     assert len(os.listdir(tmp_path / "paths")) == 4
 
 
@@ -174,7 +183,7 @@ def test_fallbacks_give_the_same_bytes(tmp_path, monkeypatch, forks):
     _split_small(monkeypatch)
     monkeypatch.setattr(process, "usable_cpus", lambda: 3)
     ref = _written(tmp_path, 29, "split")
-    assert len(forks) == 4
+    assert len(forks) == 3
     del forks[:]
 
     # Another Python thread is running: no fork.
@@ -280,6 +289,121 @@ def test_interrupt_in_the_main_process_ends_every_formatter(
         os.close(hold_r)
         os.close(hold_w)
     assert len(forks) == 2
+
+
+# ---------------------------------------------------------------------------
+# The ensemble CSV's stream: one formatter child while the engine runs.
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _streamed(path, cfg, n_paths: int) -> bytes:
+    """The bytes of the ensemble CSV of a run streamed from its engine."""
+    init = default_init(BASELINE_PARAMS)
+    with closing(iter_summary_blocks(BASELINE_PARAMS, DEFAULT_NOISE, init, cfg,
+                                     n_paths, 9)) as blocks:
+        write_ensemble_csv(blocks, str(path))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("n_paths", [1, 8])
+@pytest.mark.parametrize("stride", [1, 7])
+def test_one_cpu_streams_here_with_the_same_bytes(
+    n_paths, stride, tmp_path, monkeypatch, forks
+):
+    # 205 steps: three whole engine blocks and a short one of 13 steps.
+    cfg = SimConfig(t_end=2.05, dt=0.01, record_stride=stride)
+    assert cfg.n_steps() % integrate._BLOCK_STEPS == 13
+    ref = _streamed(tmp_path / "two.csv", cfg, n_paths)
+    # The formatter, then the noise helper.
+    assert len(forks) == 2
+    assert ref.count(b"\n") == 1 + 6 * len(cfg.recorded_steps())
+    del forks[:]
+    monkeypatch.setattr(process, "usable_cpus", lambda: 1)
+    assert _streamed(tmp_path / "one.csv", cfg, n_paths) == ref
+    summ = run_ensemble(BASELINE_PARAMS, DEFAULT_NOISE,
+                        default_init(BASELINE_PARAMS), cfg, n_paths, 9)
+    write_ensemble_csv(summ, str(tmp_path / "summary.csv"))
+    assert forks == []
+    assert (tmp_path / "summary.csv").read_bytes() == ref
+
+
+def test_overflow_mid_run_leaves_no_file_and_no_child(
+    tmp_path, monkeypatch, capsys, forks
+):
+    # Recruitment beyond double range overflows at t = 2, step 4, in the
+    # second 3-step block: the formatter has had two blocks by then.
+    monkeypatch.setattr(integrate, "_BLOCK_STEPS", 3)
+    config = tmp_path / "run.cfg"
+    # The baseline's initial state: the default one scales with lambda.
+    init = zip(("s0", "e0", "is0", "ia0", "r0", "b0"),
+               default_init(BASELINE_PARAMS).as_array().tolist())
+    config.write_text("lambda = 1e308\nt_end = 10\ndt = 0.5\nn_paths = 4\nseed = 0\n"
+                      + "".join(f"{k} = {v!r}\n" for k, v in init))
+    out = tmp_path / "summary.csv"
+    put = output._EnsembleFormatter.put
+    rows = []
+
+    def counting(self, block_rows):
+        rows.append(len(block_rows))
+        put(self, block_rows)
+
+    monkeypatch.setattr(output._EnsembleFormatter, "put", counting)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run_cli(["ensemble", "--config", str(config), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: non-finite state at t=2\n"
+    assert rows == [1, 3]
+    assert not out.exists()
+    assert len(forks) == 2
+    _assert_no_child()
+
+
+def test_killed_formatter_makes_the_cli_exit_2(tmp_path, monkeypatch, capsys, forks):
+    parent, lines = os.getpid(), output._ensemble_lines
+
+    def killed(rows):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return lines(rows)
+
+    monkeypatch.setattr(output, "_ensemble_lines", killed)
+    config = tmp_path / "run.cfg"
+    # 201 recorded times: five engine blocks.
+    config.write_text("t_end = 2\nn_paths = 4\nseed = 3\n")
+    out = tmp_path / "summary.csv"
+    code = run_cli(["ensemble", "--config", str(config), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: the CSV formatter process of the ensemble summary ended by "
+        f"signal {int(signal.SIGKILL)}\n")
+    assert not out.exists()
+    assert len(forks) == 2
+    _assert_no_child()
+
+
+def test_ensemble_command_holds_no_summary_grid(tmp_path, forks):
+    # 20 paths, 20,001 recorded times: the summary grid, 30 floats per
+    # time, would be 4.8 MB. The main process holds an engine block
+    # (61 KB), its reduction and a ring of summary rows.
+    config = tmp_path / "run.cfg"
+    config.write_text("t_end = 200\nn_paths = 20\nseed = 3\n")
+    grid = 20_001 * 30 * 8
+    # Load scipy.special outside the traced run.
+    import scipy.special  # noqa: F401
+    tracemalloc.start()
+    try:
+        assert run_cli(["ensemble", "--config", str(config), "--out",
+                        str(tmp_path / "summary.csv")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(forks) == 2
+    # 0.53 MB on numpy 2.4; the grid alone is four times this bound.
+    assert peak < grid / 4, peak
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +521,9 @@ def test_failing_svg_formatter_names_the_svg(tmp_path, monkeypatch, forks):
 
 def test_each_writer_splits_from_its_own_break_even(tmp_path, monkeypatch, forks):
     # On 2 CPUs a 5,001-point trajectory (the ENDEMIC grid) is written
-    # by one process, CSV and SVG; a 5,001-row ensemble summary and the
-    # default-grid files (50,001 recorded times) split in two.
+    # by one process, CSV and SVG, and the default-grid files (50,001
+    # recorded times) split in two. An ensemble summary of any length
+    # has its one streaming formatter.
     monkeypatch.setattr(process, "usable_cpus", lambda: 2)
     traj = _trajectory(5001)
     output.write_trajectory_csv(traj, str(tmp_path / "traj.csv"))
@@ -408,5 +533,4 @@ def test_each_writer_splits_from_its_own_break_even(tmp_path, monkeypatch, forks
     assert len(forks) == 1
     with open(tmp_path / "probe", "w") as fh:
         assert output._split_count(fh, 50_001, output._SPLIT_TRAJECTORY_ROWS) == 2
-        assert output._split_count(fh, 50_001, output._SPLIT_ENSEMBLE_ROWS) == 2
         assert output._split_count(fh, 6 * 50_001, output._SPLIT_SVG_ROWS) == 2

@@ -17,8 +17,8 @@ from herdflu import (
     run_ensemble,
     sensitivity_of_peak_symptomatic,
 )
-from herdflu import process
-from herdflu.output import _SPLIT_ENSEMBLE_ROWS, write_ensemble_csv
+from herdflu import output, process
+from herdflu.output import write_ensemble_csv
 from herdflu.process import Child, shared_array, usable_cpus
 
 # Most tests here fork, so they run on two usable CPUs whatever the
@@ -124,15 +124,15 @@ def test_shared_array_carries_a_child_s_writes():
 def test_one_usable_cpu_forks_nothing_and_gives_the_same_values(
     tmp_path, monkeypatch, forks
 ):
-    # One site of each kind: the noise helper of a multi-block run, a
-    # formatter of an ensemble CSV above its split, and the PRCC sweep.
+    # One site of each kind: the noise helper of a multi-block run, the
+    # ensemble CSV's streaming formatter, and the PRCC sweep.
     cfg = SimConfig(t_end=10.0, dt=0.01)
     outbreak = replace(BASELINE_PARAMS, beta_a=0.46665)
 
     def outputs(tag: str):
         summ = run_ensemble(BASELINE_PARAMS, DEFAULT_NOISE,
                             default_init(BASELINE_PARAMS), cfg, 4, 3)
-        assert len(summ.times) > _SPLIT_ENSEMBLE_ROWS
+        assert len(summ.times) > output._SLOT_ROWS * output._RING_SLOTS
         csv = tmp_path / f"{tag}.csv"
         write_ensemble_csv(summ, str(csv))
         report = sensitivity_of_peak_symptomatic(
