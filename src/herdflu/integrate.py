@@ -21,14 +21,13 @@ A draw is split in two stages: `_fill_uniforms` takes the Philox
 uniforms, and `_to_increments` maps them through the normal quantile
 (`ndtri`) and scales them by sqrt(dt). The ensemble engine
 (`iter_path_blocks`) runs the second stage, and part of the first, in a
-forked helper process while the main process steps the paths; see
-`_NoiseHelper`.
+forked helper process (a `process.Ring`) while the main process steps
+the paths.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -44,7 +43,7 @@ from .model import (
     rates,
     rates_rows,
 )
-from .process import Child, shared_array
+from .process import Ring, shared_array
 
 if TYPE_CHECKING:
     from numpy.random import Generator
@@ -307,90 +306,6 @@ def _helper_share(n_paths: int) -> int:
     return min(n_paths, n_paths // 4 + 83)
 
 
-class _NoiseHelper:
-    """A forked process that finishes the noise of every engine block.
-
-    Engine block j of the run goes to slot j % 2 of the ring. The main
-    process draws the uniforms of paths [w, P) into the slot and hands
-    it over with one byte on `free` (`hand_over`); the helper draws
-    those of paths [0, w) into the same slot, turns the whole slot into
-    increments (`_to_increments`, the noise path's one import of
-    scipy.special) and sends one byte on `ready`. The main process draws
-    its part of block j + 2 right after it steps block j, so the helper
-    finishes one block while the main process steps the other. Each
-    path's stream is consumed in order by one process alone, and every
-    element gets the same clamp, `ndtri` and scaling, so no value
-    depends on w.
-
-    The helper leaves through os._exit whatever happens (see
-    `process.fork_child`). It exits on EOF on `free` or EPIPE on
-    `ready`, so it outlives a main process that dies by at most one
-    block; `close` kills and reaps it.
-    """
-
-    def __init__(self, child: Child, ready: int, free: int, slots: np.ndarray,
-                 gens: Sequence[Generator], w: int, lengths: list[int]):
-        self.child, self.ready, self.free = child, ready, free
-        self.slots, self.gens, self.w, self.lengths = slots, gens, w, lengths
-
-    @classmethod
-    def fork(cls, slots: np.ndarray, gens: Sequence[Generator], w: int,
-             lengths: list[int], sqrt_dt: float) -> _NoiseHelper | None:
-        """Start the helper on `gens[:w]`, the blocks of `lengths`; None
-        if this process does not fork (see `process.fork_child`)."""
-        ready_r, ready_w = os.pipe()
-        free_r, free_w = os.pipe()
-
-        def body() -> None:
-            # On a failure the main process sees only the closed pipe.
-            os.close(ready_r)
-            os.close(free_w)
-            try:
-                for j, h in enumerate(lengths):
-                    if not os.read(free_r, 1):
-                        break
-                    z = slots[j % 2][:h]
-                    _fill_uniforms(z[:, :, :w], gens[:w])
-                    _to_increments(z, sqrt_dt)
-                    os.write(ready_w, b"\1")
-            except BrokenPipeError:
-                pass
-
-        child = Child(body, "noise helper process")
-        if child.pid is None:
-            for fd in (ready_r, ready_w, free_r, free_w):
-                os.close(fd)
-            return None
-        os.close(ready_w)
-        os.close(free_r)
-        return cls(child, ready_r, free_w, slots, gens, w, lengths)
-
-    def hand_over(self, j: int) -> None:
-        """Draw paths [w, P) of block j into its slot and hand the slot
-        to the helper; nothing past the last block."""
-        if j < len(self.lengths):
-            z = self.slots[j % 2][:self.lengths[j]]
-            _fill_uniforms(z[:, :, self.w:], self.gens[self.w:])
-            try:
-                os.write(self.free, b"\1")
-            except BrokenPipeError:
-                raise ChildProcessError(
-                    "the noise helper process ended before the run") from None
-
-    def wait(self) -> None:
-        """Block until the helper has finished the next block."""
-        if not os.read(self.ready, 1):
-            raise ChildProcessError("the noise helper process ended before the run")
-
-    def close(self) -> None:
-        """Close both pipes, end the helper and reap it."""
-        os.close(self.ready)
-        os.close(self.free)
-        # A process forked from this one during the run holds copies of
-        # the pipe ends, so the helper may never see EOF.
-        self.child.kill()
-
-
 def integrate_sde(
     p: ModelParams,
     n: NoiseIntensities,
@@ -472,19 +387,24 @@ def iter_path_blocks(
     may keep it or reorder it in place (`run_ensemble` sorts it).
 
     A block spans _BLOCK_STEPS steps, so memory is two blocks of noise
-    (the ring, see `_NoiseHelper`) and one block of recorded rows over
-    all paths. Block length never changes a value, because each path's
-    stream is consumed in order.
+    (the ring) and one block of recorded rows over all paths. Block
+    length never changes a value, because each path's stream is consumed
+    in order.
 
-    A run of more than one block forks one helper process. This process
-    draws the uniforms of the last P - `_helper_share(n_paths)` paths and
-    steps the paths; the helper draws the rest and turns every uniform
-    into an increment, so this process never imports scipy.special (see
-    `_NoiseHelper`). The helper is reaped when the generator finishes,
-    fails or is closed. For a one-block run, and when
-    `process.fork_child` declines (no `os.fork`, one usable CPU, other
-    Python threads, a failed fork), all the noise is made here. Neither
-    changes a value.
+    A run of more than one block forks one noise helper process, a
+    `process.Ring` of two slots, one engine block of noise each. Right
+    after it steps block j, this process draws the uniforms of the last
+    P - w paths of block j + 2 into the slot it has just used and hands
+    it over; the helper draws those of paths [0, w), w =
+    `_helper_share(n_paths)`, and turns the whole slot into increments
+    (`_to_increments`, the noise path's one import of scipy.special),
+    so this process never imports scipy.special. The helper is reaped
+    when the generator finishes, fails or is closed. For a one-block
+    run, and when `process.fork_child` declines (no `os.fork`, one
+    usable CPU, other Python threads, a failed fork), the helper's part
+    runs here as each slot is handed over. Each path's stream is
+    consumed in order by one process alone, and every element gets the
+    same clamp, `ndtri` and scaling, so neither changes a value.
 
     If a recorded state is non-finite, the rows before it are yielded
     as a shorter block and IntegrationError is raised.
@@ -508,29 +428,34 @@ def iter_path_blocks(
     starts = range(0, n_steps, _BLOCK_STEPS)
     lengths = [min(_BLOCK_STEPS, n_steps - k0) for k0 in starts]
     w = _helper_share(n_paths) if len(lengths) > 1 else 0
-    helper = _NoiseHelper.fork(slots, gens, w, lengths, sqrt_dt) if w else None
-    try:
-        if helper is not None:
-            helper.hand_over(0)
-            helper.hand_over(1)
+
+    def make_increments(j: int, _: int) -> None:
+        z = slots[j % 2][:lengths[j]]
+        _fill_uniforms(z[:, :, :w], gens[:w])
+        _to_increments(z, sqrt_dt)
+
+    def hand_over(j: int) -> None:
+        # Draw paths [w, P) of block j into its slot and hand it over;
+        # nothing past the last block.
+        if j < len(lengths):
+            z = slots[ring.slot()][:lengths[j]]
+            _fill_uniforms(z[:, :, w:], gens[w:])
+            ring.put(1)
+
+    with Ring(make_increments, 2, "noise helper process", fork=w > 0) as ring:
+        hand_over(0)
+        hand_over(1)
         yield np.zeros(1), np.tile(x0, (1, n_paths, 1))
         for j, (k0, m) in enumerate(zip(starts, lengths)):
-            z = slots[j % 2][:m]
-            if helper is None:
-                _to_increments(_fill_uniforms(z, gens), sqrt_dt)
-            else:
-                helper.wait()
+            z = slots[ring.take()][:m]
             ks = _block_steps(recorded, k0, m)
             rec = {o: row for row, o in enumerate((ks - k0).tolist())}
             buf = np.empty((len(ks), n_paths, 6)) if rec else None
             chunk.advance(z, rec, buf)
-            if helper is not None:
-                helper.hand_over(j + 2)
+            hand_over(j + 2)
             if rec:
                 yield from _finite_rows(ks * dt, buf)
-    finally:
-        if helper is not None:
-            helper.close()
+        ring.finish()
 
 
 def iter_path_states(

@@ -14,10 +14,10 @@ each, go through `_write_rows`: a file of at least the writer's
 usable CPU, formatted at once by forked children and appended in row
 order, so the bytes are those of one process writing every row.
 
-`write_ensemble_csv` streams: one forked child formats each block of
-summary rows while the ensemble engine computes the next
-(`_EnsembleFormatter`), and the file is written only after the last
-block, so a failed run leaves none.
+`write_ensemble_csv` streams: one forked child (a `process.Ring`)
+formats each block of summary rows while the ensemble engine computes
+the next, and the file is written only after the last block, so a
+failed run leaves none.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ _CHUNK_ROWS = 1024
 _SPLIT_TRAJECTORY_ROWS = 10_000
 _SPLIT_SVG_ROWS = 6 * 10_000  # six polylines of 10,000 points
 
-# The ensemble CSV's ring (see `_EnsembleFormatter`): slots of summary
+# The ensemble CSV's ring (see `write_ensemble_csv`): slots of summary
 # rows, one engine block each, 127 KB in all. On the 2-vCPU VM 2 slots
 # were slightly slower than 8, and 32 no faster.
 _RING_SLOTS = 8
@@ -86,11 +86,6 @@ def _split_count(fh, n: int, split_rows: int) -> int:
     except (AttributeError, OSError):
         return 1
     return min(process.usable_cpus(), 2 * n // split_rows)
-
-
-def _text(tmp):
-    """A text writer on the binary file `tmp` that leaves it open."""
-    return open(tmp.fileno(), "w", encoding="utf-8", newline="\n", closefd=False)
 
 
 def _append_file(fh, src) -> None:
@@ -137,7 +132,8 @@ def _write_rows(fh, n: int, fmt: Callable[[int, int], str], kind: str,
             tmp = stack.enter_context(tempfile.TemporaryFile())
 
             def body(tmp=tmp, a=a, b=b) -> None:
-                with _text(tmp) as out:
+                with open(tmp.fileno(), "w", encoding="utf-8", newline="\n",
+                          closefd=False) as out:
                     format_range(out.write, a, b)
 
             child = process.Child(body, f"{kind} formatter process of rows {a} to {b - 1}")
@@ -213,116 +209,37 @@ def _ensemble_lines(rows: np.ndarray) -> str:
     ])
 
 
-class _EnsembleFormatter:
-    """Formats summary rows into the binary file `tmp` as they come: in
-    one `process.Child` where `process.fork_child` forks, else here.
-
-    The rows pass through a ring of _RING_SLOTS slots of _SLOT_ROWS rows
-    in a `process.shared_array`. `put` copies at most a slot of rows
-    into slot j % _RING_SLOTS and sends their count as one byte on
-    `ready`; the child appends their lines to `tmp` and sends one byte
-    on `free`. `put` waits on `free` only when the child is a whole ring
-    behind, so this process holds a few blocks of rows, never the grid.
-    `finish` sends a zero byte and reaps the child: the end of the
-    stream cannot be EOF, because a process forked from this one later
-    (the ensemble engine's noise helper) holds a copy of `ready`'s write
-    end. A child that dies raises ChildProcessError at the next `put`
-    or at `finish`. Leaving the `with` block kills and reaps a child not
-    yet reaped. The child writes UTF-8 with LF line ends, as the
-    writers open their files.
-    """
-
-    name = "CSV formatter process of the ensemble summary"
-
-    def __init__(self, tmp):
-        self.slots = slots = process.shared_array(
-            (_RING_SLOTS, _SLOT_ROWS, SUMMARY_COLUMNS))
-        self.sent = 0
-        ready_r, ready_w = os.pipe()
-        free_r, free_w = os.pipe()
-
-        def body() -> None:
-            os.close(ready_w)
-            os.close(free_r)
-            with _text(tmp) as out:
-                j = 0
-                # EOF means this process is gone: nobody reads the text.
-                while (n := os.read(ready_r, 1)) and n[0]:
-                    out.write(_ensemble_lines(slots[j % _RING_SLOTS, :n[0]]))
-                    os.write(free_w, b"\1")
-                    j += 1
-
-        self.child = process.Child(body, self.name)
-        if self.child.pid is None:
-            for fd in (ready_r, ready_w, free_r, free_w):
-                os.close(fd)
-            self.fds, self.out = (), _text(tmp)
-        else:
-            os.close(ready_r)
-            os.close(free_w)
-            self.fds, self.out = (ready_w, free_r), None
-
-    def __enter__(self) -> _EnsembleFormatter:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        for fd in self.fds:
-            os.close(fd)
-        self.fds = ()
-        if self.out is not None:
-            self.out.close()
-        self.child.kill()
-
-    def put(self, rows: np.ndarray) -> None:
-        """Format summary rows after those put before."""
-        for a in range(0, len(rows), _SLOT_ROWS):
-            part = rows[a:a + _SLOT_ROWS]
-            if self.out is not None:
-                self.out.write(_ensemble_lines(part))
-                continue
-            if self.sent >= _RING_SLOTS and not os.read(self.fds[1], 1):
-                self._lost()
-            self.slots[self.sent % _RING_SLOTS, :len(part)] = part
-            self._send(bytes((len(part),)))
-            self.sent += 1
-
-    def finish(self) -> None:
-        """Wait until every row put is in `tmp`."""
-        if self.out is not None:
-            self.out.flush()
-            return
-        self._send(b"\0")
-        self.child.join()
-
-    def _send(self, msg: bytes) -> None:
-        try:
-            os.write(self.fds[0], msg)
-        except BrokenPipeError:
-            self._lost()
-
-    def _lost(self) -> None:
-        # The child closed its pipe ends by exiting: report how.
-        self.child.join()
-        raise ChildProcessError(f"the {self.name} ended before the last row")
-
-
 def write_ensemble_csv(summary: EnsembleSummary | Iterable[SummaryBlock],
                        path: str) -> None:
     """One row per (time, compartment), compartments in model order.
 
     `summary` is an `EnsembleSummary` or its blocks in grid order, as
     `ensemble.iter_summary_blocks` yields them; the engine behind that
-    generator then runs while `_EnsembleFormatter` formats the blocks
-    already reduced. Either way the lines go to an unnamed temporary
-    file first, and `path` is opened only after the last block: a run
-    that fails writes nothing there.
+    generator then runs while the blocks already reduced are formatted.
+    The rows pass through a `process.Ring` of _RING_SLOTS slots of
+    _SLOT_ROWS rows: its child appends their lines to an unnamed
+    temporary file, and this process waits only when the child is a
+    whole ring behind, so it holds a few blocks of rows, never the grid.
+    `path` is opened only after the last block: a run that fails writes
+    nothing there.
     """
     blocks = summary.blocks() if isinstance(summary, EnsembleSummary) else summary
+    slots = process.shared_array((_RING_SLOTS, _SLOT_ROWS, SUMMARY_COLUMNS))
     with tempfile.TemporaryFile() as tmp:
-        with _EnsembleFormatter(tmp) as formatter:
+
+        def format_slot(j: int, n: int) -> None:
+            tmp.write(_ensemble_lines(slots[j % _RING_SLOTS, :n]).encode())
+            # A child leaves through os._exit, which flushes nothing.
+            tmp.flush()
+
+        with process.Ring(format_slot, _RING_SLOTS,
+                          "CSV formatter process of the ensemble summary") as ring:
             for block in blocks:
-                formatter.put(block.rows)
-            formatter.finish()
+                for a in range(0, len(block.rows), _SLOT_ROWS):
+                    part = block.rows[a:a + _SLOT_ROWS]
+                    slots[ring.slot(), :len(part)] = part
+                    ring.put(len(part))
+            ring.finish()
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(ENSEMBLE_HEADER + "\n")
             _append_file(fh, tmp)

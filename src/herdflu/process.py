@@ -1,15 +1,16 @@
 """Forked child processes: one policy for whether to fork, how a child
-shares memory with this process and how it ends.
+shares memory with this process, how it is fed and how it ends.
 
-The ensemble engine forks a noise helper (`integrate._NoiseHelper`),
-the ensemble CSV one streaming formatter per run
-(`output._EnsembleFormatter`), the trajectory CSV and SVG writers row
-formatters (`output._write_rows`), and the PRCC peak sweep runs in a
-child (`sensitivity._peaks_beside_import`). Each is a `Child`: it is
-started through `fork_child`, the one call of `os.fork` in the package,
-which declines below two `usable_cpus`, and reaped, killed and reported
-only here. The noise helper and the sweep write into a `shared_array`
-made before the fork, and the streaming formatter reads one; the
+The trajectory CSV and SVG writers fork row formatters
+(`output._write_rows`), and the PRCC peak sweep runs in a child
+(`sensitivity._peaks_beside_import`). The ensemble engine's noise
+helper (`integrate.iter_path_blocks`) and the ensemble CSV's streaming
+formatter (`output.write_ensemble_csv`) are each a `Ring`: a child that
+does a job on each slot of a ring in a `shared_array` as this process
+hands the slots over. Every child is a `Child`: it is started through
+`fork_child`, the one call of `os.fork` in the package, which declines
+below two `usable_cpus`, and reaped, killed and reported only here.
+The sweep writes into a `shared_array` made before the fork; the
 formatters write to an unnamed temporary file.
 """
 
@@ -124,3 +125,117 @@ class Child:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
             self.pid = None
+
+
+class Ring:
+    """`job(j, n)` run on each slot that this process hands over, in a
+    `Child` named `name` where `fork` is true and `fork_child` forks,
+    else here.
+
+    The slots are `depth` entries of memory that both processes share
+    (a `shared_array` made before the ring); j counts the `put` calls
+    from 0, so the job's slot is j % depth. This process fills slot
+    `slot()` and hands it over with `put(n)`, n in [1, 255]; the child
+    does `job(j, n)` and hands the slot back, one byte each way on two
+    pipes. `take()` waits until the job is done with the oldest slot
+    handed out, and `slot()` waits only while all `depth` slots are out.
+    Without a child, `put` runs the job here at once, so the job sees
+    the same calls in the same order.
+
+    `finish()` ends the stream with a zero byte and reaps the child: the
+    end cannot be EOF, because a process forked from this one later
+    holds copies of the pipe ends. `close()`, and leaving a `with`
+    block, closes them and kills and reaps a child not yet reaped. A
+    child that dies raises ChildProcessError, as `Child.join` reports
+    it, at the next `slot`, `put`, `take` or `finish` that finds its
+    pipe closed. The child exits on EOF on its pipe or EPIPE on the
+    other, so it outlives a main process that dies by at most one job.
+    """
+
+    def __init__(self, job: Callable[[int, int], None], depth: int, name: str,
+                 fork: bool = True):
+        self.job, self.depth = job, depth
+        self.sent = self.taken = 0
+        self.child, self.fds = None, ()
+        if not fork:
+            return
+        put_r, put_w = os.pipe()
+        done_r, done_w = os.pipe()
+
+        def serve() -> None:
+            os.close(put_w)
+            os.close(done_r)
+            j = 0
+            try:
+                # On a failure the parent sees only the closed pipes.
+                while (n := os.read(put_r, 1)) and n[0]:
+                    job(j, n[0])
+                    os.write(done_w, b"\1")
+                    j += 1
+            except BrokenPipeError:
+                pass
+
+        child = Child(serve, name)
+        if child.pid is None:
+            for fd in (put_r, put_w, done_r, done_w):
+                os.close(fd)
+            return
+        os.close(put_r)
+        os.close(done_w)
+        self.child, self.fds = child, (put_w, done_r)
+
+    def __enter__(self) -> Ring:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def slot(self) -> int:
+        """The slot to fill next; waits while all of them are out."""
+        if self.sent - self.taken == self.depth:
+            self.take()
+        return self.sent % self.depth
+
+    def put(self, n: int) -> None:
+        """Hand slot `slot()` to the job with n, in [1, 255]."""
+        if not 0 < n < 256:
+            raise ValueError(f"a slot is handed over with 1 to 255, got {n!r}")
+        if self.child is None:
+            self.job(self.sent, n)
+        else:
+            self._send(bytes((n,)))
+        self.sent += 1
+
+    def take(self) -> int:
+        """Wait until the job is done with the oldest slot handed out,
+        and return that slot."""
+        if self.child is not None and not os.read(self.fds[1], 1):
+            self._lost()
+        self.taken += 1
+        return (self.taken - 1) % self.depth
+
+    def finish(self) -> None:
+        """Wait until the job is done with every slot handed out, and
+        reap the child."""
+        if self.child is not None:
+            self._send(b"\0")
+            self.child.join()
+
+    def close(self) -> None:
+        """Close the pipes, and kill and reap a child not yet reaped."""
+        for fd in self.fds:
+            os.close(fd)
+        self.fds = ()
+        if self.child is not None:
+            self.child.kill()
+
+    def _send(self, msg: bytes) -> None:
+        try:
+            os.write(self.fds[0], msg)
+        except BrokenPipeError:
+            self._lost()
+
+    def _lost(self) -> None:
+        # The child closed its pipe ends by exiting: report how.
+        self.child.join()
+        raise ChildProcessError(f"the {self.child.name} ended by exit status 0")

@@ -3,7 +3,9 @@
 Every test fails if it leaves a child process behind. A test that
 asserts a fork asks for `forks` (or `two_cpus`), which lets this
 process use two CPUs whatever the runner gives it, since
-`process.fork_child` declines on one.
+`process.fork_child` declines on one. `forks` counts every `os.fork`
+in this process, whatever child it starts, so a test that counts the
+forks of one kind of child clears the list before the run it counts.
 """
 
 import os
@@ -28,9 +30,10 @@ def _child_left() -> str | None:
 @pytest.fixture(autouse=True)
 def no_child_processes_left():
     """Fail a test that leaves a child process behind: every forked
-    child, the ensemble engine's noise helper, the CSV and SVG writers'
-    row formatters and the PRCC peak sweep alike, must be reaped on
-    every way out of a run."""
+    child, the ensemble engine's noise helper and the ensemble CSV's
+    formatter (each a `process.Ring`), the CSV and SVG writers' row
+    formatters and the PRCC peak sweep alike, must be reaped on every
+    way out of a run."""
     yield
     left = _child_left()
     if left is not None:

@@ -241,7 +241,7 @@ def test_c09_noise_intensity_widens_the_ensemble():
     assert elapsed < 120.0
 
 
-def test_c10_reproducibility_bytes_and_parallel_agreement(tmp_path, monkeypatch, two_cpus):
+def test_c10_reproducibility_bytes_and_parallel_agreement(tmp_path, monkeypatch, forks):
     """Identical config + seed produce byte-identical CSVs through the
     CLI, whatever the inert `--threads` value, and an ensemble whose
     noise the forked helper process draws agrees with one drawn in this
@@ -267,19 +267,12 @@ def test_c10_reproducibility_bytes_and_parallel_agreement(tmp_path, monkeypatch,
             SimConfig(2.0, 0.01), n_paths=8, master_seed=5,
         )
 
-    helpers = []
-    fork = integrate._NoiseHelper.fork.__func__
-
-    def counting_fork(cls, *args):
-        helpers.append(fork(cls, *args))
-        return helpers[-1]
-
-    monkeypatch.setattr(integrate._NoiseHelper, "fork", classmethod(counting_fork))
+    del forks[:]
     helper_on = ensemble()
-    assert len(helpers) == 1 and helpers[0] is not None
+    assert len(forks) == 1
     monkeypatch.setattr(integrate, "_helper_share", lambda n: 0)
     helper_off = ensemble()
-    assert len(helpers) == 1
+    assert len(forks) == 1
     fields = ("mean", "std", "q025", "q50", "q975")
     worst = 0.0
     for name in fields:

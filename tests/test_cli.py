@@ -434,14 +434,17 @@ def test_every_fork_goes_through_fork_child():
     # process.Child alone reaps, kills and reports a child. A call of
     # os.fork, os.wait*, os.kill or os.killpg elsewhere in the package
     # would bypass them. So would a CPU count of its own
-    # (os.sched_getaffinity, process.usable_cpus holds it) or shared
-    # memory of its own (mmap.mmap, process.shared_array holds it).
+    # (os.sched_getaffinity, process.usable_cpus holds it), shared
+    # memory of its own (mmap.mmap, process.shared_array holds it) or a
+    # pipe to a child of its own (os.pipe, os.read, os.write;
+    # process.Ring holds the slot handshake).
     import herdflu
 
     def policy(module: str, name: str) -> bool:
         if module == "mmap":
             return name == "mmap"
-        return name.startswith(("fork", "wait", "kill")) or name == "sched_getaffinity"
+        return (name.startswith(("fork", "wait", "kill", "pipe"))
+                or name in ("read", "write", "sched_getaffinity"))
 
     modules = ("os", "posix", "mmap")
     package = pathlib.Path(herdflu.__file__).parent
@@ -456,8 +459,9 @@ def test_every_fork_goes_through_fork_child():
                           if policy(node.module, a.name)]
     assert sorted(set(sites)) == [
         ("process.py", "fork"), ("process.py", "kill"), ("process.py", "mmap"),
+        ("process.py", "pipe"), ("process.py", "read"),
         ("process.py", "sched_getaffinity"), ("process.py", "waitpid"),
-        ("process.py", "waitstatus_to_exitcode"),
+        ("process.py", "waitstatus_to_exitcode"), ("process.py", "write"),
     ]
     assert sites.count(("process.py", "fork")) == 1
 

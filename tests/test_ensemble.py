@@ -316,24 +316,6 @@ def loud_outputs(out):
 
 
 @pytest.fixture
-def forks(two_cpus, monkeypatch):
-    """The pids of every noise helper the test forks, with two usable
-    CPUs. The CSV writers fork row formatters of their own, which the
-    `forks` fixture of tests/conftest.py counts."""
-    pids = []
-    fork = integrate._NoiseHelper.fork.__func__
-
-    def counting_fork(cls, *args):
-        helper = fork(cls, *args)
-        if helper is not None:
-            pids.append(helper.child.pid)
-        return helper
-
-    monkeypatch.setattr(integrate._NoiseHelper, "fork", classmethod(counting_fork))
-    return pids
-
-
-@pytest.fixture
 def made_here(monkeypatch):
     """The block lengths of every `_to_increments` call in this process;
     a forked helper's calls are counted in its own copy of the list."""
@@ -410,8 +392,9 @@ class TestNoiseHelper:
                 monkeypatch.setattr(integrate, "_helper_share", lambda n, w=w: w)
                 del forks[:]
                 seen[w] = loud_outputs(tmp_path / f"m{m}w{w}")
-                # One helper per run of each of the four consumers.
-                assert len(forks) == (4 if w else 0), (m, w)
+                # One helper per run of each of the four consumers, and
+                # the CLI summary's formatter.
+                assert len(forks) == (5 if w else 1), (m, w)
             ref = seen.pop(0)
             for w, got in seen.items():
                 assert got == ref, (m, w)
@@ -447,7 +430,7 @@ class TestNoiseHelper:
         # With a helper, only the helper makes increments; every fallback
         # makes them in this process.
         ref = loud_outputs(tmp_path / "default")
-        assert len(forks) == 4
+        assert len(forks) == 5
         assert made_here == []
         del forks[:]
 
@@ -571,8 +554,9 @@ class TestNoiseHelper:
                         "--out", str(tmp_path / "summary.csv")])
         assert code == 2
         assert capsys.readouterr().err == (
-            "error: the noise helper process ended before the run\n")
-        assert len(forks) == 1
+            "error: the noise helper process ended by exit status 1\n")
+        # The summary's formatter, then the noise helper.
+        assert len(forks) == 2
         self.assert_no_child()
 
     def test_one_block_run_does_not_fork(self, forks, made_here):
