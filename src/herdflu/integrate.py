@@ -211,9 +211,9 @@ def _to_increments(z: np.ndarray, sqrt_dt: float) -> np.ndarray:
     """Turn the uniforms in z into N(0, dt) increments, in place, and
     return it."""
     # Imported here, and only here, so that commands without noise and
-    # an ensemble whose helper makes the increments never load
-    # scipy.special, a quarter of a second and 25 MB.
-    from scipy.special import ndtri
+    # an ensemble whose helper makes the increments never load scipy's
+    # kernels, about 0.02 s and 4.5 MB (see `_special`).
+    from ._special import ndtri
 
     np.maximum(z, _MIN_U, out=z)
     ndtri(z, out=z)
@@ -397,8 +397,8 @@ def iter_path_blocks(
     P - w paths of block j + 2 into the slot it has just used and hands
     it over; the helper draws those of paths [0, w), w =
     `_helper_share(n_paths)`, and turns the whole slot into increments
-    (`_to_increments`, the noise path's one import of scipy.special),
-    so this process never imports scipy.special. The helper is reaped
+    (`_to_increments`, the noise path's one import of scipy's `ndtri`,
+    see `_special`), so this process never loads it. The helper is reaped
     when the generator finishes, fails or is closed. For a one-block
     run, and when `process.fork_child` declines (no `os.fork`, one
     usable CPU, other Python threads, a failed fork), the helper's part

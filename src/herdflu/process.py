@@ -2,16 +2,14 @@
 shares memory with this process, how it is fed and how it ends.
 
 The trajectory CSV and SVG writers fork row formatters
-(`output._write_rows`), and the PRCC peak sweep runs in a child
-(`sensitivity._peaks_beside_import`). The ensemble engine's noise
-helper (`integrate.iter_path_blocks`) and the ensemble CSV's streaming
-formatter (`output.write_ensemble_csv`) are each a `Ring`: a child that
-does a job on each slot of a ring in a `shared_array` as this process
-hands the slots over. Every child is a `Child`: it is started through
-`fork_child`, the one call of `os.fork` in the package, which declines
-below two `usable_cpus`, and reaped, killed and reported only here.
-The sweep writes into a `shared_array` made before the fork; the
-formatters write to an unnamed temporary file.
+(`output._write_rows`), which write to an unnamed temporary file. The
+ensemble engine's noise helper (`integrate.iter_path_blocks`) and the
+ensemble CSV's streaming formatter (`output.write_ensemble_csv`) are
+each a `Ring`: a child that does a job on each slot of a ring in a
+`shared_array` as this process hands the slots over. Every child is a
+`Child`: it is started through `fork_child`, the one call of `os.fork`
+in the package, which declines below two `usable_cpus`, and reaped,
+killed and reported only here.
 """
 
 from __future__ import annotations

@@ -36,7 +36,6 @@ from .model import (
     r0_closed_form,
     rate_coefficients,
 )
-from .process import Child, shared_array
 
 ALPHA = 0.05  # two-sided significance level
 
@@ -222,9 +221,9 @@ def prcc(
     if len(names) != k:
         raise ValueError("one name per sample column is required")
 
-    # Imported here so that commands without a PRCC never load
-    # scipy.special, a third of a second of start-up.
-    from scipy.special import stdtr
+    # Imported here so that commands without a PRCC never load scipy's
+    # kernels, about 0.02 s and 4.5 MB (see `_special`).
+    from ._special import stdtr
 
     rank_x = np.column_stack([rank_average(samples[:, j]) for j in range(k)])
     rank_y = rank_average(outputs)
@@ -291,9 +290,7 @@ def sensitivity_of_peak_symptomatic(
     `integrate_ode` run bit for bit; if any run would fail, the error
     names the first such sample in row order and carries its message.
 
-    Too few samples for PRCC are refused before any run. The sweep runs
-    in a forked child while this process imports `scipy.special` for
-    `prcc` (see `_peaks_beside_import`), or here when it does not fork.
+    Too few samples for PRCC are refused before any run.
     """
     if ranges is None:
         ranges = default_ranges(base)
@@ -303,37 +300,20 @@ def sensitivity_of_peak_symptomatic(
     init = default_init(base)
     samples = lhs_sample(ranges, n, seed)
     params = [_params_for_row(base, ranges.names, row) for row in samples]
-    outputs = _peaks_beside_import(params, init, cfg)
+    outputs = _checked_peaks(params, init, cfg)
     return prcc(samples, outputs, names=ranges.names, seed=seed)
 
 
-def _peaks_beside_import(
+def _checked_peaks(
     params: list[ModelParams], init: HerdState, cfg: SimConfig
 ) -> np.ndarray:
-    """`_peak_symptomatic(params, init, cfg)`, run in a forked child (a
-    `process.Child`) while this process imports `scipy.special`, a
-    quarter to a third of a second that `prcc` pays anyway.
+    """`_peak_symptomatic(params, init, cfg)`, unless a run fails.
 
-    The child writes the peaks into a `process.shared_array` made before
-    the fork; a child that fails raises ChildProcessError, and on any
-    way out it is killed and reaped. Without a fork the sweep runs here.
-
-    If a run fails, its peak is NaN (see `rk4_peaks`): the first such
-    sample in row order is run again by `integrate_ode`, whose
-    IntegrationError is raised with "sample i: " before its message.
+    A failed run's peak is NaN (see `rk4_peaks`): the first such sample
+    in row order is run again by `integrate_ode`, whose IntegrationError
+    is raised with "sample i: " before its message.
     """
-    peaks = shared_array((len(params),))
-
-    def body() -> None:
-        peaks[:] = _peak_symptomatic(params, init, cfg)
-
-    child = Child(body, "peak sweep process")
-    try:
-        import scipy.special  # noqa: F401
-
-        child.join()
-    finally:
-        child.kill()
+    peaks = _peak_symptomatic(params, init, cfg)
     failed = np.flatnonzero(np.isnan(peaks))
     if failed.size:
         i = int(failed[0])

@@ -345,7 +345,7 @@ def test_module_entry_point():
 
 def test_cli_import_leaves_out_scipy_stats():
     # scipy.stats costs most of a second at import; the CLI needs only
-    # scipy.special.
+    # two scipy.special kernels.
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, herdflu.cli; "
@@ -358,9 +358,9 @@ def test_cli_import_leaves_out_scipy_stats():
 
 @pytest.mark.parametrize("command", ["r0", "equilibrium"])
 def test_commands_without_noise_or_prcc_leave_out_scipy_special(command, tmp_path):
-    # scipy.special is a third of a second of start-up; only the
-    # stochastic integrators and prcc import it. The endemic config makes
-    # `equilibrium` solve for a root.
+    # Only the stochastic integrators and prcc load scipy (its kernels,
+    # see `herdflu._special`); no other command imports any of it. The
+    # endemic config makes `equilibrium` solve for a root.
     cfg = tmp_path / "hot.cfg"
     cfg.write_text("beta_a = 0.46665\n")
     argv = [command, "--config", str(cfg)]
@@ -368,7 +368,7 @@ def test_commands_without_noise_or_prcc_leave_out_scipy_special(command, tmp_pat
         [sys.executable, "-c",
          "import sys, herdflu.cli; "
          f"assert herdflu.cli.run_cli({argv!r}) == 0; "
-         "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))"],
+         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
@@ -406,9 +406,9 @@ def test_commands_without_noise_leave_out_numpy_random_and_thread_pool(argv, tmp
 def test_ensemble_leaves_out_thread_pool(tmp_path):
     # One process steps every path: `--threads` and the `threads`
     # parameter are accepted and ignored, and no thread pool is loaded.
-    # scipy.special loads concurrent.futures, so the run gets two usable
-    # CPUs: its noise helper then draws every path's noise and makes
-    # that import, not this process.
+    # The full scipy.special package loads concurrent.futures, but the
+    # noise path loads only its kernels (`herdflu._special`), so this
+    # holds whichever process makes the increments.
     cfg = tmp_path / "fast.cfg"
     cfg.write_text(FAST)
     argv = ["ensemble", "--config", str(cfg), "--out", str(tmp_path / "s.csv"),
@@ -416,7 +416,6 @@ def test_ensemble_leaves_out_thread_pool(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, herdflu, herdflu.cli; "
-         "herdflu.process.usable_cpus = lambda: 2; "
          f"assert herdflu.cli.run_cli({argv!r}) == 0; "
          "herdflu.run_ensemble(herdflu.BASELINE_PARAMS, herdflu.DEFAULT_NOISE, "
          "herdflu.default_init(herdflu.BASELINE_PARAMS), "
@@ -467,27 +466,39 @@ def test_every_fork_goes_through_fork_child():
 
 
 def test_only_the_noise_transform_imports_scipy_special():
-    # An ensemble whose helper makes the increments leaves scipy.special,
-    # a quarter of a second and 25 MB, out of the main process. That
-    # holds only while integrate.py imports it in `_to_increments` alone.
-    import herdflu.integrate
+    # Commands without noise or PRCC load no scipy, and an ensemble whose
+    # helper makes the increments leaves scipy's kernels out of the main
+    # process. That holds only while `_special` alone imports scipy, and
+    # integrate.py reaches it in `_to_increments` alone and
+    # sensitivity.py in `prcc` alone.
+    import herdflu
 
-    path = pathlib.Path(herdflu.integrate.__file__)
+    package = pathlib.Path(herdflu.__file__).parent
     sites = []
 
-    def visit(node, where):
+    def imported(node) -> list[str]:
+        if isinstance(node, ast.Import):
+            return [a.name for a in node.names]
+        if not isinstance(node, ast.ImportFrom):
+            return []
+        if not node.level:
+            return [node.module]
+        base = ".".join(["herdflu"] + ([node.module] if node.module else []))
+        return [base] if node.module else [f"{base}.{a.name}" for a in node.names]
+
+    def visit(path, node, where):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, where + (child.name,))
+                visit(path, child, where + (child.name,))
                 continue
-            if isinstance(child, ast.Import):
-                names = [a.name for a in child.names]
-            elif isinstance(child, ast.ImportFrom):
-                names = [child.module or ""]
-            else:
-                names = []
-            sites.extend((where, n) for n in names if n.split(".")[0] == "scipy")
-            visit(child, where)
+            sites.extend((path.name, where, n) for n in imported(child)
+                         if n.split(".")[0] == "scipy" or n == "herdflu._special")
+            visit(path, child, where)
 
-    visit(ast.parse(path.read_text(), str(path)), ())
-    assert sites == [(("_to_increments",), "scipy.special")]
+    for path in sorted(package.glob("*.py")):
+        visit(path, ast.parse(path.read_text(), str(path)), ())
+    assert sites == [
+        ("_special.py", ("_kernels",), "scipy.special"),
+        ("integrate.py", ("_to_increments",), "herdflu._special"),
+        ("sensitivity.py", ("prcc",), "herdflu._special"),
+    ]

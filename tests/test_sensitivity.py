@@ -1,7 +1,4 @@
 import math
-import os
-import signal
-import threading
 from dataclasses import replace
 
 import numpy as np
@@ -24,9 +21,9 @@ from herdflu import sensitivity
 from herdflu.cli import run_cli
 from herdflu.sensitivity import (
     R0_PARAM_KEYS,
+    _checked_peaks,
     _params_for_row,
     _peak_symptomatic,
-    _peaks_beside_import,
     rank_average,
 )
 
@@ -293,54 +290,19 @@ class TestBatchedPeakSweep:
                     integrate_ode(p, init, cfg)
                 messages.append(str(exc.value))
             with pytest.raises(IntegrationError) as exc:
-                _peaks_beside_import(params, init, cfg)
+                _checked_peaks(params, init, cfg)
         late, early = (float(m.rsplit("=", 1)[1]) for m in messages)
         assert early < late
         assert str(exc.value) == f"sample 1: {messages[0]}"
 
 
 # ---------------------------------------------------------------------------
-# The forked sweep: the peaks come from a child while this process
-# imports scipy.special.
-
-
-SWEEP_CFG = SimConfig(t_end=20.0, dt=0.1)
+# The sweep's failure through the public function. The sweep no longer
+# forks; the class keeps its name so that the test keeps its id.
 
 
 class TestForkedPeakSweep:
-    def test_fallbacks_give_the_same_report(self, monkeypatch, forks):
-        ref = sensitivity_of_peak_symptomatic(n=30, seed=5, base=OUTBREAK, cfg=SWEEP_CFG)
-        assert len(forks) == 1
-        del forks[:]
-
-        stop = threading.Event()
-        other = threading.Thread(target=stop.wait)
-        other.start()
-        try:
-            got = sensitivity_of_peak_symptomatic(
-                n=30, seed=5, base=OUTBREAK, cfg=SWEEP_CFG)
-        finally:
-            stop.set()
-            other.join(timeout=10)
-        assert not other.is_alive()
-        assert forks == []
-        assert got == ref
-
-        def failing_fork():
-            raise OSError("fork refused")
-
-        monkeypatch.setattr(os, "fork", failing_fork)
-        fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
-        assert sensitivity_of_peak_symptomatic(
-            n=30, seed=5, base=OUTBREAK, cfg=SWEEP_CFG) == ref
-        if fds is not None:
-            assert len(os.listdir("/proc/self/fd")) == fds
-
-        monkeypatch.delattr(os, "fork")
-        assert sensitivity_of_peak_symptomatic(
-            n=30, seed=5, base=OUTBREAK, cfg=SWEEP_CFG) == ref
-
-    def test_integration_error_crosses_with_its_message(self, capfd, monkeypatch, forks):
+    def test_integration_error_crosses_with_its_message(self):
         # The overflow case of
         # test_nonfinite_names_first_failing_sample_in_row_order through
         # the public function: with seed 1, sample 0 stays finite and
@@ -360,65 +322,9 @@ class TestForkedPeakSweep:
         assert outcomes[0] is None
         late, early = (float(m.rsplit("=", 1)[1]) for m in outcomes[1:])
         assert early < late
-        capfd.readouterr()
         with pytest.raises(IntegrationError) as exc:
             sensitivity_of_peak_symptomatic(ranges, 3, 1, OUTBREAK, cfg)
         assert str(exc.value) == f"sample 1: {outcomes[1]}"
-        assert len(forks) == 1
-        assert capfd.readouterr().err == ""
-        monkeypatch.delattr(os, "fork")
-        with pytest.raises(IntegrationError) as exc:
-            sensitivity_of_peak_symptomatic(ranges, 3, 1, OUTBREAK, cfg)
-        assert str(exc.value) == f"sample 1: {outcomes[1]}"
-
-    def test_killed_sweep_raises_and_the_cli_exits_2(
-        self, tmp_path, monkeypatch, capsys, forks
-    ):
-        parent, peaks = os.getpid(), sensitivity._peak_symptomatic
-
-        def killed(*args):
-            if os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return peaks(*args)
-
-        monkeypatch.setattr(sensitivity, "_peak_symptomatic", killed)
-        with pytest.raises(ChildProcessError,
-                           match=f"^the peak sweep process ended by "
-                                 f"signal {int(signal.SIGKILL)}$"):
-            sensitivity_of_peak_symptomatic(n=20, seed=5, base=OUTBREAK, cfg=SWEEP_CFG)
-        config = tmp_path / "run.cfg"
-        config.write_text("t_end = 2\n")
-        code = run_cli(["sensitivity", "--config", str(config), "--metric", "peak",
-                        "--samples", "20", "--out", str(tmp_path / "prcc.csv")])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            f"error: the peak sweep process ended by signal {int(signal.SIGKILL)}\n")
-        assert len(forks) == 2
-        assert not (tmp_path / "prcc.csv").exists()
-
-    def test_peaks_beyond_a_pipe_buffer(self, monkeypatch, forks):
-        # 9000 peaks are 72,000 bytes, more than a 64 KiB pipe holds
-        # and 18 pages of the shared array; they cross from the child
-        # whole.
-        cfg = SimConfig(t_end=1.0, dt=0.1)
-        assert cfg.n_steps() == 10
-
-        def deadlocked(signum, frame):
-            raise TimeoutError("the sweep process and this one wait on each other")
-
-        # A hang fails the test instead of stalling it; the alarm is
-        # not inherited by the child.
-        handler = signal.signal(signal.SIGALRM, deadlocked)
-        signal.alarm(60)
-        try:
-            ref = sensitivity_of_peak_symptomatic(n=9000, seed=2, base=OUTBREAK, cfg=cfg)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, handler)
-        assert len(forks) == 1
-        monkeypatch.delattr(os, "fork")
-        assert sensitivity_of_peak_symptomatic(
-            n=9000, seed=2, base=OUTBREAK, cfg=cfg) == ref
 
 
 @pytest.mark.parametrize("metric, model", [
