@@ -51,6 +51,7 @@ from .output import (
     write_trajectory_csv,
     write_trajectory_svg,
 )
+from .process import Child
 from .sensitivity import sensitivity_of_peak_symptomatic, sensitivity_of_r0
 
 # Per-path CSV emission opens at most this many files at once, well
@@ -125,9 +126,23 @@ def _cmd_simulate(args, rc: RunConfig) -> int:
     else:
         stream = NoiseStream(seed, 0)
         traj = integrate_sde(rc.params, rc.noise, rc.init, rc.sim, stream)
-    write_trajectory_csv(traj, args.out)
-    if args.svg:
-        write_trajectory_svg(traj, args.svg)
+    if not args.svg:
+        write_trajectory_csv(traj, args.out)
+        return 0
+    # Both files are opened here first, so that a path that cannot be
+    # written fails with open's own error before the fork, and the two
+    # writers never share a file.
+    for path in (args.out, args.svg):
+        open(path, "w").close()
+    if os.path.samefile(args.out, args.svg):
+        raise ValueError("--out and --svg name the same file")
+    # The SVG is written in a child while this process writes the CSV.
+    child = Child(lambda: write_trajectory_svg(traj, args.svg), "SVG writer process")
+    try:
+        write_trajectory_csv(traj, args.out)
+        child.join()
+    finally:
+        child.kill()
     return 0
 
 

@@ -8,11 +8,10 @@ apply `repr` to `.tolist()` values (Python floats, so the text equals
 chunks instead of holding the whole file as lines.
 
 `write_csv_rows` (and so `write_trajectory_csv`) and
-`write_trajectory_svg`, whose six polylines are 6 * n rows of one point
-each, go through `_write_rows`: a file of at least the writer's
-`_SPLIT_*_ROWS` rows is cut into contiguous row ranges, up to one per
-usable CPU, formatted at once by forked children and appended in row
-order, so the bytes are those of one process writing every row.
+`write_trajectory_svg` write in this process, `_CHUNK_ROWS` rows (or
+points of a polyline) at a time, so a file is never held whole. The
+`simulate` command writes its SVG in one forked child while this
+process writes the CSV (see `cli._cmd_simulate`).
 
 `write_ensemble_csv` streams: one forked child (a `process.Ring`)
 formats each block of summary rows while the ensemble engine computes
@@ -24,8 +23,7 @@ from __future__ import annotations
 
 import os
 import tempfile
-from contextlib import ExitStack
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -39,13 +37,8 @@ TRAJECTORY_HEADER = "t,S,E,I_s,I_a,R,B"
 ENSEMBLE_HEADER = "t,compartment,mean,std,q025,q50,q975"
 SENSITIVITY_HEADER = "parameter,prcc,p_value,significant"
 
-# Rows formatted and written per fh.write call by `_write_rows`.
+# CSV rows, or points of one SVG polyline, formatted per fh.write call.
 _CHUNK_ROWS = 1024
-
-# Rows from which each writer formats on more than one process, its
-# measured break-even (see `_split_count`).
-_SPLIT_TRAJECTORY_ROWS = 10_000
-_SPLIT_SVG_ROWS = 6 * 10_000  # six polylines of 10,000 points
 
 # The ensemble CSV's ring (see `write_ensemble_csv`): slots of summary
 # rows, one engine block each, 127 KB in all. On the 2-vCPU VM 2 slots
@@ -63,31 +56,6 @@ def fmt_row(row: list[float]) -> str:
     return ",".join(map(repr, row))
 
 
-def _split_count(fh, n: int, split_rows: int) -> int:
-    """How many processes format the n rows that go to `fh`: one under
-    `split_rows`, else min(`process.usable_cpus()`, 2 * n // split_rows),
-    so every range has at least split_rows / 2 rows. A file whose `fh`
-    has no file descriptor to append a child's text to is written here
-    alone.
-
-    A formatter child costs its writer 7-9 ms: the fork and reap (2-3
-    ms with herdflu loaded), copy-on-write faults and the copy of its
-    text, measured with both processes pinned to one CPU (2-vCPU Xeon
-    VM). It saves half the formatting only when the host runs it on the
-    second vCPU, which the host did not always do. Splitting in two won
-    about 9 in 10 of 52-98 alternating pairs per size from 10,000
-    trajectory CSV rows (7 floats a row; 77% at 5,001) and 10,000 SVG
-    points (68% at 5,001), the two `_SPLIT_*_ROWS`.
-    """
-    if n < split_rows:
-        return 1
-    try:
-        fh.fileno()
-    except (AttributeError, OSError):
-        return 1
-    return min(process.usable_cpus(), 2 * n // split_rows)
-
-
 def _append_file(fh, src) -> None:
     """Append the whole of file `src` to fh's descriptor in the kernel,
     without reading it into Python objects."""
@@ -101,59 +69,12 @@ def _append_file(fh, src) -> None:
         offset += sent
 
 
-def _write_rows(fh, n: int, fmt: Callable[[int, int], str], kind: str,
-                split_rows: int) -> None:
-    """Write rows [0, n) to the text file `fh`, `fmt(a, b)` being the
-    text of rows [a, b), on `_split_count(fh, n, split_rows)` processes.
-
-    The rows are cut into k contiguous ranges. For ranges 1 to k - 1
-    this process starts a `process.Child` that formats its range
-    _CHUNK_ROWS rows at a time into its own unnamed temporary file, made
-    before the fork, so nothing is left on disk if the child is killed.
-    Meanwhile this process formats range 0 into `fh`, then joins each
-    child in order and appends its file (`_append_file`), so its own
-    peak memory is that of formatting one chunk. Children write UTF-8
-    with LF line ends, as the writers open `fh`.
-
-    A child that fails or is killed raises ChildProcessError, which
-    names the file `kind` ("CSV", "SVG") and the child's rows. On any
-    way out of this function every child still running is killed.
-    """
-
-    def format_range(write, a: int, b: int) -> None:
-        for c in range(a, b, _CHUNK_ROWS):
-            write(fmt(c, min(c + _CHUNK_ROWS, b)))
-
-    k = _split_count(fh, n, split_rows)
-    bounds = [n * i // k for i in range(k + 1)]
-    with ExitStack() as stack:
-        children = []
-        for a, b in zip(bounds[1:-1], bounds[2:]):
-            tmp = stack.enter_context(tempfile.TemporaryFile())
-
-            def body(tmp=tmp, a=a, b=b) -> None:
-                with open(tmp.fileno(), "w", encoding="utf-8", newline="\n",
-                          closefd=False) as out:
-                    format_range(out.write, a, b)
-
-            child = process.Child(body, f"{kind} formatter process of rows {a} to {b - 1}")
-            stack.callback(child.kill)
-            children.append((child, tmp))
-        format_range(fh.write, 0, bounds[1])
-        for child, tmp in children:
-            child.join()
-            _append_file(fh, tmp)
-
-
 def write_csv_rows(fh, data: np.ndarray) -> None:
     """Write each row of the 2-D float array `data` as one CSV line to
-    the text file `fh`, opened as the writers here open theirs (UTF-8,
-    LF line ends) when it has a file descriptor."""
-
-    def fmt(a: int, b: int) -> str:
-        return "".join([fmt_row(row) + "\n" for row in data[a:b].tolist()])
-
-    _write_rows(fh, len(data), fmt, "CSV", _SPLIT_TRAJECTORY_ROWS)
+    the text file `fh`."""
+    for a in range(0, len(data), _CHUNK_ROWS):
+        rows = data[a:a + _CHUNK_ROWS].tolist()
+        fh.write("".join([fmt_row(row) + "\n" for row in rows]))
 
 
 def write_trajectory_csv(traj: Trajectory, path: str) -> None:
@@ -221,8 +142,13 @@ def write_ensemble_csv(summary: EnsembleSummary | Iterable[SummaryBlock],
     temporary file, and this process waits only when the child is a
     whole ring behind, so it holds a few blocks of rows, never the grid.
     `path` is opened only after the last block: a run that fails writes
-    nothing there.
+    nothing there. Its directory is looked up first, so a missing one
+    fails at once, with the error that `open` would raise.
     """
+    try:
+        os.stat(os.path.dirname(path) or ".")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
     blocks = summary.blocks() if isinstance(summary, EnsembleSummary) else summary
     slots = process.shared_array((_RING_SLOTS, _SLOT_ROWS, SUMMARY_COLUMNS))
     with tempfile.TemporaryFile() as tmp:
@@ -305,12 +231,10 @@ def _svg_doc(width: int, height: int, body: list[str]) -> str:
 def write_trajectory_svg(traj: Trajectory, path: str) -> None:
     """Polyline time-series plot of every compartment.
 
-    The six polylines are 6 * n "rows", row j * n + i being point i of
-    compartment j, written through `_write_rows` like the CSV rows: on
-    every usable CPU, a chunk of points at a time, so the document is
-    never held in memory whole. The coordinates of a chunk are computed
-    on arrays with the expressions, in the order, of one point at a
-    time, so they are the same doubles.
+    Each polyline is written _CHUNK_ROWS points at a time, so the
+    document is never held in memory whole. The coordinates of a chunk
+    are computed on arrays with the expressions, in the order, of one
+    point at a time, so they are the same doubles.
     """
     w, h, ml, mr, mt, mb = 820, 420, 55, 120, 15, 35
     pw, ph = w - ml - mr, h - mt - mb
@@ -328,34 +252,22 @@ def write_trajectory_svg(traj: Trajectory, path: str) -> None:
         f'<text x="{ml + pw - 20}" y="{h - 8}">{t1:.4g}</text>',
     ]
     span = (t1 - t0) or 1.0
-
-    def fmt(a: int, b: int) -> str:
-        parts = []
-        while a < b:
-            # Points [i, e) of compartment j; its first point has no
-            # separating space.
-            j, i = divmod(a, n)
-            e = min(n, i + b - a)
-            if i == 0:
-                parts.append(
-                    f'<polyline fill="none" stroke="{_PALETTE[j]}" '
-                    f'stroke-width="1.5" points="')
-            xy = np.empty((e - i, 2))
-            xy[:, 0] = ml + pw * (t[i:e] - t0) / span
-            xy[:, 1] = mt + ph * (1.0 - states[i:e, j] / ymax)
-            text = " %.2f,%.2f" * (e - i) % tuple(xy.ravel().tolist())
-            parts.append(text[1:] if i == 0 else text)
-            if e == n:
-                parts.append(
-                    f'"/>\n<text x="{ml + pw + 8}" y="{mt + 14 + 16 * j}" '
-                    f'fill="{_PALETTE[j]}">{COMPARTMENTS[j]}</text>\n')
-            a += e - i
-        return "".join(parts)
-
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_svg_head(w, h))
         fh.write("\n".join(axes) + "\n")
-        _write_rows(fh, len(COMPARTMENTS) * n, fmt, "SVG", _SPLIT_SVG_ROWS)
+        for j, (name, color) in enumerate(zip(COMPARTMENTS, _PALETTE)):
+            fh.write(f'<polyline fill="none" stroke="{color}" '
+                     f'stroke-width="1.5" points="')
+            for i in range(0, n, _CHUNK_ROWS):
+                e = min(n, i + _CHUNK_ROWS)
+                xy = np.empty((e - i, 2))
+                xy[:, 0] = ml + pw * (t[i:e] - t0) / span
+                xy[:, 1] = mt + ph * (1.0 - states[i:e, j] / ymax)
+                text = " %.2f,%.2f" * (e - i) % tuple(xy.ravel().tolist())
+                # The first point has no separating space.
+                fh.write(text[1:] if i == 0 else text)
+            fh.write(f'"/>\n<text x="{ml + pw + 8}" y="{mt + 14 + 16 * j}" '
+                     f'fill="{color}">{name}</text>\n')
         fh.write("</svg>\n")
 
 

@@ -1,15 +1,16 @@
 """Forked child processes: one policy for whether to fork, how a child
 shares memory with this process, how it is fed and how it ends.
 
-The trajectory CSV and SVG writers fork row formatters
-(`output._write_rows`), which write to an unnamed temporary file. The
-ensemble engine's noise helper (`integrate.iter_path_blocks`) and the
-ensemble CSV's streaming formatter (`output.write_ensemble_csv`) are
-each a `Ring`: a child that does a job on each slot of a ring in a
-`shared_array` as this process hands the slots over. Every child is a
-`Child`: it is started through `fork_child`, the one call of `os.fork`
-in the package, which declines below two `usable_cpus`, and reaped,
-killed and reported only here.
+There are three fork sites. The `simulate` command writes its
+trajectory SVG in one `Child` while this process writes the CSV
+(`cli._cmd_simulate`). The ensemble engine's noise helper
+(`integrate.iter_path_blocks`) and the ensemble CSV's streaming
+formatter (`output.write_ensemble_csv`) are each a `Ring`: a child
+that does a job on each slot of a ring in a `shared_array` as this
+process hands the slots over. Every child is a `Child`: it is started
+through `fork_child`, the one call of `os.fork` in the package, which
+declines below two `usable_cpus`, and reaped, killed and reported only
+here.
 """
 
 from __future__ import annotations

@@ -31,8 +31,9 @@ def _child_left() -> str | None:
 def no_child_processes_left():
     """Fail a test that leaves a child process behind: every forked
     child, the ensemble engine's noise helper and the ensemble CSV's
-    formatter (each a `process.Ring`) and the CSV and SVG writers' row
-    formatters alike, must be reaped on every way out of a run."""
+    formatter (each a `process.Ring`) and the `simulate` command's SVG
+    writer (a `process.Child`) alike, must be reaped on every way out of
+    a run."""
     yield
     left = _child_left()
     if left is not None:

@@ -326,6 +326,32 @@ class TestExitCodes:
         assert "n_paths" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--mode", "ode", "--out", "{tmp}/traj.csv", "--svg", "{missing}"],
+        ["simulate", "--mode", "sde", "--out", "{missing}", "--svg", "{tmp}/traj.svg"],
+        ["ensemble", "--out", "{missing}"],
+    ], ids=["simulate-svg", "simulate-out", "ensemble"])
+    def test_missing_output_directory_exits_2_before_any_fork(
+        self, argv, fast_config, tmp_path, capsys, forks
+    ):
+        # open's own error, with no traceback. `ensemble` opens its file
+        # after the engine, yet fails before the engine and its noise
+        # helper start.
+        missing = str(tmp_path / "missing_dir" / "out")
+        argv = [a.format(tmp=tmp_path, missing=missing) for a in argv]
+        assert run_cli(argv + ["--config", fast_config]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: {missing!r}\n")
+        assert forks == []
+
+    def test_same_out_and_svg_exits_2(self, fast_config, tmp_path, capsys, forks):
+        # The two writers run at once and would interleave in one file.
+        out = str(tmp_path / "traj")
+        assert run_cli(["simulate", "--mode", "ode", "--config", fast_config,
+                        "--out", out, "--svg", out]) == 2
+        assert capsys.readouterr().err == "error: --out and --svg name the same file\n"
+        assert forks == []
+
     def test_diagnostics_go_to_stderr_not_stdout(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("mu = -1\n")
@@ -445,9 +471,13 @@ def test_every_fork_goes_through_fork_child():
         return (name.startswith(("fork", "wait", "kill", "pipe"))
                 or name in ("read", "write", "sched_getaffinity"))
 
+    # Each fork site is a call of process.Child or process.Ring (or
+    # fork_child) at its one listed place, so a new site cannot land
+    # unlisted here and in ROADMAP item 12.
+    builders = ("Child", "Ring", "fork_child")
     modules = ("os", "posix", "mmap")
     package = pathlib.Path(herdflu.__file__).parent
-    sites = []
+    sites, builds = [], set()
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
@@ -456,6 +486,15 @@ def test_every_fork_goes_through_fork_child():
             elif isinstance(node, ast.ImportFrom) and node.module in modules:
                 sites += [(path.name, a.name) for a in node.names
                           if policy(node.module, a.name)]
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name in builders:
+                    builds.add((path.name, name))
+    assert sorted(builds) == [
+        ("cli.py", "Child"), ("integrate.py", "Ring"), ("output.py", "Ring"),
+        ("process.py", "Child"), ("process.py", "fork_child"),
+    ]
     assert sorted(set(sites)) == [
         ("process.py", "fork"), ("process.py", "kill"), ("process.py", "mmap"),
         ("process.py", "pipe"), ("process.py", "read"),

@@ -13,6 +13,7 @@ may round differently; compare against that build's own parent commit.
 import hashlib
 import os
 
+from herdflu import process
 from herdflu.cli import run_cli
 
 SHORT = "t_end = 5\n"
@@ -21,8 +22,9 @@ SHORT = "t_end = 5\n"
 CLAMPED = "t_end = 20\nn_paths = 30\nseed = 12\n" + "".join(
     f"{k} = 3\n" for k in ("sig_s", "sig_e", "sig_is", "sig_ia", "sig_b")
 )
-# 5001 recorded times, under the trajectory writers' split size: one
-# process writes them (tests/test_output.py checks the split bytes).
+# 5001 recorded times. `simulate --svg` writes the SVG in one forked
+# child beside the CSV on two usable CPUs, and both in one process on
+# one; the simulate tests run both.
 ENDEMIC = "beta_a = 0.46665\nt_end = 50\n"
 # 5001 recorded times: the ensemble CSV's ring of summary rows wraps
 # many times.
@@ -104,22 +106,32 @@ def test_ensemble_paths_out_under_clamping(tmp_path):
     assert _tree_sha(paths) == GOLDEN["ensemble_clamped_paths"]
 
 
-def test_simulate_sde(tmp_path):
-    csv, svg = tmp_path / "traj.csv", tmp_path / "traj.svg"
+def _simulated(tmp_path, monkeypatch, forks, argv) -> tuple[str, str]:
+    """The CSV and SVG digests of `argv --out P --svg P`, which must be
+    the same on one usable CPU (no fork) and on two (one fork)."""
+    digests = set()
+    for cpus in (1, 2):
+        monkeypatch.setattr(process, "usable_cpus", lambda cpus=cpus: cpus)
+        del forks[:]
+        csv, svg = tmp_path / f"traj{cpus}.csv", tmp_path / f"traj{cpus}.svg"
+        assert run_cli(argv + ["--out", str(csv), "--svg", str(svg)]) == 0
+        assert len(forks) == cpus - 1, cpus
+        digests.add((_sha(csv), _sha(svg)))
+    assert len(digests) == 1, digests
+    return digests.pop()
+
+
+def test_simulate_sde(tmp_path, monkeypatch, forks):
     argv = ["simulate", "--mode", "sde", "--config", _config(tmp_path, ENDEMIC),
-            "--seed", "5", "--out", str(csv), "--svg", str(svg)]
-    assert run_cli(argv) == 0
-    assert _sha(csv) == GOLDEN["simulate_sde_csv"]
-    assert _sha(svg) == GOLDEN["simulate_sde_svg"]
+            "--seed", "5"]
+    assert _simulated(tmp_path, monkeypatch, forks, argv) == (
+        GOLDEN["simulate_sde_csv"], GOLDEN["simulate_sde_svg"])
 
 
-def test_simulate_ode(tmp_path):
-    csv, svg = tmp_path / "traj.csv", tmp_path / "traj.svg"
-    argv = ["simulate", "--mode", "ode", "--config", _config(tmp_path, ENDEMIC),
-            "--out", str(csv), "--svg", str(svg)]
-    assert run_cli(argv) == 0
-    assert _sha(csv) == GOLDEN["simulate_ode_csv"]
-    assert _sha(svg) == GOLDEN["simulate_ode_svg"]
+def test_simulate_ode(tmp_path, monkeypatch, forks):
+    argv = ["simulate", "--mode", "ode", "--config", _config(tmp_path, ENDEMIC)]
+    assert _simulated(tmp_path, monkeypatch, forks, argv) == (
+        GOLDEN["simulate_ode_csv"], GOLDEN["simulate_ode_svg"])
 
 
 def test_sensitivity_peak(tmp_path):

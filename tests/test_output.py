@@ -17,7 +17,7 @@ from herdflu import (
     default_init,
     run_ensemble,
 )
-from herdflu import integrate, output, process
+from herdflu import cli, integrate, output, process
 from herdflu.ensemble import iter_summary_blocks
 from herdflu.cli import run_cli
 from herdflu.output import (
@@ -101,21 +101,17 @@ def test_readers_reject_another_header(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# The row splitter and the ensemble CSV's stream: forked formatters give
-# the bytes of one process.
+# The CSV rows, written here, and the ensemble CSV's stream, formatted in
+# a forked child: the bytes are those of one process on any CPU count.
 
 SMALL_CHUNK = 4
-# Rows from which every row splitter splits in these tests; ranges then
-# hold at least SMALL_SPLIT / 2 rows, one whole chunk.
-SMALL_SPLIT = 2 * SMALL_CHUNK
+# The ensemble CSV's ring in these tests: two slots of one chunk, so
+# from RING_ROWS + 1 rows the writer waits for a free slot.
+RING_ROWS = 2 * SMALL_CHUNK
 
 
-def _split_small(monkeypatch) -> None:
+def _small_chunks(monkeypatch) -> None:
     monkeypatch.setattr(output, "_CHUNK_ROWS", SMALL_CHUNK)
-    for name in ("_SPLIT_TRAJECTORY_ROWS", "_SPLIT_SVG_ROWS"):
-        monkeypatch.setattr(output, name, SMALL_SPLIT)
-    # The ensemble CSV's ring of two slots of one chunk: from 9 rows the
-    # writer waits for a free slot.
     monkeypatch.setattr(output, "_SLOT_ROWS", SMALL_CHUNK)
     monkeypatch.setattr(output, "_RING_SLOTS", 2)
 
@@ -140,9 +136,9 @@ def _written(tmp_path, n: int, tag: str) -> tuple[bytes, bytes]:
     return rows.read_bytes(), ens.read_bytes()
 
 
-@pytest.mark.parametrize("n", [0, 1, SMALL_SPLIT - 1, SMALL_SPLIT, SMALL_SPLIT + 1, 29])
+@pytest.mark.parametrize("n", [0, 1, RING_ROWS - 1, RING_ROWS, RING_ROWS + 1, 29])
 def test_split_gives_the_bytes_of_one_process(n, tmp_path, monkeypatch, forks):
-    _split_small(monkeypatch)
+    _small_chunks(monkeypatch)
     monkeypatch.setattr(process, "usable_cpus", lambda: 1)
     ref = _written(tmp_path, n, "serial")
     assert forks == []
@@ -150,20 +146,17 @@ def test_split_gives_the_bytes_of_one_process(n, tmp_path, monkeypatch, forks):
     assert ref[0] == b"head\n" + "".join(
         output.fmt_row(row) + "\n" for row in data.tolist()).encode()
     assert ref[1].count(b"\n") == 1 + 6 * n
-    # 64 workers are more than the chunks of any n here.
     for cpus in (2, 3, 64):
         monkeypatch.setattr(process, "usable_cpus", lambda cpus=cpus: cpus)
         del forks[:]
         assert _written(tmp_path, n, f"cpus{cpus}") == ref, cpus
-        k = min(cpus, 2 * n // SMALL_SPLIT) if n >= SMALL_SPLIT else 1
-        # k - 1 children of the row splitter, one of the stream.
-        assert len(forks) == k, cpus
+        # The stream's formatter, whatever the CPU count.
+        assert len(forks) == 1, cpus
 
 
 def test_paths_out_blocks_never_fork(tmp_path, monkeypatch, forks):
-    # An engine block is below the threshold whatever the CPU count.
+    # CSV rows are written in this process whatever the CPU count.
     monkeypatch.setattr(process, "usable_cpus", lambda: 64)
-    assert integrate._BLOCK_STEPS < output._SPLIT_TRAJECTORY_ROWS
     write_csv_rows(io.StringIO(), np.zeros((integrate._BLOCK_STEPS, 7)))
     with open(tmp_path / "block.csv", "w") as fh:
         write_csv_rows(fh, np.zeros((integrate._BLOCK_STEPS, 7)))
@@ -180,10 +173,10 @@ def test_paths_out_blocks_never_fork(tmp_path, monkeypatch, forks):
 
 
 def test_fallbacks_give_the_same_bytes(tmp_path, monkeypatch, forks):
-    _split_small(monkeypatch)
+    _small_chunks(monkeypatch)
     monkeypatch.setattr(process, "usable_cpus", lambda: 3)
     ref = _written(tmp_path, 29, "split")
-    assert len(forks) == 3
+    assert len(forks) == 1
     del forks[:]
 
     # Another Python thread is running: no fork.
@@ -211,84 +204,6 @@ def test_fallbacks_give_the_same_bytes(tmp_path, monkeypatch, forks):
     # No os.fork at all.
     monkeypatch.delattr(os, "fork")
     assert _written(tmp_path, 29, "nofork") == ref
-
-
-def _break_children(monkeypatch, failure: str) -> None:
-    # fmt_row fails in every process but this one.
-    parent, fmt_row = os.getpid(), output.fmt_row
-
-    def broken(row):
-        if os.getpid() != parent:
-            if failure == "sigkill":
-                os.kill(os.getpid(), signal.SIGKILL)
-            raise KeyError("no text")
-        return fmt_row(row)
-
-    _split_small(monkeypatch)
-    monkeypatch.setattr(process, "usable_cpus", lambda: 3)
-    monkeypatch.setattr(output, "fmt_row", broken)
-
-
-@pytest.mark.parametrize("failure, how", [
-    ("exception", "exit status 1"), ("sigkill", f"signal {int(signal.SIGKILL)}"),
-])
-def test_failing_formatter_raises_child_process_error(
-    failure, how, tmp_path, monkeypatch, forks
-):
-    # Children leave through os._exit: unwinding would run this test's
-    # `finally` in them as well.
-    _break_children(monkeypatch, failure)
-    mark = tmp_path / "unwound"
-    with pytest.raises(ChildProcessError,
-                       match=f"^the CSV formatter process of rows 9 to 18 ended by {how}$"):
-        try:
-            with open(tmp_path / "rows.csv", "w") as fh:
-                write_csv_rows(fh, np.zeros((29, 7)))
-        finally:
-            with open(mark, "a") as fh:
-                fh.write(f"{os.getpid()}\n")
-    assert mark.read_text() == f"{os.getpid()}\n"
-    assert len(forks) == 2
-
-
-def test_failing_formatter_makes_the_cli_exit_2(tmp_path, monkeypatch, capsys, forks):
-    _break_children(monkeypatch, "exception")
-    config = tmp_path / "run.cfg"
-    config.write_text("t_end = 0.28\n")
-    code = run_cli(["simulate", "--mode", "ode", "--config", str(config),
-                    "--out", str(tmp_path / "traj.csv")])
-    assert code == 2
-    assert capsys.readouterr().err == (
-        "error: the CSV formatter process of rows 9 to 18 ended by exit status 1\n")
-    assert len(forks) == 2
-
-
-def test_interrupt_in_the_main_process_ends_every_formatter(
-    tmp_path, monkeypatch, forks
-):
-    # The children block on a pipe that nobody writes; the main process
-    # is interrupted while it formats range 0. The autouse fixture
-    # checks that both children were killed and reaped.
-    _split_small(monkeypatch)
-    monkeypatch.setattr(process, "usable_cpus", lambda: 3)
-    hold_r, hold_w = os.pipe()
-    parent, fmt_row = os.getpid(), output.fmt_row
-
-    def stalled(row):
-        if os.getpid() != parent:
-            os.read(hold_r, 1)
-            return fmt_row(row)
-        raise KeyboardInterrupt
-
-    monkeypatch.setattr(output, "fmt_row", stalled)
-    try:
-        with pytest.raises(KeyboardInterrupt):
-            with open(tmp_path / "rows.csv", "w") as fh:
-                write_csv_rows(fh, np.zeros((29, 7)))
-    finally:
-        os.close(hold_r)
-        os.close(hold_w)
-    assert len(forks) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +324,8 @@ def test_ensemble_command_holds_no_summary_grid(tmp_path, forks):
 
 
 # ---------------------------------------------------------------------------
-# The trajectory SVG: six polylines of n points are 6 * n rows of the
-# same splitter.
+# The trajectory SVG, and the child that writes it beside the CSV in the
+# `simulate` command.
 
 
 def _reference_svg_polylines(traj) -> str:
@@ -451,42 +366,47 @@ def _svg(tmp_path, traj, tag: str) -> bytes:
     return path.read_bytes()
 
 
-def test_svg_split_gives_the_bytes_of_one_process(tmp_path, monkeypatch, forks):
-    _split_small(monkeypatch)
-    starts = set()
-    for n in (1, 7, 11):
-        traj = _trajectory(n)
-        monkeypatch.setattr(process, "usable_cpus", lambda: 1)
-        ref = _svg(tmp_path, traj, f"{n}_serial")
+def test_svg_split_gives_the_bytes_of_one_process(tmp_path, monkeypatch):
+    # Each polyline written in chunks of all its points, of one point or
+    # of SMALL_CHUNK (7 and 11 points end in a part chunk) gives the
+    # bytes of the reference, one point at a time.
+    refs = {n: _svg(tmp_path, _trajectory(n), f"{n}_whole") for n in (1, 7, 11)}
+    for n, ref in refs.items():
         text = ref.decode()
         assert text.startswith("<svg ") and text.endswith("</svg>\n")
-        assert _reference_svg_polylines(traj) in text
-        # 64 workers are more than the chunks of any n here.
-        for cpus in (1, 2, 3, 64):
-            monkeypatch.setattr(process, "usable_cpus", lambda cpus=cpus: cpus)
-            del forks[:]
-            assert _svg(tmp_path, traj, f"{n}_{cpus}") == ref, (n, cpus)
-            with open(tmp_path / "probe", "w") as fh:
-                k = output._split_count(fh, 6 * n, SMALL_SPLIT)
-            assert len(forks) == k - 1, (n, cpus)
-            starts |= {(6 * n * i // k) % n == 0 for i in range(1, k)}
-    # Some ranges start on the first point of a polyline, some inside one.
-    assert starts == {True, False}
+        assert _reference_svg_polylines(_trajectory(n)) in text
+    for chunk in (1, SMALL_CHUNK):
+        monkeypatch.setattr(output, "_CHUNK_ROWS", chunk)
+        for n, ref in refs.items():
+            assert _svg(tmp_path, _trajectory(n), f"{n}_{chunk}") == ref, (n, chunk)
+
+
+def _simulate_config(tmp_path) -> str:
+    # 201 recorded times.
+    config = tmp_path / "run.cfg"
+    config.write_text("t_end = 2\n")
+    return str(config)
+
+
+def _simulated(tmp_path, tag: str, svg: bool = True) -> tuple[bytes, ...]:
+    """The files of `simulate --mode ode`, with `--svg` if `svg`."""
+    out, plot = tmp_path / f"traj_{tag}.csv", tmp_path / f"traj_{tag}.svg"
+    argv = ["simulate", "--mode", "ode", "--config", _simulate_config(tmp_path),
+            "--out", str(out)]
+    assert run_cli(argv + (["--svg", str(plot)] if svg else [])) == 0
+    return (out.read_bytes(), plot.read_bytes()) if svg else (out.read_bytes(),)
 
 
 def test_svg_fallbacks_give_the_same_bytes(tmp_path, monkeypatch, forks):
-    _split_small(monkeypatch)
-    monkeypatch.setattr(process, "usable_cpus", lambda: 3)
-    traj = _trajectory(7)
-    ref = _svg(tmp_path, traj, "split")
-    assert len(forks) == 2
+    ref = _simulated(tmp_path, "forked")
+    assert len(forks) == 1
     del forks[:]
 
     stop = threading.Event()
     other = threading.Thread(target=stop.wait)
     other.start()
     try:
-        assert _svg(tmp_path, traj, "thread") == ref
+        assert _simulated(tmp_path, "thread") == ref
     finally:
         stop.set()
         other.join(timeout=10)
@@ -497,42 +417,73 @@ def test_svg_fallbacks_give_the_same_bytes(tmp_path, monkeypatch, forks):
         raise OSError("fork refused")
 
     monkeypatch.setattr(os, "fork", failing_fork)
-    assert _svg(tmp_path, traj, "refused") == ref
+    assert _simulated(tmp_path, "refused") == ref
 
     monkeypatch.delattr(os, "fork")
-    assert _svg(tmp_path, traj, "nofork") == ref
+    assert _simulated(tmp_path, "nofork") == ref
 
 
-def test_failing_svg_formatter_names_the_svg(tmp_path, monkeypatch, forks):
-    _split_small(monkeypatch)
-    monkeypatch.setattr(process, "usable_cpus", lambda: 3)
-    parent = os.getpid()
+@pytest.mark.parametrize("failure, how", [
+    ("exception", "exit status 1"), ("sigkill", f"signal {int(signal.SIGKILL)}"),
+])
+def test_failing_formatter_raises_child_process_error(
+    failure, how, tmp_path, monkeypatch, capsys, forks
+):
+    # The SVG writer fails in its child: the ChildProcessError makes the
+    # command exit 2 after the whole CSV is written. Children leave
+    # through os._exit: unwinding would run this test's `finally` in
+    # them as well.
+    ref = _simulated(tmp_path, "ref", svg=False)
+    del forks[:]
+    parent, write_svg = os.getpid(), cli.write_trajectory_svg
 
-    def fmt(a: int, b: int) -> str:
+    def broken(traj, path):
         if os.getpid() != parent:
-            raise KeyError("no text")
-        return ""
+            if failure == "sigkill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise KeyError("no plot")
+        write_svg(traj, path)
 
-    with pytest.raises(ChildProcessError,
-                       match="^the SVG formatter process of rows 9 to 18 "
-                             "ended by exit status 1$"):
-        with open(tmp_path / "plot.svg", "w") as fh:
-            output._write_rows(fh, 29, fmt, "SVG", SMALL_SPLIT)
-    assert len(forks) == 2
-
-
-def test_each_writer_splits_from_its_own_break_even(tmp_path, monkeypatch, forks):
-    # On 2 CPUs a 5,001-point trajectory (the ENDEMIC grid) is written
-    # by one process, CSV and SVG, and the default-grid files (50,001
-    # recorded times) split in two. An ensemble summary of any length
-    # has its one streaming formatter.
-    monkeypatch.setattr(process, "usable_cpus", lambda: 2)
-    traj = _trajectory(5001)
-    output.write_trajectory_csv(traj, str(tmp_path / "traj.csv"))
-    output.write_trajectory_svg(traj, str(tmp_path / "traj.svg"))
-    assert forks == []
-    write_ensemble_csv(_summary(5001), str(tmp_path / "summary.csv"))
+    monkeypatch.setattr(cli, "write_trajectory_svg", broken)
+    out, mark = tmp_path / "traj.csv", tmp_path / "unwound"
+    try:
+        code = run_cli(["simulate", "--mode", "ode", "--config",
+                        _simulate_config(tmp_path), "--out", str(out),
+                        "--svg", str(tmp_path / "traj.svg")])
+    finally:
+        with open(mark, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+    assert code == 2
+    assert capsys.readouterr().err == f"error: the SVG writer process ended by {how}\n"
+    assert (out.read_bytes(),) == ref
+    assert mark.read_text() == f"{os.getpid()}\n"
     assert len(forks) == 1
-    with open(tmp_path / "probe", "w") as fh:
-        assert output._split_count(fh, 50_001, output._SPLIT_TRAJECTORY_ROWS) == 2
-        assert output._split_count(fh, 6 * 50_001, output._SPLIT_SVG_ROWS) == 2
+
+
+def test_interrupt_in_the_main_process_ends_every_formatter(
+    tmp_path, monkeypatch, forks
+):
+    # The SVG writer's child blocks on a pipe that nobody writes; the
+    # main process is interrupted while it writes the CSV. The autouse
+    # fixture checks that the child was killed and reaped.
+    hold_r, hold_w = os.pipe()
+    write_svg = cli.write_trajectory_svg
+
+    def stalled(traj, path):
+        os.read(hold_r, 1)
+        write_svg(traj, path)
+
+    def interrupted(traj, path):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "write_trajectory_svg", stalled)
+    monkeypatch.setattr(cli, "write_trajectory_csv", interrupted)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(["simulate", "--mode", "ode", "--config",
+                     _simulate_config(tmp_path), "--out", str(tmp_path / "traj.csv"),
+                     "--svg", str(tmp_path / "traj.svg")])
+    finally:
+        os.close(hold_r)
+        os.close(hold_w)
+    assert len(forks) == 1
