@@ -26,8 +26,6 @@ import os
 import sys
 from contextlib import closing
 
-import numpy as np
-
 from .config import RunConfig, load_config, parse_ranges
 from .ensemble import iter_summary_blocks
 # No command calls run_ensemble: `ensemble` streams its summary. The
@@ -164,7 +162,7 @@ def _path_csv_writer(out_dir: str, n_paths: int):
             ]
             try:
                 for j, fh in enumerate(handles, lo):
-                    write_csv_rows(fh, np.column_stack([times, blk[:, j]]))
+                    write_csv_rows(fh, times, blk[:, j])
             finally:
                 for fh in handles:
                     fh.close()

@@ -111,7 +111,8 @@ class SimConfig:
         return int(round(self.t_end / self.dt))
 
     def recorded_steps(self) -> np.ndarray:
-        """Step indices that are recorded: every stride-th, plus the last."""
+        """Step indices that are recorded: every stride-th, plus the last.
+        The single-path integrators test this rule at each step."""
         n = self.n_steps()
         ks = np.arange(0, n + 1, self.record_stride)
         if ks[-1] != n:
@@ -326,18 +327,18 @@ def integrate_sde(
     """
     c = rate_coefficients(p)
     dt = cfg.dt
-    n_steps = cfg.n_steps()
-    recorded = cfg.recorded_steps()
-    rec_at = {int(k): i for i, k in enumerate(recorded)}
-    times = recorded * dt
-    states = np.empty((len(recorded), 6))
+    n_steps, stride = cfg.n_steps(), cfg.record_stride
+    times = cfg.recorded_steps() * dt
+    states = np.empty((len(times), 6))
     sg_s, sg_e, sg_is, sg_ia, sg_b = n.as_tuple()
     gens = [stream._generator()]
     sqrt_dt = math.sqrt(dt)
 
     states[0] = init.as_array()
     s, e, i_s, i_a, r, b = states[0].tolist()
+    row = 0  # the last row written
     for k0 in range(0, n_steps, _BLOCK_STEPS):
+        lo = row + 1
         m = min(_BLOCK_STEPS, n_steps - k0)
         z = _to_increments(_fill_uniforms(np.empty((m, _N_NOISE, 1)), gens), sqrt_dt)
         zs = iter(z[:, :, 0].tolist())
@@ -356,11 +357,10 @@ def integrate_sde(
             i_a = ia1 if ia1 > 0.0 or ia1 != ia1 else 0.0
             r = r1 if r1 > 0.0 or r1 != r1 else 0.0
             b = b1 if b1 > 0.0 or b1 != b1 else 0.0
-            i = rec_at.get(k)
-            if i is not None:
-                states[i] = s, e, i_s, i_a, r, b
-        lo, hi = np.searchsorted(recorded, (k0, k0 + m), side="right")
-        ok = np.isfinite(states[lo:hi]).all(axis=1)
+            if k % stride == 0 or k == n_steps:
+                row += 1
+                states[row] = s, e, i_s, i_a, r, b
+        ok = np.isfinite(states[lo:row + 1]).all(axis=1)
         if not ok.all():
             t = times[lo + ok.argmin()]
             raise IntegrationError(f"non-finite state at t={t:.6g}")
@@ -508,23 +508,22 @@ def integrate_ode(p: ModelParams, init: HerdState, cfg: SimConfig) -> Trajectory
     dt = cfg.dt
     half = 0.5 * dt
     sixth = dt / 6.0
-    n_steps = cfg.n_steps()
-    recorded = cfg.recorded_steps()
-    rec_at = {int(k): i for i, k in enumerate(recorded)}
-    times = recorded * dt
-    states = np.empty((len(recorded), 6))
+    n_steps, stride = cfg.n_steps(), cfg.record_stride
+    times = cfg.recorded_steps() * dt
+    states = np.empty((len(times), 6))
 
     x = init.as_array().tolist()
     states[0] = x
+    row = 0  # the last row written
     for k in range(1, n_steps + 1):
         x = _rk4_step(*x, c, dt, half, sixth)
         if min(x) < 0.0:
             x = [0.0 if v < 0.0 else v for v in x]
-        i = rec_at.get(k)
-        if i is not None:
+        if k % stride == 0 or k == n_steps:
             if not math.isfinite(x[0] + x[1] + x[2] + x[3] + x[4] + x[5]):
                 raise IntegrationError(f"non-finite state at t={k * dt:.6g}")
-            states[i] = x
+            row += 1
+            states[row] = x
     return Trajectory(times=times, states=states)
 
 
@@ -549,7 +548,7 @@ def rk4_peaks(
     dt = cfg.dt
     half = 0.5 * dt
     sixth = dt / 6.0
-    rec = set(cfg.recorded_steps().tolist())
+    n_steps, stride = cfg.n_steps(), cfg.record_stride
 
     x = np.repeat(init.as_array()[:, None], n, axis=1)
     peak = x[column].copy()
@@ -561,7 +560,7 @@ def rk4_peaks(
     add, multiply = np.add, np.multiply
     # Runs that already failed keep stepping; their values are unused.
     with np.errstate(all="ignore"):
-        for k in range(1, cfg.n_steps() + 1):
+        for k in range(1, n_steps + 1):
             # `_rk4_step` on the stacked state: each element sees the
             # same operations in the same order.
             f1()
@@ -584,7 +583,7 @@ def rk4_peaks(
             neg = x < 0.0
             if neg.any():
                 x[neg] = 0.0
-            if k in rec:
+            if k % stride == 0 or k == n_steps:
                 # A failed run's NaN peak stays NaN under np.maximum.
                 tot = x[0] + x[1] + x[2] + x[3] + x[4] + x[5]
                 peak[~np.isfinite(tot)] = np.nan

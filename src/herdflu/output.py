@@ -69,18 +69,20 @@ def _append_file(fh, src) -> None:
         offset += sent
 
 
-def write_csv_rows(fh, data: np.ndarray) -> None:
-    """Write each row of the 2-D float array `data` as one CSV line to
-    the text file `fh`."""
-    for a in range(0, len(data), _CHUNK_ROWS):
-        rows = data[a:a + _CHUNK_ROWS].tolist()
+def write_csv_rows(fh, times: np.ndarray, states: np.ndarray) -> None:
+    """Write row i, `times[i]` then the floats of `states[i]`, as one
+    CSV line to the text file `fh`. The columns are joined one chunk
+    of rows at a time, never over the whole array."""
+    for a in range(0, len(times), _CHUNK_ROWS):
+        b = a + _CHUNK_ROWS
+        rows = np.column_stack([times[a:b], states[a:b]]).tolist()
         fh.write("".join([fmt_row(row) + "\n" for row in rows]))
 
 
 def write_trajectory_csv(traj: Trajectory, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(TRAJECTORY_HEADER + "\n")
-        write_csv_rows(fh, np.column_stack([traj.times, traj.states]))
+        write_csv_rows(fh, traj.times, traj.states)
 
 
 def _csv_rows(path: str, header: str, n_fields: int) -> list[tuple[int, list[str]]]:

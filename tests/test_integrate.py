@@ -1,5 +1,6 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -254,6 +255,30 @@ class TestSde:
                 integrate_sde(p, ZERO_NOISE, init, cfg, NoiseStream(0, 0))
         assert times == [0.0, 0.5, 1.0, 1.5]
 
+    def test_overflow_at_a_stride_names_the_next_recorded_time(self):
+        # Steps of 0.5 recorded at stride 3: times 0, 1.5, 3, ... The
+        # stride-1 runs fail at t=2 (EM) and t=0.5 (RK4), which are not
+        # recorded here; the first recorded times after them are named.
+        p = replace(BASELINE_PARAMS, lambda_recruit=1e308)
+        init = default_init(BASELINE_PARAMS)
+        cfg = SimConfig(t_end=10.0, dt=0.5, record_stride=3)
+        recorded = (cfg.recorded_steps() * cfg.dt).tolist()
+        times = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(IntegrationError, match="non-finite state at t=3$"):
+                integrate_sde(p, ZERO_NOISE, init, cfg, NoiseStream(0, 0))
+            with pytest.raises(IntegrationError, match="non-finite state at t=3$"):
+                for t, _ in iter_path_states(
+                    p, init, cfg, noise=ZERO_NOISE, streams=[NoiseStream(0, 0)]
+                ):
+                    times.append(t)
+            with pytest.raises(IntegrationError, match="t=0.5$"):
+                integrate_ode(p, init, replace(cfg, record_stride=1))
+            with pytest.raises(IntegrationError, match="non-finite state at t=1.5$"):
+                integrate_ode(p, init, cfg)
+        assert times == [0.0, 1.5]
+        assert {0.5, 2.0}.isdisjoint(recorded) and {1.5, 3.0} <= set(recorded)
+
     def test_overflow_is_reported_not_silent(self):
         # Recruitment beyond double range must surface as an error, not
         # as inf rows in the output.
@@ -386,6 +411,50 @@ class TestBatchEngine:
 
 
 LOUD = NoiseIntensities(3.0, 3.0, 3.0, 3.0, 3.0)
+
+
+class TestRecordingRule:
+    """Row j of a single-path run is step j*stride, and its last row is
+    step n_steps, as `SimConfig.recorded_steps` states."""
+
+    # 200 steps: strides 3 and 7 end on a partial stride, and 201
+    # records the first and last steps only.
+    GRID = {"t_end": 10.0, "dt": 0.05}
+    INIT = HerdState(2000.0, 40.0, 25.0, 12.0, 8.0, 90.0)
+
+    @pytest.mark.parametrize("stride", [1, 3, 7, 201])
+    def test_rows_are_the_stride_one_rows_at_the_recorded_steps(self, stride):
+        p = replace(BASELINE_PARAMS, beta_a=0.46665)
+        full, cfg = SimConfig(**self.GRID), SimConfig(**self.GRID, record_stride=stride)
+        ks = cfg.recorded_steps()
+        assert ks[-1] == 200
+        for run in (
+            lambda grid: integrate_ode(p, self.INIT, grid),
+            # Noise loud enough that the clamp fires.
+            lambda grid: integrate_sde(p, LOUD, self.INIT, grid, NoiseStream(9, 0)),
+        ):
+            got, ref = run(cfg), run(full)
+            assert got.times.tobytes() == ref.times[ks].tobytes()
+            assert got.states.tobytes() == ref.states[ks].tobytes()
+
+    @pytest.mark.parametrize("stride", [1, 3, 7, 201])
+    def test_rk4_peaks_are_the_peaks_of_the_recorded_rows(self, stride):
+        # The first set peaks in I_s at step 31, inside a stride, so the
+        # peak moves with the stride; the others peak at the last step.
+        sets = [replace(BASELINE_PARAMS, beta_a=b) for b in (0.05, 0.46665, 2.0)]
+        cols = rate_coefficients(SimpleNamespace(**{
+            f.name: np.array([getattr(q, f.name) for q in sets])
+            for f in fields(ModelParams)
+        }))
+        cfg = SimConfig(**self.GRID, record_stride=stride)
+        ks = cfg.recorded_steps()
+        i_s = 2
+        ref = np.array([
+            integrate_ode(q, self.INIT, SimConfig(**self.GRID)).states[ks, i_s].max()
+            for q in sets
+        ])
+        got = integrate.rk4_peaks(cols, self.INIT, cfg, i_s)
+        assert got.tobytes() == ref.tobytes()
 
 
 class TestFloatPath:

@@ -36,13 +36,12 @@ def test_csv_bytes_do_not_depend_on_chunk_size(tmp_path, monkeypatch):
     summ = run_ensemble(
         BASELINE_PARAMS, DEFAULT_NOISE, default_init(BASELINE_PARAMS), cfg, 5, 2
     )
-    data = np.column_stack([summ.times, summ.mean])
-    assert len(data) == 23
+    assert len(summ.times) == 23
     seen = []
     for chunk in (output._CHUNK_ROWS, 7, 1):
         monkeypatch.setattr(output, "_CHUNK_ROWS", chunk)
         fh = io.StringIO()
-        write_csv_rows(fh, data)
+        write_csv_rows(fh, summ.times, summ.mean)
         write_ensemble_csv(summ, str(tmp_path / "ens.csv"))
         seen.append((fh.getvalue(), (tmp_path / "ens.csv").read_bytes()))
     assert seen[0][0].count("\n") == 23
@@ -131,7 +130,7 @@ def _written(tmp_path, n: int, tag: str) -> tuple[bytes, bytes]:
     rows, ens = tmp_path / f"rows_{tag}.csv", tmp_path / f"ens_{tag}.csv"
     with open(rows, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("head\n")
-        write_csv_rows(fh, np.column_stack([summ.times, summ.mean]))
+        write_csv_rows(fh, summ.times, summ.mean)
     write_ensemble_csv(summ, str(ens))
     return rows.read_bytes(), ens.read_bytes()
 
@@ -157,9 +156,10 @@ def test_split_gives_the_bytes_of_one_process(n, tmp_path, monkeypatch, forks):
 def test_paths_out_blocks_never_fork(tmp_path, monkeypatch, forks):
     # CSV rows are written in this process whatever the CPU count.
     monkeypatch.setattr(process, "usable_cpus", lambda: 64)
-    write_csv_rows(io.StringIO(), np.zeros((integrate._BLOCK_STEPS, 7)))
+    m = integrate._BLOCK_STEPS
+    write_csv_rows(io.StringIO(), np.zeros(m), np.zeros((m, 6)))
     with open(tmp_path / "block.csv", "w") as fh:
-        write_csv_rows(fh, np.zeros((integrate._BLOCK_STEPS, 7)))
+        write_csv_rows(fh, np.zeros(m), np.zeros((m, 6)))
     assert forks == []
     # 201 recorded times: the summary's formatter and the noise helper
     # are the run's two forks.
@@ -321,6 +321,37 @@ def test_ensemble_command_holds_no_summary_grid(tmp_path, forks):
     assert len(forks) == 2
     # 0.53 MB on numpy 2.4; the grid alone is four times this bound.
     assert peak < grid / 4, peak
+
+
+@pytest.mark.parametrize("svg", [False, True])
+@pytest.mark.parametrize("mode", ["ode", "sde"])
+def test_simulate_command_holds_the_trajectory_and_one_chunk(
+    mode, svg, tmp_path, monkeypatch, forks
+):
+    # The default grid, 50,001 recorded times: the trajectory is 2.8 MB
+    # (56 B per row). On one usable CPU the SVG is written here too, so
+    # both writers run under the trace. A whole-grid table or copy,
+    # such as a step-to-row dict or the 7 CSV columns stacked at once,
+    # adds megabytes more.
+    monkeypatch.setattr(process, "usable_cpus", lambda: 1)
+    argv = ["simulate", "--mode", mode, "--out", str(tmp_path / "t.csv")]
+    if svg:
+        argv += ["--svg", str(tmp_path / "t.svg")]
+    trajectory = 50_001 * 7 * 8
+    # Load the noise path's modules outside the traced run.
+    import numpy.random  # noqa: F401
+    from herdflu import _special  # noqa: F401
+    tracemalloc.start()
+    try:
+        assert run_cli(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert forks == []
+    assert (tmp_path / "t.csv").read_bytes().count(b"\n") == 50_002
+    assert (tmp_path / "t.svg").exists() == svg
+    # 3.5 MB on numpy 2.4, the peak of one CSV chunk's text.
+    assert peak < trajectory + 1_000_000, peak
 
 
 # ---------------------------------------------------------------------------
