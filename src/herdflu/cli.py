@@ -42,6 +42,7 @@ from .model import (
 )
 from .output import (
     TRAJECTORY_HEADER,
+    _check_writable,
     write_csv_rows,
     write_ensemble_csv,
     write_prcc_svg,
@@ -119,6 +120,7 @@ def _cmd_equilibrium(args, rc: RunConfig) -> int:
 
 def _cmd_simulate(args, rc: RunConfig) -> int:
     seed = rc.seed if args.seed is None else args.seed
+    _check_writable(args.out, args.svg)
     if args.mode == "ode":
         traj = integrate_ode(rc.params, rc.init, rc.sim)
     else:
@@ -127,9 +129,7 @@ def _cmd_simulate(args, rc: RunConfig) -> int:
     if not args.svg:
         write_trajectory_csv(traj, args.out)
         return 0
-    # Both files are opened here first, so that a path that cannot be
-    # written fails with open's own error before the fork, and the two
-    # writers never share a file.
+    # Created first, so that the two writers can be seen not to share one.
     for path in (args.out, args.svg):
         open(path, "w").close()
     if os.path.samefile(args.out, args.svg):
@@ -173,6 +173,7 @@ def _path_csv_writer(out_dir: str, n_paths: int):
 def _cmd_ensemble(args, rc: RunConfig) -> int:
     n_paths = rc.n_paths if args.paths is None else args.paths
     seed = rc.seed if args.seed is None else args.seed
+    _check_writable(args.out)
     on_block = None
     if args.paths_out:
         on_block = _path_csv_writer(args.paths_out, n_paths)
@@ -187,6 +188,7 @@ def _cmd_ensemble(args, rc: RunConfig) -> int:
 
 def _cmd_sensitivity(args, rc: RunConfig) -> int:
     seed = rc.seed if args.seed is None else args.seed
+    _check_writable(args.out, args.svg)
     ranges = None
     if args.ranges:
         with open(args.ranges, "r", encoding="utf-8") as fh:

@@ -217,7 +217,7 @@ def run_ensemble(
     accepted and ignored: one process steps every path (see README,
     `--threads`).
     """
-    n_rec = len(cfg.recorded_steps())
+    n_rec = -(-cfg.n_steps() // cfg.record_stride) + 1  # len(cfg.recorded_steps())
     times = np.empty(n_rec)
     stats = [np.empty((n_rec, 6)) for _ in SUMMARY_STATS]
     i = 0
@@ -257,7 +257,7 @@ def extinction_fraction(
         raise ValueError(f"n_paths must be an integer >= 1, got {n_paths!r}")
     if not (math.isfinite(threshold) and threshold >= 0.0):
         raise ValueError(f"threshold must be finite and >= 0, got {threshold!r}")
-    t_last = float(cfg.recorded_steps()[-1] * cfg.dt)
+    t_last = cfg.n_steps() * cfg.dt
     if by_time is None:
         by_time = t_last
     if not math.isfinite(by_time):

@@ -112,7 +112,7 @@ class SimConfig:
 
     def recorded_steps(self) -> np.ndarray:
         """Step indices that are recorded: every stride-th, plus the last.
-        The single-path integrators test this rule at each step."""
+        Every stepping loop tests this rule at each step instead."""
         n = self.n_steps()
         ks = np.arange(0, n + 1, self.record_stride)
         if ks[-1] != n:
@@ -222,14 +222,6 @@ def _to_increments(z: np.ndarray, sqrt_dt: float) -> np.ndarray:
     return z
 
 
-def _block_steps(recorded: np.ndarray, k0: int, m: int) -> np.ndarray:
-    # Recorded step indices in (k0, k0 + m].
-    return recorded[
-        np.searchsorted(recorded, k0, side="right"):
-        np.searchsorted(recorded, k0 + m, side="right")
-    ]
-
-
 def _finite_rows(
     times: np.ndarray, buf: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -264,15 +256,17 @@ class _PathChunk:
         self.t4 = np.empty((4, n))
         self.tb = np.empty(n)
 
-    def advance(self, z: np.ndarray, rec: dict[int, int],
-                buf: np.ndarray | None) -> None:
-        """Steps driven by z, the (steps, 5, n_paths) noise of every path;
-        after step s (from 1), writes row rec[s] into buf."""
+    def advance(self, z: np.ndarray, k0: int, stride: int, n_steps: int,
+                buf: np.ndarray) -> None:
+        """Steps k0 + 1, ... driven by z, the (steps, 5, n_paths) noise of
+        every path; after each step that `SimConfig.recorded_steps`'s
+        rule records, writes the next row of buf."""
         add, multiply = np.add, np.multiply
         x, f, drift, dt, zero = self.x, self.f, self.drift, self.dt, self.zero
         x4, xb, t4, tb = x[:4], x[5], self.t4, self.tb
         sig4, sig_b = self.sig4, self.sig_b
-        for s_off, (dw4, dwb) in enumerate(zip(z[:, :4], z[:, 4]), 1):
+        row = 0
+        for k, (dw4, dwb) in enumerate(zip(z[:, :4], z[:, 4]), k0 + 1):
             # x <- x + f(x)*dt + (sig*x)*dW, the float path's operations
             # in its order, element by element; the noise terms are
             # taken from x before it is overwritten.
@@ -286,9 +280,9 @@ class _PathChunk:
             add(x4, t4, x4)
             add(xb, tb, xb)
             np.maximum(x, zero, out=x)
-            row = rec.get(s_off)
-            if row is not None:
+            if k % stride == 0 or k == n_steps:
                 buf[row] = x.T
+                row += 1
 
 
 def _helper_share(n_paths: int) -> int:
@@ -387,9 +381,10 @@ def iter_path_blocks(
     may keep it or reorder it in place (`run_ensemble` sorts it).
 
     A block spans _BLOCK_STEPS steps, so memory is two blocks of noise
-    (the ring) and one block of recorded rows over all paths. Block
-    length never changes a value, because each path's stream is consumed
-    in order.
+    (the ring) and one block of recorded rows over all paths: the step
+    loop tests the rule of `SimConfig.recorded_steps` at each step, as
+    the single-path loops do. Block length never changes a value,
+    because each path's stream is consumed in order.
 
     A run of more than one block forks one noise helper process, a
     `process.Ring` of two slots, one engine block of noise each. Right
@@ -417,8 +412,7 @@ def iter_path_blocks(
 
     dt = cfg.dt
     sqrt_dt = math.sqrt(dt)
-    n_steps = cfg.n_steps()
-    recorded = cfg.recorded_steps()
+    n_steps, stride = cfg.n_steps(), cfg.record_stride
     x0 = init.as_array()
 
     chunk = _PathChunk(x0, noise.as_tuple(), c, n_paths, dt)
@@ -448,13 +442,15 @@ def iter_path_blocks(
         yield np.zeros(1), np.tile(x0, (1, n_paths, 1))
         for j, (k0, m) in enumerate(zip(starts, lengths)):
             z = slots[ring.take()][:m]
-            ks = _block_steps(recorded, k0, m)
-            rec = {o: row for row, o in enumerate((ks - k0).tolist())}
-            buf = np.empty((len(ks), n_paths, 6)) if rec else None
-            chunk.advance(z, rec, buf)
+            # The steps in (k0, k0 + m] that the rule records.
+            ks = list(range(k0 + stride - k0 % stride, k0 + m + 1, stride))
+            if k0 + m == n_steps and n_steps % stride:
+                ks.append(n_steps)
+            buf = np.empty((len(ks), n_paths, 6))
+            chunk.advance(z, k0, stride, n_steps, buf)
             hand_over(j + 2)
-            if rec:
-                yield from _finite_rows(ks * dt, buf)
+            if ks:
+                yield from _finite_rows(np.array(ks) * dt, buf)
         ring.finish()
 
 

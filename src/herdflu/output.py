@@ -69,6 +69,14 @@ def _append_file(fh, src) -> None:
         offset += sent
 
 
+def _check_writable(*paths: str | None) -> None:
+    """Raise open's own OSError, which creates and truncates nothing, for
+    a path (None is skipped) that is a directory or lacks its directory."""
+    for path in filter(None, paths):
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+            open(path, "w").close()
+
+
 def write_csv_rows(fh, times: np.ndarray, states: np.ndarray) -> None:
     """Write row i, `times[i]` then the floats of `states[i]`, as one
     CSV line to the text file `fh`. The columns are joined one chunk
@@ -144,13 +152,9 @@ def write_ensemble_csv(summary: EnsembleSummary | Iterable[SummaryBlock],
     temporary file, and this process waits only when the child is a
     whole ring behind, so it holds a few blocks of rows, never the grid.
     `path` is opened only after the last block: a run that fails writes
-    nothing there. Its directory is looked up first, so a missing one
-    fails at once, with the error that `open` would raise.
+    nothing there, and a path that `_check_writable` rejects fails first.
     """
-    try:
-        os.stat(os.path.dirname(path) or ".")
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, path) from None
+    _check_writable(path)
     blocks = summary.blocks() if isinstance(summary, EnsembleSummary) else summary
     slots = process.shared_array((_RING_SLOTS, _SLOT_ROWS, SUMMARY_COLUMNS))
     with tempfile.TemporaryFile() as tmp:

@@ -1,4 +1,5 @@
 import ast
+import errno
 import pathlib
 import subprocess
 import sys
@@ -343,6 +344,40 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: [Errno 2] No such file or directory: {missing!r}\n")
         assert forks == []
+
+    @pytest.mark.parametrize("target", ["missing_dir/out", "a_dir"])
+    @pytest.mark.parametrize("argv, computes", [
+        (["simulate", "--mode", "ode", "--out", "{bad}"], ["integrate_ode"]),
+        (["simulate", "--mode", "sde", "--out", "{ok}", "--svg", "{bad}"],
+         ["integrate_sde"]),
+        (["ensemble", "--out", "{bad}", "--paths-out", "{tmp}/paths"],
+         ["iter_summary_blocks"]),
+        (["sensitivity", "--out", "{bad}"], ["sensitivity_of_r0"]),
+        (["sensitivity", "--metric", "peak", "--out", "{ok}", "--svg", "{bad}"],
+         ["sensitivity_of_peak_symptomatic"]),
+    ], ids=["simulate-out", "simulate-svg", "ensemble", "sensitivity-out",
+            "sensitivity-svg"])
+    def test_unwritable_output_exits_2_before_the_compute(
+        self, argv, computes, target, fast_config, tmp_path, capsys, monkeypatch
+    ):
+        # A missing directory or a directory target: open's own error,
+        # before the command computes or creates anything.
+        (tmp_path / "a_dir").mkdir()
+        bad, ok = str(tmp_path / target), str(tmp_path / "ok")
+        with pytest.raises(OSError) as exc:
+            open(bad, "w")
+
+        def compute(*args, **kwargs):
+            raise AssertionError("the compute ran")
+
+        for name in computes:
+            monkeypatch.setattr(cli, name, compute)
+        argv = [a.format(bad=bad, ok=ok, tmp=tmp_path) for a in argv]
+        assert run_cli(argv + ["--config", fast_config]) == 2
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
+        assert exc.value.errno in (errno.ENOENT, errno.EISDIR)
+        assert not (tmp_path / "ok").exists()
+        assert not (tmp_path / "paths").exists()
 
     def test_same_out_and_svg_exits_2(self, fast_config, tmp_path, capsys, forks):
         # The two writers run at once and would interleave in one file.

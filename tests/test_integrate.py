@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
@@ -401,6 +402,28 @@ class TestBatchEngine:
             np.concatenate([blk for _, blk in blocks]),
         )
 
+    def test_holds_no_grid_sized_array(self):
+        # 20,000 recorded steps would take 160 KB as one int64 array of
+        # step indices; the engine holds a block at a time.
+        init = default_init(BASELINE_PARAMS)
+
+        def drain(t_end):
+            for _ in iter_path_blocks(BASELINE_PARAMS, init,
+                                      SimConfig(t_end=t_end, dt=0.01),
+                                      noise=DEFAULT_NOISE,
+                                      streams=[NoiseStream(1, 0)]):
+                pass
+
+        # Imports and first-call caches outside the traced run.
+        drain(2.0)
+        tracemalloc.start()
+        try:
+            drain(200.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
     def test_recorded_times_follow_stride(self):
         cfg = SimConfig(t_end=1.0, dt=0.1, record_stride=4)
         init = default_init(BASELINE_PARAMS)
@@ -414,20 +437,22 @@ LOUD = NoiseIntensities(3.0, 3.0, 3.0, 3.0, 3.0)
 
 
 class TestRecordingRule:
-    """Row j of a single-path run is step j*stride, and its last row is
-    step n_steps, as `SimConfig.recorded_steps` states."""
+    """Row j of a run is step j*stride, and its last row is step
+    n_steps, as `SimConfig.recorded_steps` states."""
 
-    # 200 steps: strides 3 and 7 end on a partial stride, and 201
-    # records the first and last steps only.
+    # 200 steps, engine blocks of 64, 64, 64 and 8: every stride but 1
+    # ends on a partial stride, 63, 64 and 65 record steps just before,
+    # at and just after the block edges, and 201 records the first and
+    # last steps only.
     GRID = {"t_end": 10.0, "dt": 0.05}
     INIT = HerdState(2000.0, 40.0, 25.0, 12.0, 8.0, 90.0)
 
-    @pytest.mark.parametrize("stride", [1, 3, 7, 201])
+    @pytest.mark.parametrize("stride", [1, 3, 7, 63, 64, 65, 201])
     def test_rows_are_the_stride_one_rows_at_the_recorded_steps(self, stride):
         p = replace(BASELINE_PARAMS, beta_a=0.46665)
         full, cfg = SimConfig(**self.GRID), SimConfig(**self.GRID, record_stride=stride)
         ks = cfg.recorded_steps()
-        assert ks[-1] == 200
+        assert ks[-1] == 200 and 200 % integrate._BLOCK_STEPS
         for run in (
             lambda grid: integrate_ode(p, self.INIT, grid),
             # Noise loud enough that the clamp fires.
@@ -436,6 +461,17 @@ class TestRecordingRule:
             got, ref = run(cfg), run(full)
             assert got.times.tobytes() == ref.times[ks].tobytes()
             assert got.states.tobytes() == ref.states[ks].tobytes()
+
+        def engine(grid):
+            blocks = list(iter_path_blocks(
+                p, self.INIT, grid, noise=LOUD,
+                streams=[NoiseStream(9, i) for i in range(3)]))
+            return (np.concatenate([t for t, _ in blocks]),
+                    np.concatenate([blk for _, blk in blocks]))
+
+        (times, rows), (_, ref) = engine(cfg), engine(full)
+        assert times.tobytes() == (ks * cfg.dt).tobytes()
+        assert rows.tobytes() == ref[ks].tobytes()
 
     @pytest.mark.parametrize("stride", [1, 3, 7, 201])
     def test_rk4_peaks_are_the_peaks_of_the_recorded_rows(self, stride):
