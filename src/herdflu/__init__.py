@@ -11,7 +11,6 @@ analysis, and a CLI over all of it.
 from .config import ConfigError, RunConfig, load_config, parse_config, parse_ranges
 from .ensemble import (
     EnsembleSummary,
-    SummaryBlock,
     extinction_fraction,
     iter_summary_blocks,
     run_ensemble,
@@ -96,7 +95,6 @@ __all__ = [
     "SENSITIVITY_HEADER",
     "SensitivityReport",
     "SimConfig",
-    "SummaryBlock",
     "TRAJECTORY_HEADER",
     "Trajectory",
     "admissible_upper",

@@ -129,11 +129,6 @@ def _cmd_simulate(args, rc: RunConfig) -> int:
     if not args.svg:
         write_trajectory_csv(traj, args.out)
         return 0
-    # Created first, so that the two writers can be seen not to share one.
-    for path in (args.out, args.svg):
-        open(path, "w").close()
-    if os.path.samefile(args.out, args.svg):
-        raise ValueError("--out and --svg name the same file")
     # The SVG is written in a child while this process writes the CSV.
     child = Child(lambda: write_trajectory_svg(traj, args.svg), "SVG writer process")
     try:

@@ -7,20 +7,20 @@ shaped (rows, paths, 6), is reduced to per-time mean, standard deviation
 and quantile bands at once, along the path axis. `iter_summary_blocks`
 yields the statistics of each block before the engine fills the next,
 so a consumer that writes them out (the `ensemble` command's CSV) holds
-one block of paths and no summary grid; `run_ensemble` gathers them
-into an `EnsembleSummary`, O(grid). Because the reductions always see
+one block of paths and no summary grid; `run_ensemble` gathers their
+rows into one `EnsembleSummary`, O(grid). Because the reductions always see
 the same assembled block, every block length produces identical bytes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .integrate import _BLOCK_STEPS, NoiseStream, SimConfig, iter_path_blocks
+from .integrate import NoiseStream, SimConfig, iter_path_blocks
 from .model import HerdState, ModelParams, NoiseIntensities
 
 # Ensemble quantile levels: central 95% band plus the median.
@@ -37,62 +37,43 @@ SUMMARY_STATS = ("mean", "std", "q025", "q50", "q975")
 SUMMARY_COLUMNS = 1 + 6 * len(SUMMARY_STATS)
 
 
-@dataclass(frozen=True)
-class SummaryBlock:
-    """The statistics of consecutive recorded times of an ensemble.
-
-    `rows` has one summary row per time (see SUMMARY_COLUMNS), the
-    fields of the ensemble CSV's six lines for that time.
-    `extinct_fraction` is the share of paths extinct at the block's last
-    time (see `EnsembleSummary`).
-    """
-
-    rows: np.ndarray
-    extinct_fraction: float
+def _stat_view(k: int) -> property:
+    # Statistic k of SUMMARY_STATS as a (times, 6) view into the rows.
+    return property(lambda self: self.rows[:, 1 + k::len(SUMMARY_STATS)])
 
 
 @dataclass(frozen=True)
 class EnsembleSummary:
     """Per-time cross-path statistics of an ensemble.
 
-    All arrays have one row per recorded time and one column per
+    `rows` has one summary row per recorded time (see SUMMARY_COLUMNS),
+    the fields of the ensemble CSV's six lines for that time. `times`
+    and the statistics `mean`, `std`, `q025`, `q50` and `q975` are views
+    into it, the latter with one row per time and one column per
     compartment. `std` is the population standard deviation (ddof 0);
     quantiles interpolate linearly between order statistics.
     `extinct_fraction` is the share of paths whose infected load
-    E + I_s + I_a is below EXTINCTION_THRESHOLD at the final recorded
-    time.
+    E + I_s + I_a is below EXTINCTION_THRESHOLD at the last time.
     """
 
-    times: np.ndarray
-    mean: np.ndarray
-    std: np.ndarray
-    q025: np.ndarray
-    q50: np.ndarray
-    q975: np.ndarray
+    rows: np.ndarray
     n_paths: int
     master_seed: int
     extinct_fraction: float
 
+    mean, std, q025, q50, q975 = map(_stat_view, range(len(SUMMARY_STATS)))
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.rows[:, 0]
+
     def __post_init__(self) -> None:
-        shape = (len(self.times), 6)
-        for name in SUMMARY_STATS:
-            if getattr(self, name).shape != shape:
-                raise ValueError(f"{name} must have shape {shape}")
+        if self.rows.ndim != 2 or self.rows.shape[1] != SUMMARY_COLUMNS:
+            raise ValueError(f"rows must have shape (times, {SUMMARY_COLUMNS})")
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
         if not 0.0 <= self.extinct_fraction <= 1.0:
             raise ValueError("extinct_fraction must lie in [0, 1]")
-
-    def blocks(self) -> Iterator[SummaryBlock]:
-        """The summary as `SummaryBlock`s of an engine block's length,
-        _BLOCK_STEPS rows, the last one shorter."""
-        stats = [getattr(self, name) for name in SUMMARY_STATS]
-        for a in range(0, len(self.times), _BLOCK_STEPS):
-            b = min(a + _BLOCK_STEPS, len(self.times))
-            rows = np.empty((b - a, SUMMARY_COLUMNS))
-            rows[:, 0] = self.times[a:b]
-            rows[:, 1:] = np.stack([x[a:b] for x in stats], axis=-1).reshape(b - a, -1)
-            yield SummaryBlock(rows, self.extinct_fraction)
 
 
 def _infected_load(states: np.ndarray) -> np.ndarray:
@@ -143,10 +124,11 @@ def iter_summary_blocks(
     master_seed: int,
     *,
     on_block: Callable[[np.ndarray, np.ndarray], None] | None = None,
-) -> Iterator[SummaryBlock]:
+) -> Iterator[EnsembleSummary]:
     """Integrate n_paths stochastic paths and yield their per-time
-    statistics, one `SummaryBlock` per engine block (see
-    `iter_path_blocks`), in grid order.
+    statistics, one `EnsembleSummary` per engine block (see
+    `iter_path_blocks`), in grid order. The `extinct_fraction` of each
+    is that at the block's last time.
 
     The engine computes the next block only when the caller asks for
     it, so a caller that writes each block out holds no summary grid.
@@ -160,11 +142,12 @@ def iter_summary_blocks(
     streams = [NoiseStream(master_seed, i) for i in range(n_paths)]
     it = iter_path_blocks(p, init, cfg, noise=n, streams=streams)
     for t_blk, blk in it:
-        rows = np.empty((len(blk), SUMMARY_COLUMNS))
-        rows[:, 0] = t_blk
-        # Each statistic as a (rows, 6) view into the summary rows.
-        mean, std, q025, q50, q975 = np.moveaxis(
-            rows[:, 1:].reshape(len(blk), 6, len(SUMMARY_STATS)), -1, 0)
+        # The reducer writes into the statistics' views of this summary.
+        # The extinct share is per path, so it is taken before the sort.
+        part = EnsembleSummary(
+            np.empty((len(blk), SUMMARY_COLUMNS)), n_paths, master_seed,
+            float(np.mean(_infected_load(blk[-1]) < EXTINCTION_THRESHOLD)))
+        part.times[:] = t_blk
         # Moments of the deviations from path 0, not of the raw values:
         # numpy's sequential sum over the path axis rounds even when
         # every path is identical, and bit-identical paths must report
@@ -175,12 +158,10 @@ def iter_summary_blocks(
         dev = np.empty((blk.shape[1], len(blk), 6))
         np.subtract(blk.transpose(1, 0, 2), base, out=dev)
         dm = np.add.reduce(dev, axis=0) / len(dev)
-        np.add(base, dm, out=mean)
+        np.add(base, dm, out=part.mean)
         np.multiply(dev, dev, out=dev)
         var = np.add.reduce(dev, axis=0) / len(dev) - dm * dm
-        np.sqrt(np.maximum(var, 0.0), out=std)
-        # Per path, so before the sort.
-        extinct = float(np.mean(_infected_load(blk[-1]) < EXTINCTION_THRESHOLD))
+        np.sqrt(np.maximum(var, 0.0), out=part.std)
         if on_block is not None:
             on_block(t_blk, blk)
         # The reducer sorts the engine's block in place along the path
@@ -188,11 +169,11 @@ def iter_summary_blocks(
         # engine's blocks are finite, so these are np.quantile's values
         # bit for bit (see `_sorted_quantiles`).
         blk.sort(axis=1)
-        _sorted_quantiles(blk, (q025, q50, q975))
+        _sorted_quantiles(blk, (part.q025, part.q50, part.q975))
         # Drop the block, its path-0 view and the deviations before the
         # engine fills the next block.
         del blk, base, dev
-        yield SummaryBlock(rows, extinct)
+        yield part
 
 
 def run_ensemble(
@@ -218,22 +199,14 @@ def run_ensemble(
     `--threads`).
     """
     n_rec = -(-cfg.n_steps() // cfg.record_stride) + 1  # len(cfg.recorded_steps())
-    times = np.empty(n_rec)
-    stats = [np.empty((n_rec, 6)) for _ in SUMMARY_STATS]
+    rows = np.empty((n_rec, SUMMARY_COLUMNS))
     i = 0
-    for block in iter_summary_blocks(p, n, init, cfg, n_paths, master_seed,
-                                     on_block=on_block):
-        j = i + len(block.rows)
-        times[i:j] = block.rows[:, 0]
-        cols = block.rows[:, 1:].reshape(j - i, 6, len(SUMMARY_STATS))
-        for k, x in enumerate(stats):
-            x[i:j] = cols[:, :, k]
-        i = j
-    return EnsembleSummary(
-        times, *stats, n_paths=n_paths, master_seed=master_seed,
-        # The last block's value stands.
-        extinct_fraction=block.extinct_fraction,
-    )
+    for part in iter_summary_blocks(p, n, init, cfg, n_paths, master_seed,
+                                    on_block=on_block):
+        rows[i:i + len(part.rows)] = part.rows
+        i += len(part.rows)
+    # The last part's extinct_fraction stands.
+    return replace(part, rows=rows)
 
 
 def extinction_fraction(

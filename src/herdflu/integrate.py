@@ -419,20 +419,22 @@ def iter_path_blocks(
 
     # The ring: two blocks of noise that a forked helper writes too.
     slots = shared_array((2, _BLOCK_STEPS, _N_NOISE, n_paths))
-    starts = range(0, n_steps, _BLOCK_STEPS)
-    lengths = [min(_BLOCK_STEPS, n_steps - k0) for k0 in starts]
-    w = _helper_share(n_paths) if len(lengths) > 1 else 0
+    w = _helper_share(n_paths) if n_steps > _BLOCK_STEPS else 0
+
+    def block_len(j: int) -> int:
+        # The steps of block j: _BLOCK_STEPS, or fewer in the last block.
+        return min(_BLOCK_STEPS, n_steps - j * _BLOCK_STEPS)
 
     def make_increments(j: int, _: int) -> None:
-        z = slots[j % 2][:lengths[j]]
+        z = slots[j % 2][:block_len(j)]
         _fill_uniforms(z[:, :, :w], gens[:w])
         _to_increments(z, sqrt_dt)
 
     def hand_over(j: int) -> None:
         # Draw paths [w, P) of block j into its slot and hand it over;
         # nothing past the last block.
-        if j < len(lengths):
-            z = slots[ring.slot()][:lengths[j]]
+        if j * _BLOCK_STEPS < n_steps:
+            z = slots[ring.slot()][:block_len(j)]
             _fill_uniforms(z[:, :, w:], gens[w:])
             ring.put(1)
 
@@ -440,17 +442,18 @@ def iter_path_blocks(
         hand_over(0)
         hand_over(1)
         yield np.zeros(1), np.tile(x0, (1, n_paths, 1))
-        for j, (k0, m) in enumerate(zip(starts, lengths)):
+        for j, k0 in enumerate(range(0, n_steps, _BLOCK_STEPS)):
+            m = block_len(j)
             z = slots[ring.take()][:m]
-            # The steps in (k0, k0 + m] that the rule records.
-            ks = list(range(k0 + stride - k0 % stride, k0 + m + 1, stride))
-            if k0 + m == n_steps and n_steps % stride:
-                ks.append(n_steps)
-            buf = np.empty((len(ks), n_paths, 6))
+            # The steps in (k0, k0 + m] that the rule records, then
+            # n_steps if the grid ends on a partial stride.
+            ks = range(k0 + stride - k0 % stride, k0 + m + 1, stride)
+            n_rec = len(ks) + (k0 + m == n_steps and n_steps % stride != 0)
+            buf = np.empty((n_rec, n_paths, 6))
             chunk.advance(z, k0, stride, n_steps, buf)
             hand_over(j + 2)
-            if ks:
-                yield from _finite_rows(np.array(ks) * dt, buf)
+            if n_rec:
+                yield from _finite_rows(np.append(ks, n_steps)[:n_rec] * dt, buf)
         ring.finish()
 
 

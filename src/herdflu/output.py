@@ -27,7 +27,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .ensemble import SUMMARY_COLUMNS, SUMMARY_STATS, EnsembleSummary, SummaryBlock
+from .ensemble import SUMMARY_COLUMNS, SUMMARY_STATS, EnsembleSummary
 from .integrate import Trajectory
 from .model import COMPARTMENTS
 from . import process
@@ -69,12 +69,18 @@ def _append_file(fh, src) -> None:
         offset += sent
 
 
-def _check_writable(*paths: str | None) -> None:
-    """Raise open's own OSError, which creates and truncates nothing, for
-    a path (None is skipped) that is a directory or lacks its directory."""
-    for path in filter(None, paths):
+def _check_writable(out: str, svg: str | None = None) -> None:
+    """Raise open's own OSError for an output path that is a directory
+    or lacks its directory, and ValueError when `svg` (None or "" for
+    none) names the file `out` names. Either creates and truncates
+    nothing."""
+    for path in filter(None, (out, svg)):
         if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
             open(path, "w").close()
+    if svg and (os.path.samefile(out, svg)
+                if os.path.exists(out) and os.path.exists(svg)
+                else os.path.realpath(out) == os.path.realpath(svg)):
+        raise ValueError("--out and --svg name the same file")
 
 
 def write_csv_rows(fh, times: np.ndarray, states: np.ndarray) -> None:
@@ -127,7 +133,7 @@ def read_trajectory_csv(path: str) -> Trajectory:
 
 
 def _ensemble_lines(rows: np.ndarray) -> str:
-    """The CSV lines of summary rows (see `ensemble.SummaryBlock`), six
+    """The CSV lines of summary rows (see `EnsembleSummary.rows`), six
     per row, compartments in model order."""
     line = "{},{},{},{},{},{},{}\n".format
     # The five statistics of each (time, compartment) are consecutive
@@ -140,13 +146,14 @@ def _ensemble_lines(rows: np.ndarray) -> str:
     ])
 
 
-def write_ensemble_csv(summary: EnsembleSummary | Iterable[SummaryBlock],
+def write_ensemble_csv(summary: EnsembleSummary | Iterable[EnsembleSummary],
                        path: str) -> None:
     """One row per (time, compartment), compartments in model order.
 
-    `summary` is an `EnsembleSummary` or its blocks in grid order, as
-    `ensemble.iter_summary_blocks` yields them; the engine behind that
-    generator then runs while the blocks already reduced are formatted.
+    `summary` is one `EnsembleSummary` or consecutive parts of one in
+    grid order, as `ensemble.iter_summary_blocks` yields them; the
+    engine behind that generator then runs while the parts already
+    reduced are formatted.
     The rows pass through a `process.Ring` of _RING_SLOTS slots of
     _SLOT_ROWS rows: its child appends their lines to an unnamed
     temporary file, and this process waits only when the child is a
@@ -155,7 +162,7 @@ def write_ensemble_csv(summary: EnsembleSummary | Iterable[SummaryBlock],
     nothing there, and a path that `_check_writable` rejects fails first.
     """
     _check_writable(path)
-    blocks = summary.blocks() if isinstance(summary, EnsembleSummary) else summary
+    parts = [summary] if isinstance(summary, EnsembleSummary) else summary
     slots = process.shared_array((_RING_SLOTS, _SLOT_ROWS, SUMMARY_COLUMNS))
     with tempfile.TemporaryFile() as tmp:
 
@@ -166,11 +173,11 @@ def write_ensemble_csv(summary: EnsembleSummary | Iterable[SummaryBlock],
 
         with process.Ring(format_slot, _RING_SLOTS,
                           "CSV formatter process of the ensemble summary") as ring:
-            for block in blocks:
-                for a in range(0, len(block.rows), _SLOT_ROWS):
-                    part = block.rows[a:a + _SLOT_ROWS]
-                    slots[ring.slot(), :len(part)] = part
-                    ring.put(len(part))
+            for part in parts:
+                for a in range(0, len(part.rows), _SLOT_ROWS):
+                    rows = part.rows[a:a + _SLOT_ROWS]
+                    slots[ring.slot(), :len(rows)] = rows
+                    ring.put(len(rows))
             ring.finish()
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(ENSEMBLE_HEADER + "\n")

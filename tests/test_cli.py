@@ -1,5 +1,6 @@
 import ast
 import errno
+import os
 import pathlib
 import subprocess
 import sys
@@ -379,12 +380,43 @@ class TestExitCodes:
         assert not (tmp_path / "ok").exists()
         assert not (tmp_path / "paths").exists()
 
-    def test_same_out_and_svg_exits_2(self, fast_config, tmp_path, capsys, forks):
-        # The two writers run at once and would interleave in one file.
-        out = str(tmp_path / "traj")
-        assert run_cli(["simulate", "--mode", "ode", "--config", fast_config,
-                        "--out", out, "--svg", out]) == 2
-        assert capsys.readouterr().err == "error: --out and --svg name the same file\n"
+    def test_same_out_and_svg_exits_2(
+        self, fast_config, tmp_path, capsys, monkeypatch, forks
+    ):
+        # One file would get both outputs (simulate writes them at once):
+        # refused before the compute, the file's bytes untouched, and a
+        # path that does not exist yet is not created.
+        def compute(*args, **kwargs):
+            raise AssertionError("the compute ran")
+
+        for name in ("integrate_ode", "integrate_sde", "sensitivity_of_r0",
+                     "sensitivity_of_peak_symptomatic"):
+            monkeypatch.setattr(cli, name, compute)
+        commands = {"simulate-ode": ["simulate", "--mode", "ode"],
+                    "simulate-sde": ["simulate", "--mode", "sde"],
+                    "sensitivity-r0": ["sensitivity"],
+                    "sensitivity-peak": ["sensitivity", "--metric", "peak"]}
+        for command, argv in commands.items():
+            for form in ("path", "symlink", "hard-link", "new-path"):
+                case = tmp_path / f"{command}-{form}"
+                case.mkdir()
+                out, svg = case / "out", case / "svg"
+                if form != "new-path":
+                    out.write_bytes(b"kept\n")
+                if form == "symlink":
+                    svg.symlink_to(out)
+                elif form == "hard-link":
+                    os.link(out, svg)
+                else:
+                    svg = out
+                assert run_cli(argv + ["--config", fast_config, "--out", str(out),
+                                       "--svg", str(svg)]) == 2, (command, form)
+                assert capsys.readouterr().err == (
+                    "error: --out and --svg name the same file\n"), (command, form)
+                if form == "new-path":
+                    assert not out.exists(), command
+                else:
+                    assert out.read_bytes() == b"kept\n", (command, form)
         assert forks == []
 
     def test_diagnostics_go_to_stderr_not_stdout(self, tmp_path, capsys):

@@ -9,6 +9,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from contextlib import closing
 from dataclasses import replace
 
 import numpy as np
@@ -32,7 +33,14 @@ from herdflu import (
 )
 from herdflu import integrate
 from herdflu.cli import run_cli
-from herdflu.ensemble import EXTINCTION_THRESHOLD, QUANTILES, _sorted_quantiles
+from herdflu.ensemble import (
+    EXTINCTION_THRESHOLD,
+    QUANTILES,
+    SUMMARY_COLUMNS,
+    SUMMARY_STATS,
+    _sorted_quantiles,
+    iter_summary_blocks,
+)
 from herdflu.integrate import _BLOCK_STEPS
 
 ZERO_NOISE = NoiseIntensities(0.0, 0.0, 0.0, 0.0, 0.0)
@@ -163,15 +171,47 @@ class TestRunEnsemble:
             with pytest.raises(ValueError):
                 run_ensemble(BASELINE_PARAMS, DEFAULT_NOISE, INIT, CFG, n, 0)
 
+    def test_summary_is_its_parts_rows_in_order(self):
+        # 205 steps at stride 7: three whole engine blocks and a short
+        # one, each part a block's rows.
+        cfg = SimConfig(t_end=2.05, dt=0.01, record_stride=7)
+        assert cfg.n_steps() % _BLOCK_STEPS == 13
+        with closing(iter_summary_blocks(BASELINE_PARAMS, DEFAULT_NOISE, INIT,
+                                         cfg, 8, 4)) as it:
+            parts = list(it)
+        summ = run_ensemble(BASELINE_PARAMS, DEFAULT_NOISE, INIT, cfg, 8, 4)
+        assert len(parts) == 5
+        stacked = np.concatenate([part.rows for part in parts])
+        assert summ.rows.shape == (len(cfg.recorded_steps()), SUMMARY_COLUMNS)
+        assert summ.rows.tobytes() == stacked.tobytes()
+        assert summ.extinct_fraction == parts[-1].extinct_fraction
+        assert (summ.n_paths, summ.master_seed) == (8, 4)
+
+    @pytest.mark.parametrize("source", ["run_ensemble", "part"])
+    def test_statistics_are_views_into_the_rows(self, source):
+        cfg = SimConfig(t_end=2.05, dt=0.01, record_stride=7)
+        summ = run_ensemble(BASELINE_PARAMS, DEFAULT_NOISE, INIT, cfg, 8, 4)
+        if source == "part":
+            with closing(iter_summary_blocks(BASELINE_PARAMS, DEFAULT_NOISE,
+                                             INIT, cfg, 8, 4)) as it:
+                summ = list(it)[2]
+        rows = summ.rows
+        assert summ.times.tobytes() == rows[:, 0].tobytes()
+        assert np.shares_memory(summ.times, rows)
+        for k, name in enumerate(SUMMARY_STATS):
+            stat = getattr(summ, name)
+            assert stat.shape == (len(rows), 6)
+            for c in range(6):
+                col = rows[:, 1 + len(SUMMARY_STATS) * c + k]
+                assert stat[:, c].tobytes() == col.tobytes(), (name, c)
+                assert np.shares_memory(stat[:, c], col), (name, c)
+
     def test_summary_shape_validated(self):
-        t = np.array([0.0, 1.0])
-        good = np.zeros((2, 6))
-        with pytest.raises(ValueError):
-            EnsembleSummary(
-                times=t, mean=good, std=np.zeros((3, 6)), q025=good,
-                q50=good, q975=good, n_paths=1, master_seed=0,
-                extinct_fraction=0.0,
-            )
+        EnsembleSummary(np.zeros((2, SUMMARY_COLUMNS)), 1, 0, 0.0)
+        for shape in ((2, SUMMARY_COLUMNS - 1), (2, SUMMARY_COLUMNS + 1),
+                      (SUMMARY_COLUMNS,), (1, 2, SUMMARY_COLUMNS)):
+            with pytest.raises(ValueError):
+                EnsembleSummary(np.zeros(shape), 1, 0, 0.0)
 
 
 class TestSortedQuantiles:
@@ -377,6 +417,25 @@ class TestBlockLength:
         # while the engine fills the next, goes past this.
         assert peak < 1.5 * block
         assert rings == [2 * _BLOCK_STEPS * n_paths * 40]
+
+    def test_held_memory_does_not_follow_the_grid(self):
+        # Right after the first yield the engine holds its ring and one
+        # block's state, nothing per block of the grid: at two million
+        # steps (31,250 blocks) as little as at two thousand.
+        def held(n_steps):
+            cfg = SimConfig(t_end=n_steps * 0.01, dt=0.01)
+            assert cfg.n_steps() == n_steps
+            tracemalloc.start()
+            try:
+                with closing(iter_path_blocks(BASELINE_PARAMS, INIT, cfg, DEFAULT_NOISE,
+                                              [NoiseStream(0, 0)])) as it:
+                    next(it)
+                    return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        held(2_000)  # imports and first-call caches, outside the comparison
+        assert held(2_000_000) - held(2_000) < 4096
 
 
 class TestNoiseHelper:

@@ -18,7 +18,7 @@ from herdflu import (
     run_ensemble,
 )
 from herdflu import cli, integrate, output, process
-from herdflu.ensemble import iter_summary_blocks
+from herdflu.ensemble import SUMMARY_COLUMNS, SUMMARY_STATS, iter_summary_blocks
 from herdflu.cli import run_cli
 from herdflu.output import (
     read_ensemble_csv,
@@ -120,8 +120,12 @@ def _summary(n: int) -> EnsembleSummary:
     rng = np.random.default_rng(n)
     stats = [rng.random((n, 6)) * 10.0 ** rng.integers(-8, 8, (n, 6))
              for _ in range(5)]
-    return EnsembleSummary(np.arange(n) * 0.01, *stats, n_paths=3,
+    summ = EnsembleSummary(np.empty((n, SUMMARY_COLUMNS)), n_paths=3,
                            master_seed=0, extinct_fraction=0.0)
+    summ.times[:] = np.arange(n) * 0.01
+    for name, x in zip(SUMMARY_STATS, stats):
+        getattr(summ, name)[:] = x
+    return summ
 
 
 def _written(tmp_path, n: int, tag: str) -> tuple[bytes, bytes]:
