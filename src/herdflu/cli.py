@@ -53,10 +53,6 @@ from .output import (
 from .process import Child
 from .sensitivity import sensitivity_of_peak_symptomatic, sensitivity_of_r0
 
-# Per-path CSV emission opens at most this many files at once, well
-# under common ulimits.
-_PATH_GROUP = 128
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the contract here says 1."""
@@ -139,28 +135,19 @@ def _cmd_simulate(args, rc: RunConfig) -> int:
     return 0
 
 
-def _path_csv_writer(out_dir: str, n_paths: int):
-    """Create one CSV per path and return an `on_block` consumer that
-    appends each engine block to them, `_PATH_GROUP` files at a time."""
+def _path_csv_writer(out_dir: str, names: list[str]):
+    """Create one CSV per path in out_dir, `names[i]` for path i, and
+    return an `on_block` consumer that appends each engine block to
+    them, one file at a time."""
     os.makedirs(out_dir, exist_ok=True)
-    names = [os.path.join(out_dir, f"path_{i:04d}.csv") for i in range(n_paths)]
     for name in names:
         with open(name, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(TRAJECTORY_HEADER + "\n")
 
     def on_block(times, blk) -> None:
-        for lo in range(0, n_paths, _PATH_GROUP):
-            hi = min(lo + _PATH_GROUP, n_paths)
-            handles = [
-                open(name, "a", encoding="utf-8", newline="\n")
-                for name in names[lo:hi]
-            ]
-            try:
-                for j, fh in enumerate(handles, lo):
-                    write_csv_rows(fh, times, blk[:, j])
-            finally:
-                for fh in handles:
-                    fh.close()
+        for j, name in enumerate(names):
+            with open(name, "a", encoding="utf-8", newline="\n") as fh:
+                write_csv_rows(fh, times, blk[:, j])
 
     return on_block
 
@@ -168,10 +155,11 @@ def _path_csv_writer(out_dir: str, n_paths: int):
 def _cmd_ensemble(args, rc: RunConfig) -> int:
     n_paths = rc.n_paths if args.paths is None else args.paths
     seed = rc.seed if args.seed is None else args.seed
-    _check_writable(args.out)
-    on_block = None
+    names = []
     if args.paths_out:
-        on_block = _path_csv_writer(args.paths_out, n_paths)
+        names = [os.path.join(args.paths_out, f"path_{i:04d}.csv") for i in range(n_paths)]
+    _check_writable(args.out, path_files=names)
+    on_block = _path_csv_writer(args.paths_out, names) if names else None
     # The engine runs while the writer formats the blocks it has reduced.
     blocks = iter_summary_blocks(
         rc.params, rc.noise, rc.init, rc.sim, n_paths, seed, on_block=on_block,

@@ -184,8 +184,6 @@ def run_ensemble(
     n_paths: int,
     master_seed: int,
     threads: int = 1,
-    *,
-    on_block: Callable[[np.ndarray, np.ndarray], None] | None = None,
 ) -> EnsembleSummary:
     """Integrate n_paths stochastic paths and reduce them per time: the
     blocks of `iter_summary_blocks`, gathered into one summary.
@@ -194,15 +192,13 @@ def run_ensemble(
     trajectory exactly; with all intensities zero every path coincides
     and the standard deviation is identically 0.
 
-    `on_block` is passed on to `iter_summary_blocks`. `threads` is
-    accepted and ignored: one process steps every path (see README,
-    `--threads`).
+    `threads` is accepted and ignored: one process steps every path
+    (see README, `--threads`).
     """
     n_rec = -(-cfg.n_steps() // cfg.record_stride) + 1  # len(cfg.recorded_steps())
     rows = np.empty((n_rec, SUMMARY_COLUMNS))
     i = 0
-    for part in iter_summary_blocks(p, n, init, cfg, n_paths, master_seed,
-                                    on_block=on_block):
+    for part in iter_summary_blocks(p, n, init, cfg, n_paths, master_seed):
         rows[i:i + len(part.rows)] = part.rows
         i += len(part.rows)
     # The last part's extinct_fraction stands.

@@ -501,7 +501,8 @@ def integrate_ode(p: ModelParams, init: HerdState, cfg: SimConfig) -> Trajectory
 
     Stepped on plain floats: on one 6-vector, numpy call overhead costs
     more than the arithmetic. A negative component is clamped to 0
-    (-0.0 stays).
+    (-0.0 stays). A recorded state with a non-finite component raises
+    IntegrationError, as in `integrate_sde` and the ensemble engine.
     """
     c = rate_coefficients(p)
     dt = cfg.dt
@@ -519,7 +520,9 @@ def integrate_ode(p: ModelParams, init: HerdState, cfg: SimConfig) -> Trajectory
         if min(x) < 0.0:
             x = [0.0 if v < 0.0 else v for v in x]
         if k % stride == 0 or k == n_steps:
-            if not math.isfinite(x[0] + x[1] + x[2] + x[3] + x[4] + x[5]):
+            # A finite state whose sum overflows has not failed.
+            if (not math.isfinite(x[0] + x[1] + x[2] + x[3] + x[4] + x[5])
+                    and not all(map(math.isfinite, x))):
                 raise IntegrationError(f"non-finite state at t={k * dt:.6g}")
             row += 1
             states[row] = x
@@ -536,12 +539,13 @@ def rk4_peaks(
     maximum of compartment `column` over the recorded times of the run
     from `init` under parameter set i: bit for bit
     `integrate_ode(params_i, init, cfg).states[:, column].max()`. The
-    clamp and the non-finite check act per entry as in that run. The
-    one difference, after S turns NaN, never shows: the scalar run then
-    leaves the other components unclamped, but S feeds every compartment
-    within the next step, so the first non-finite recorded row is the
-    same. An entry whose run would raise IntegrationError is NaN
-    instead; that run's `integrate_ode` gives the message.
+    clamp acts per entry as in that run (which may skip it in a state
+    holding a NaN, a run that has failed). An entry whose run would
+    raise IntegrationError is NaN instead; that run's `integrate_ode`
+    gives the message. Failure is read once, off the final state: the
+    clamp touches only values below 0, so a component that is +inf or
+    NaN after it stays non-finite (inf + finite = inf, inf - inf = NaN),
+    and the last step is always recorded.
     """
     (n,) = np.broadcast(*c).shape
     dt = cfg.dt
@@ -557,7 +561,7 @@ def rk4_peaks(
     # Every operand is an array: a Python float costs each call more.
     half_a, dt_a, two, sixth_a = (np.full((6, n), v) for v in (half, dt, 2.0, sixth))
     add, multiply = np.add, np.multiply
-    # Runs that already failed keep stepping; their values are unused.
+    # Runs that already failed keep stepping; their peaks are replaced.
     with np.errstate(all="ignore"):
         for k in range(1, n_steps + 1):
             # `_rk4_step` on the stacked state: each element sees the
@@ -583,8 +587,6 @@ def rk4_peaks(
             if neg.any():
                 x[neg] = 0.0
             if k % stride == 0 or k == n_steps:
-                # A failed run's NaN peak stays NaN under np.maximum.
-                tot = x[0] + x[1] + x[2] + x[3] + x[4] + x[5]
-                peak[~np.isfinite(tot)] = np.nan
                 np.maximum(peak, x[column], out=peak)
+    peak[~np.isfinite(x).all(axis=0)] = np.nan
     return peak

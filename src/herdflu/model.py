@@ -397,10 +397,13 @@ def r0_closed_form(p: ModelParams) -> float:
 
     Args:
         p: validated parameter set (its invariants keep every denominator
-           here strictly positive).
+           here strictly positive), or any object with the ModelParams
+           field names whose values are (n,) arrays of valid sets, as
+           for `rate_coefficients`.
 
     Returns:
-        R0 >= 0.
+        R0 >= 0, or an (n,) array that equals the R0 of each set bit for
+        bit (only elementwise + - * / are used).
     """
     return _r0(p, p.beta_b)
 
@@ -414,6 +417,7 @@ def r0_herd(p: ModelParams) -> float:
     equilibrium exists iff this threshold exceeds 1 (see
     `herdflu.equilibrium`). At the baseline it is 0.612 against the
     paper's 0.0472, at beta_a = 0.46665 it is 3.76 against 3.19.
+    `p` may be parameter columns, as for `r0_closed_form`.
     """
     return _r0(p, p.beta_b * (p.lambda_recruit / p.mu))
 

@@ -69,18 +69,28 @@ def _append_file(fh, src) -> None:
         offset += sent
 
 
-def _check_writable(out: str, svg: str | None = None) -> None:
+def _same_file(a: str, b: str) -> bool:
+    # The file itself when both exist (hard links too), else the path
+    # with every symlink resolved.
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _check_writable(
+    out: str, svg: str | None = None, path_files: Iterable[str] = ()
+) -> None:
     """Raise open's own OSError for an output path that is a directory
     or lacks its directory, and ValueError when `svg` (None or "" for
-    none) names the file `out` names. Either creates and truncates
-    nothing."""
+    none) or one of `path_files` (the `--paths-out` files) names the
+    file `out` names. Either creates and truncates nothing."""
     for path in filter(None, (out, svg)):
         if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
             open(path, "w").close()
-    if svg and (os.path.samefile(out, svg)
-                if os.path.exists(out) and os.path.exists(svg)
-                else os.path.realpath(out) == os.path.realpath(svg)):
+    if svg and _same_file(out, svg):
         raise ValueError("--out and --svg name the same file")
+    if any(_same_file(out, name) for name in path_files):
+        raise ValueError("--out names a --paths-out file")
 
 
 def write_csv_rows(fh, times: np.ndarray, states: np.ndarray) -> None:

@@ -30,7 +30,6 @@ from .model import (
     BASELINE_PARAMS,
     COMPARTMENTS,
     PARAM_KEYS,
-    HerdState,
     ModelParams,
     default_init,
     r0_closed_form,
@@ -122,7 +121,9 @@ def lhs_sample(ranges: ParamRanges, n: int, seed: int) -> np.ndarray:
     Column j partitions [low_j, high_j] into n equal strata and lands
     exactly once in each, at a uniform position within the stratum.
     Strata are permuted independently across columns; everything is a
-    deterministic function of `seed`.
+    deterministic function of `seed`. A draw that rounding would carry
+    past high_j is high_j, so every value lies in [low_j, high_j]; a
+    range too wide for n strata (a draw overflows) is refused.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
@@ -132,7 +133,10 @@ def lhs_sample(ranges: ParamRanges, n: int, seed: int) -> np.ndarray:
     for j, (lo, hi) in enumerate(ranges.as_array()):
         bins = rng.permutation(n)
         u = rng.random(n)
-        out[:, j] = lo + (hi - lo) * (bins + u) / n
+        x = lo + (hi - lo) * (bins + u) / n
+        if not np.isfinite(x).all():
+            raise ValueError(f"{ranges.names[j]}: range too wide for {n} strata")
+        np.clip(x, lo, hi, out=out[:, j])
     return out
 
 
@@ -258,20 +262,36 @@ def _params_for_row(
     return replace(base, **fields)
 
 
+def _columns(
+    base: ModelParams, names: tuple[str, ...], samples: np.ndarray
+) -> SimpleNamespace:
+    """Every ModelParams field as an (n,) float array: row i holds the
+    doubles of `_params_for_row(base, names, samples[i])`.
+
+    No row needs validating: each `ParamRanges` rule is an interval and
+    `lhs_sample` stays within it, and the other fields are `base`'s."""
+    columns = {
+        f.name: np.full(len(samples), float(getattr(base, f.name)))
+        for f in fields(ModelParams)
+    }
+    for j, name in enumerate(names):
+        columns[PARAM_KEYS[name]] = samples[:, j]
+    return SimpleNamespace(**columns)
+
+
 def sensitivity_of_r0(
     ranges: ParamRanges | None = None,
     n: int = 1000,
     seed: int = 0,
     base: ModelParams = BASELINE_PARAMS,
 ) -> SensitivityReport:
-    """PRCC of the reproduction number over an LHS parameter sweep."""
+    """PRCC of the reproduction number over an LHS parameter sweep,
+    from one `r0_closed_form` call on the sweep's parameter columns."""
     if ranges is None:
         ranges = default_ranges(base)
     _check_sample_count(n, len(ranges))
     samples = lhs_sample(ranges, n, seed)
-    outputs = np.array(
-        [r0_closed_form(_params_for_row(base, ranges.names, row)) for row in samples]
-    )
+    outputs = r0_closed_form(_columns(base, ranges.names, samples))
     return prcc(samples, outputs, names=ranges.names, seed=seed)
 
 
@@ -285,10 +305,12 @@ def sensitivity_of_peak_symptomatic(
     """PRCC of the peak symptomatic count from deterministic runs.
 
     Every sample runs RK4 from a fixed near-DFE seed derived from
-    `base`; all samples are integrated together on arrays, so the cost
-    grows far slower than n. Each peak equals that of the sample's own
-    `integrate_ode` run bit for bit; if any run would fail, the error
-    names the first such sample in row order and carries its message.
+    `base`; all samples are integrated together on the sweep's parameter
+    columns (`rk4_peaks`), so the cost grows far slower than n. Each
+    peak equals that of the sample's own `integrate_ode` run bit for
+    bit. A failed run's peak is NaN: the first such sample in row order
+    is run again by `integrate_ode`, whose IntegrationError is raised
+    with "sample i: " before its message.
 
     Too few samples for PRCC are refused before any run.
     """
@@ -299,36 +321,13 @@ def sensitivity_of_peak_symptomatic(
         cfg = SimConfig(t_end=500.0, dt=0.1)
     init = default_init(base)
     samples = lhs_sample(ranges, n, seed)
-    params = [_params_for_row(base, ranges.names, row) for row in samples]
-    outputs = _checked_peaks(params, init, cfg)
-    return prcc(samples, outputs, names=ranges.names, seed=seed)
-
-
-def _checked_peaks(
-    params: list[ModelParams], init: HerdState, cfg: SimConfig
-) -> np.ndarray:
-    """`_peak_symptomatic(params, init, cfg)`, unless a run fails.
-
-    A failed run's peak is NaN (see `rk4_peaks`): the first such sample
-    in row order is run again by `integrate_ode`, whose IntegrationError
-    is raised with "sample i: " before its message.
-    """
-    peaks = _peak_symptomatic(params, init, cfg)
+    c = rate_coefficients(_columns(base, ranges.names, samples))
+    peaks = rk4_peaks(c, init, cfg, COMPARTMENTS.index("I_s"))
     failed = np.flatnonzero(np.isnan(peaks))
     if failed.size:
         i = int(failed[0])
         try:
-            integrate_ode(params[i], init, cfg)
+            integrate_ode(_params_for_row(base, ranges.names, samples[i]), init, cfg)
         except IntegrationError as exc:
             raise IntegrationError(f"sample {i}: {exc}") from None
-    return peaks
-
-
-def _peak_symptomatic(
-    params: list[ModelParams], init: HerdState, cfg: SimConfig
-) -> np.ndarray:
-    columns = SimpleNamespace(**{
-        f.name: np.array([getattr(q, f.name) for q in params], dtype=float)
-        for f in fields(ModelParams)
-    })
-    return rk4_peaks(rate_coefficients(columns), init, cfg, COMPARTMENTS.index("I_s"))
+    return prcc(samples, peaks, names=ranges.names, seed=seed)

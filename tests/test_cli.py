@@ -144,12 +144,8 @@ class TestEnsemble:
                  "--out", str(sim)])
         assert (members / "path_0000.csv").read_bytes() == sim.read_bytes()
 
-    def test_paths_out_files_equal_integrate_sde(
-        self, fast_config, tmp_path, monkeypatch
-    ):
-        # One engine pass feeds every path file; with groups of two files
-        # the five paths span three groups.
-        monkeypatch.setattr(cli, "_PATH_GROUP", 2)
+    def test_paths_out_files_equal_integrate_sde(self, fast_config, tmp_path):
+        # One engine pass feeds every path file.
         members = tmp_path / "members"
         assert run_cli(["ensemble", "--config", fast_config, "--out",
                         str(tmp_path / "ens.csv"), "--paths", "5",
@@ -418,6 +414,52 @@ class TestExitCodes:
                 else:
                     assert out.read_bytes() == b"kept\n", (command, form)
         assert forks == []
+
+    def test_out_naming_a_paths_out_file_exits_2(
+        self, fast_config, tmp_path, capsys, monkeypatch, forks
+    ):
+        # The summary would replace a path's trajectory: refused before
+        # the compute and before any path file is made, the named file's
+        # bytes untouched, and a path that does not exist yet is not
+        # created.
+        def compute(*args, **kwargs):
+            raise AssertionError("the compute ran")
+
+        monkeypatch.setattr(cli, "iter_summary_blocks", compute)
+        for form in ("path", "symlink", "hard-link", "new-path"):
+            members = tmp_path / form / "members"
+            members.mkdir(parents=True)
+            target = members / "path_0001.csv"
+            out = target
+            if form != "new-path":
+                target.write_bytes(b"kept\n")
+            if form == "symlink":
+                out = tmp_path / form / "link.csv"
+                out.symlink_to(target)
+            elif form == "hard-link":
+                out = tmp_path / form / "link.csv"
+                os.link(target, out)
+            assert run_cli(["ensemble", "--config", fast_config, "--paths", "2",
+                            "--out", str(out), "--paths-out", str(members)]) == 2, form
+            assert capsys.readouterr().err == (
+                "error: --out names a --paths-out file\n"), form
+            assert sorted(p.name for p in members.iterdir()) == (
+                [] if form == "new-path" else ["path_0001.csv"]), form
+            if form != "new-path":
+                assert target.read_bytes() == b"kept\n", form
+        assert forks == []
+
+    def test_out_beside_the_paths_out_files_runs(self, fast_config, tmp_path):
+        # path_0002.csv is not one of two paths' files.
+        members = tmp_path / "members"
+        members.mkdir()
+        out = members / "path_0002.csv"
+        assert run_cli(["ensemble", "--config", fast_config, "--paths", "2",
+                        "--out", str(out), "--paths-out", str(members)]) == 0
+        assert sorted(p.name for p in members.iterdir()) == [
+            "path_0000.csv", "path_0001.csv", "path_0002.csv"]
+        assert out.read_text().startswith("t,compartment,mean,")
+        assert (members / "path_0000.csv").read_text().startswith("t,S,E,")
 
     def test_diagnostics_go_to_stderr_not_stdout(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -133,21 +133,19 @@ class TestRunEnsemble:
 
     def test_in_place_reduction_matches_untouched_blocks(self):
         # The reducer sorts each engine block in place. Reference: the
-        # same statistics on a copy of each block taken before the sort
-        # (through on_block), with np.quantile on the untouched copy.
-        # Loud noise on S clamps many paths to exactly 0, so order
-        # statistics tie; the extinct share is per path and must survive
-        # the sort.
+        # same statistics on the unsorted blocks of a second engine run
+        # on the same streams (the engine is deterministic), with
+        # np.quantile on those untouched blocks. Loud noise on S clamps
+        # many paths to exactly 0, so order statistics tie; the extinct
+        # share is per path and must survive the sort.
         p = replace(BASELINE_PARAMS, beta_a=0.46665)
         init = HerdState(2000.0, 3.0, 2.0, 1.0, 8.0, 5.0)
         loud = NoiseIntensities(3.0, 1.0, 1.0, 1.0, 3.0)
         cfg = SimConfig(t_end=10.0, dt=0.1, record_stride=3)
-        copies = []
-        summ = run_ensemble(
-            p, loud, init, cfg, 40, 8,
-            on_block=lambda times, blk: copies.append(blk.copy()),
-        )
-        stack = np.concatenate(copies)
+        summ = run_ensemble(p, loud, init, cfg, 40, 8)
+        streams = [NoiseStream(8, i) for i in range(40)]
+        stack = np.concatenate([
+            blk for _, blk in iter_path_blocks(p, init, cfg, loud, streams)])
         assert np.mean(stack[1:, :, 0] == 0.0) > 0.05
         base = stack[:, 0]
         dev = stack - base[:, None]

@@ -1,12 +1,15 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from herdflu import (
     BASELINE_PARAMS,
+    COMPARTMENTS,
+    HerdState,
     IntegrationError,
+    ModelParams,
     ParamRanges,
     SimConfig,
     default_init,
@@ -14,16 +17,18 @@ from herdflu import (
     default_ranges,
     lhs_sample,
     prcc,
+    r0_closed_form,
     sensitivity_of_peak_symptomatic,
     sensitivity_of_r0,
 )
 from herdflu import sensitivity
 from herdflu.cli import run_cli
+from herdflu.integrate import rk4_peaks
+from herdflu.model import rate_coefficients
 from herdflu.sensitivity import (
     R0_PARAM_KEYS,
-    _checked_peaks,
+    _columns,
     _params_for_row,
-    _peak_symptomatic,
     rank_average,
 )
 
@@ -114,6 +119,57 @@ class TestLhs:
     def test_bad_n_rejected(self):
         with pytest.raises(ValueError):
             lhs_sample(default_ranges(), 0, seed=0)
+
+    def test_values_lie_in_random_ranges(self):
+        # Seeded random ranges from 1e-300 to 1e2 wide, lows near 0 (the
+        # smallest double above 0 for mu) and nu ranges ending at 1.0:
+        # every value lies in its range, so every row is a valid set.
+        rng = np.random.default_rng(30)
+        for _ in range(200):
+            lo = rng.uniform(0.0, 1.0, 2) * 10.0 ** rng.integers(-300, 3, 2)
+            hi = lo + rng.uniform(0.0, 1.0, 2) * 10.0 ** rng.integers(-300, 3, 2)
+            ranges = ParamRanges({
+                "beta_a": (lo[0], hi[0]),
+                "gamma": (0.0, hi[1]),
+                "mu": (5e-324, 5e-324 + hi[1]),
+                "nu": (rng.uniform(0.0, 1.0), 1.0),
+            })
+            x = lhs_sample(ranges, int(rng.integers(1, 300)), int(rng.integers(2**32)))
+            bounds = ranges.as_array()
+            assert (x >= bounds[:, 0]).all() and (x <= bounds[:, 1]).all()
+            for row in x:
+                _params_for_row(BASELINE_PARAMS, ranges.names, row)
+
+    def test_range_too_wide_for_its_strata_is_refused(self):
+        # (hi - lo) * (bins + u) overflows: no draw is inf or collapsed
+        # onto the high end.
+        ranges = ParamRanges({"lambda": (0.0, 1e308)})
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="^lambda: range too wide for 10 strata$"):
+                lhs_sample(ranges, 10, seed=0)
+        assert lhs_sample(ranges, 1, seed=0)[0, 0] <= 1e308
+
+    def test_top_draw_is_clipped_to_high(self, monkeypatch):
+        # Generator.random can return 1 - 2**-53. In the top stratum
+        # bins + u then rounds to n, and for this range
+        # lo + (hi - lo) * n / n rounds past hi; the value is hi. The
+        # other strata keep their bits.
+        u = 1.0 - 2.0 ** -53
+
+        class TopDraws:
+            def permutation(self, n):
+                return np.arange(n)
+
+            def random(self, n):
+                return np.full(n, u)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: TopDraws())
+        lo, hi = 0.3, 0.9
+        raw = lo + (hi - lo) * (np.arange(3) + u) / 3
+        assert raw[2] > hi
+        x = lhs_sample(ParamRanges({"beta_a": (lo, hi)}), 3, seed=0)[:, 0]
+        assert x[2] == hi
+        assert x[:2].tobytes() == raw[:2].tobytes()
 
 
 def toy_samples(n=200, k=4, seed=0):
@@ -225,6 +281,34 @@ class TestModelSensitivity:
         assert rep.n_samples == 40
         assert rep.by_name("beta_a").prcc > 0.0
 
+    def test_columns_equal_per_row_params_bitwise(self):
+        ranges = default_ranges(BASELINE_PARAMS)
+        samples = lhs_sample(ranges, 1000, 0)
+        columns = _columns(BASELINE_PARAMS, ranges.names, samples)
+        rows = [_params_for_row(BASELINE_PARAMS, ranges.names, row) for row in samples]
+        for f in fields(ModelParams):
+            want = np.array([getattr(q, f.name) for q in rows])
+            assert getattr(columns, f.name).tobytes() == want.tobytes(), f.name
+
+    def test_r0_sweep_equals_per_row_r0_bitwise(self, monkeypatch):
+        outputs = []
+        real = sensitivity.prcc
+
+        def spy(samples, y, **kwargs):
+            outputs.append(y)
+            return real(samples, y, **kwargs)
+
+        monkeypatch.setattr(sensitivity, "prcc", spy)
+        rep = sensitivity_of_r0(n=1000, seed=0)
+        ranges = default_ranges(BASELINE_PARAMS)
+        samples = lhs_sample(ranges, 1000, 0)
+        ref = np.array([
+            r0_closed_form(_params_for_row(BASELINE_PARAMS, ranges.names, row))
+            for row in samples
+        ])
+        assert outputs[0].tobytes() == ref.tobytes()
+        assert rep == real(samples, ref, names=ranges.names, seed=0)
+
 
 OUTBREAK = replace(BASELINE_PARAMS, beta_a=0.46665)
 # dt = 10 overshoots: most rows clamp at 0.
@@ -238,6 +322,12 @@ def per_row_peaks(ranges, n, seed, cfg):
         .column("I_s").max()
         for row in lhs_sample(ranges, n, seed)
     ])
+
+
+def column_peaks(names, samples, init, cfg):
+    # The sweep's batched run: rk4_peaks on the parameter columns.
+    c = rate_coefficients(_columns(OUTBREAK, names, samples))
+    return rk4_peaks(c, init, cfg, COMPARTMENTS.index("I_s"))
 
 
 class TestBatchedPeakSweep:
@@ -256,8 +346,7 @@ class TestBatchedPeakSweep:
         ref = per_row_peaks(ranges, n, seed, cfg)
         init = default_init(OUTBREAK)
         samples = lhs_sample(ranges, n, seed)
-        params = [_params_for_row(OUTBREAK, ranges.names, row) for row in samples]
-        assert _peak_symptomatic(params, init, cfg).tobytes() == ref.tobytes()
+        assert column_peaks(ranges.names, samples, init, cfg).tobytes() == ref.tobytes()
         rep = sensitivity_of_peak_symptomatic(ranges, n, seed, OUTBREAK, cfg)
         assert rep == prcc(samples, ref, names=ranges.names, seed=seed)
 
@@ -265,8 +354,9 @@ class TestBatchedPeakSweep:
         # Samples 1 and 3 overflow, at different times; 0 and 2 do not.
         cfg = SimConfig(t_end=50.0, dt=0.5)
         init = default_init(OUTBREAK)
-        params = [replace(OUTBREAK, lambda_recruit=v) for v in (1.0, 3e307, 2.0, 1e307)]
-        peaks = _peak_symptomatic(params, init, cfg)
+        samples = np.array([[1.0], [3e307], [2.0], [1e307]])
+        params = [_params_for_row(OUTBREAK, ("lambda",), row) for row in samples]
+        peaks = column_peaks(("lambda",), samples, init, cfg)
         assert np.isnan(peaks).tolist() == [False, True, False, True]
         with np.errstate(over="ignore", invalid="ignore"):
             for i in (1, 3):
@@ -275,14 +365,16 @@ class TestBatchedPeakSweep:
         ref = [integrate_ode(params[i], init, cfg).column("I_s").max() for i in (0, 2)]
         assert peaks[[0, 2]].tobytes() == np.array(ref).tobytes()
 
-    def test_nonfinite_names_first_failing_sample_in_row_order(self):
+    def test_nonfinite_names_first_failing_sample_in_row_order(self, monkeypatch):
         # Sample 1 overflows later than sample 2: row order, not time,
-        # picks the sample the error names.
+        # picks the sample the error names. The sweep is given these
+        # rows in place of its LHS draw.
         cfg = SimConfig(t_end=50.0, dt=0.5)
         init = default_init(OUTBREAK)
-        params = [OUTBREAK] + [
-            replace(OUTBREAK, lambda_recruit=v) for v in (1e307, 3e307)
-        ]
+        samples = np.array([[OUTBREAK.lambda_recruit], [1e307], [3e307]])
+        monkeypatch.setattr(sensitivity, "lhs_sample", lambda ranges, n, seed: samples)
+        params = [_params_for_row(OUTBREAK, ("lambda",), row) for row in samples]
+        assert params[0] == OUTBREAK
         messages = []
         with np.errstate(over="ignore", invalid="ignore"):
             for p in params[1:]:
@@ -290,10 +382,53 @@ class TestBatchedPeakSweep:
                     integrate_ode(p, init, cfg)
                 messages.append(str(exc.value))
             with pytest.raises(IntegrationError) as exc:
-                _checked_peaks(params, init, cfg)
+                sensitivity_of_peak_symptomatic(
+                    ParamRanges({"lambda": (0.0, 3e307)}), 3, 0, OUTBREAK, cfg)
         late, early = (float(m.rsplit("=", 1)[1]) for m in messages)
         assert early < late
         assert str(exc.value) == f"sample 1: {messages[0]}"
+
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_nan_peaks_are_the_runs_that_raise(self, stride):
+        # Failure is read once, off the final state. The overflowing rows
+        # go non-finite at steps 13, 27 and 42 of 100; at stride 7 the
+        # first two lie between recorded steps.
+        init = default_init(OUTBREAK)
+        values = [OUTBREAK.lambda_recruit, 3e307, 5e306, 1e307, 2.0, 1.5e307]
+        samples = np.array(values)[:, None]
+        cfg = SimConfig(t_end=50.0, dt=0.5, record_stride=stride)
+        first_bad, raised, ref = {}, set(), {}
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, row in enumerate(samples):
+                p = _params_for_row(OUTBREAK, ("lambda",), row)
+                try:
+                    integrate_ode(p, init, replace(cfg, record_stride=1))
+                except IntegrationError as exc:
+                    first_bad[i] = round(float(str(exc).rsplit("=", 1)[1]) / cfg.dt)
+                try:
+                    ref[i] = integrate_ode(p, init, cfg).column("I_s").max()
+                except IntegrationError:
+                    raised.add(i)
+        assert first_bad == {1: 13, 3: 42, 5: 27}
+        assert raised == set(first_bad)
+        peaks = column_peaks(("lambda",), samples, init, cfg)
+        assert set(np.flatnonzero(np.isnan(peaks)).tolist()) == raised
+        ok = sorted(ref)
+        assert peaks[ok].tobytes() == np.array([ref[i] for i in ok]).tobytes()
+
+    def test_a_finite_state_whose_sum_overflows_has_not_failed(self):
+        # S + B overflows while both stay finite: not a failure, neither
+        # for integrate_ode nor for rk4_peaks' check of the final state.
+        p = replace(OUTBREAK, lambda_recruit=1e306, beta_s=0.0, beta_a=0.0,
+                    beta_b=0.0, eps_decay=0.01)
+        init = HerdState(1e308, 0.0, 0.0, 0.0, 0.0, 1e308)
+        cfg = SimConfig(t_end=1.0, dt=0.5)
+        traj = integrate_ode(p, init, cfg)
+        assert math.isinf(sum(traj.states[-1].tolist()))
+        b = COMPARTMENTS.index("B")
+        c = rate_coefficients(_columns(p, (), np.empty((1, 0))))
+        peak = rk4_peaks(c, init, cfg, b)
+        assert peak.tobytes() == np.array([traj.column("B").max()]).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +460,29 @@ class TestForkedPeakSweep:
         with pytest.raises(IntegrationError) as exc:
             sensitivity_of_peak_symptomatic(ranges, 3, 1, OUTBREAK, cfg)
         assert str(exc.value) == f"sample 1: {outcomes[1]}"
+
+
+def test_sweeps_that_succeed_build_no_model_params(monkeypatch):
+    # Rows that run need no validated ModelParams: both sweeps take
+    # parameter columns, and only a failed peak run's first sample is
+    # built, for its message.
+    calls = []
+    real = sensitivity._params_for_row
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sensitivity, "_params_for_row", counting)
+    sensitivity_of_r0(n=50, seed=1)
+    sensitivity_of_peak_symptomatic(n=20, seed=1, cfg=SimConfig(t_end=20.0, dt=0.5))
+    assert calls == []
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IntegrationError, match="^sample 1: "):
+            sensitivity_of_peak_symptomatic(
+                ParamRanges({"lambda": (0.0, 3e307)}), 3, 1, OUTBREAK,
+                SimConfig(t_end=50.0, dt=0.5))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("metric, model", [
